@@ -8,7 +8,7 @@ normalized to [-1, 1] floats and stereo is downmixed to mono on load.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,15 +35,6 @@ class AudioClip:
     @property
     def duration(self) -> float:
         return len(self.samples) / self.sample_rate
-
-
-@dataclass(frozen=True)
-class Frame:
-    """One fixed-length analysis window cut from a clip."""
-
-    samples: np.ndarray
-    index: int
-    start_sample: int
 
 
 def parse_wav(data: bytes, source_path: str = "") -> AudioClip:
@@ -132,11 +123,13 @@ def save_wav(clip: AudioClip, path) -> None:
 
 
 def frame_clip(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
-               hop_size: int = DEFAULT_HOP) -> list[Frame]:
+               hop_size: int = DEFAULT_HOP) -> np.ndarray:
     """Cut a clip into overlapping frames of window_size every hop_size samples.
 
-    A clip shorter than one window yields a single zero-padded frame so that
-    no labeled sample is ever dropped.
+    Returns an (F, window_size) array whose row i is
+    samples[i*hop_size : i*hop_size + window_size], as a read-only view of the
+    clip. A clip shorter than one window yields a single zero-padded row so
+    that no labeled sample is ever dropped.
     """
     if window_size <= 0:
         raise ValueError("window_size must be positive")
@@ -147,14 +140,10 @@ def frame_clip(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
         raise EmptyClip(clip.source_path or "<clip>")
 
     if len(x) < window_size:
-        padded = np.zeros(window_size)
-        padded[:len(x)] = x
-        return [Frame(samples=padded, index=0, start_sample=0)]
-
-    count = (len(x) - window_size) // hop_size + 1
-    return [Frame(samples=x[i * hop_size:i * hop_size + window_size],
-                  index=i, start_sample=i * hop_size)
-            for i in range(count)]
+        padded = np.zeros((1, window_size))
+        padded[0, :len(x)] = x
+        return padded
+    return np.lib.stride_tricks.sliding_window_view(x, window_size)[::hop_size]
 
 
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -33,7 +32,6 @@ DEFAULTS = {
     "max_epochs": 10000,
     "patience": 20,
     "seed": 0,
-    "jobs": 1,
 }
 
 
@@ -92,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True,
                    help="class-per-directory root or path,label manifest CSV")
     p.add_argument("--out", required=True, help="feature cache CSV")
-    p.add_argument("--jobs", type=int, help="parallel extraction workers")
     _add_extraction(p)
     _add_common(p)
 
@@ -147,12 +144,8 @@ def cmd_extract(args) -> int:
     window = resolve(args, "window")
     hop = resolve(args, "hop")
     rate = resolve(args, "rate")
-    jobs = resolve(args, "jobs")
     try:
-        if jobs > 1:
-            corpus = _load_corpus_parallel(args.corpus, window, hop, rate, jobs)
-        else:
-            corpus = dataset.load_corpus(args.corpus, window, hop, rate)
+        corpus = dataset.load_corpus(args.corpus, window, hop, rate)
     except EmptyCorpus as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNREADABLE
@@ -162,44 +155,6 @@ def cmd_extract(args) -> int:
     print(f"extracted {len(corpus.samples)} clips "
           f"({len(corpus.class_names)} classes) -> {args.out}")
     return 0
-
-
-def _load_corpus_parallel(root, window, hop, rate, jobs):
-    """Per-clip extraction fanned out over a thread pool; ordering preserved."""
-    from pathlib import Path
-    root = Path(root)
-    if root.is_file():
-        entries = [(Path(p) if Path(p).is_absolute() else root.parent / p, label)
-                   for p, label in dataset._manifest_rows(root)]
-    else:
-        entries = [(wav, sub.name)
-                   for sub in sorted(root.iterdir()) if sub.is_dir()
-                   for wav in sorted(sub.glob("*.wav"))]
-
-    def extract_one(entry):
-        path, label = entry
-        try:
-            clip = audio_io.resample(audio_io.read_wav(path), rate)
-            return (str(path), label,
-                    features.extract_features(clip, window, hop), None)
-        except Exception as exc:
-            return (str(path), label, None, str(exc))
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        outcomes = list(pool.map(extract_one, entries))
-
-    class_names = dataset._sorted_class_names(
-        {label for _, label, vec, _ in outcomes if vec is not None})
-    if not class_names:
-        raise EmptyCorpus(f"no usable clips under {root}")
-    label_index = {name: i for i, name in enumerate(class_names)}
-    samples = [dataset.LabeledSample(features=vec, label=label_index[label],
-                                     clip_path=path)
-               for path, label, vec, _ in outcomes if vec is not None]
-    errors = [(path, err) for path, _, vec, err in outcomes if vec is None]
-    return dataset.LabeledCorpus(samples=samples, class_names=class_names,
-                                 pseudo_present=dataset.PSEUDO_CLASS in class_names,
-                                 load_errors=errors)
 
 
 def cmd_select(args) -> int:
@@ -276,6 +231,16 @@ def cmd_evaluate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNREADABLE
 
+    # the cache numbers its own classes; score against the model's numbering
+    model_index = {name: i for i, name in
+                   enumerate(net.label_map or corpus.class_names)}
+    unknown = [name for name in corpus.class_names if name not in model_index]
+    if unknown:
+        print(f"error: classes not in the model: {', '.join(unknown)}",
+              file=sys.stderr)
+        return EXIT_UNREADABLE
+    truths = [model_index[corpus.class_names[label]] for label in corpus.labels()]
+
     matrix = corpus.feature_matrix()
     if net.feature_slots is not None:
         matrix = matrix[:, net.feature_slots]
@@ -284,7 +249,7 @@ def cmd_evaluate(args) -> int:
     except DimensionMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
-    cm = evaluation.confusion_matrix(corpus.labels(), predictions,
+    cm = evaluation.confusion_matrix(truths, predictions,
                                      net.spec.n, net.label_map)
     report = evaluation.summarize(cm)
     print(evaluation.render_report_text(report))

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import audio_io, features
-from .errors import ClassTooSmall, EmptyCorpus
+from .errors import ClassTooSmall, EmptyCorpus, MalformedManifest
 from .features import FEATURE_NAMES, FeatureVector
 
 PSEUDO_CLASS = "_pseudo"
@@ -48,18 +48,12 @@ class LabeledCorpus:
     def feature_matrix(self) -> np.ndarray:
         return np.array([s.features.values for s in self.samples])
 
-    def class_indices(self, label: int) -> np.ndarray:
-        return np.flatnonzero(self.labels() == label)
-
 
 @dataclass(frozen=True)
 class SplitPlan:
     train_ids: np.ndarray
     test_ids: np.ndarray
     eval_ids: np.ndarray
-
-    def all_ids(self) -> np.ndarray:
-        return np.concatenate([self.train_ids, self.test_ids, self.eval_ids])
 
 
 @dataclass(frozen=True)
@@ -79,11 +73,14 @@ def _sorted_class_names(names: set[str]) -> list[str]:
 def _manifest_rows(manifest: Path) -> list[tuple[str, str]]:
     rows = []
     with open(manifest, newline="") as fh:
-        for row in csv.reader(fh):
+        for number, row in enumerate(csv.reader(fh), start=1):
             if not row or not row[0].strip():
                 continue
             if row[0].strip().lower() == "path":  # optional header
                 continue
+            if len(row) < 2 or not row[1].strip():
+                raise MalformedManifest(
+                    f"{manifest}: row {number} has no label: {','.join(row)}")
             rows.append((row[0].strip(), row[1].strip()))
     return rows
 
@@ -184,27 +181,6 @@ def largest_remainder_counts(total: int,
     return tuple(counts)
 
 
-def plan_split(corpus: LabeledCorpus, seed: int) -> SplitPlan:
-    """Stratified 70/10/20 split: per class, shuffle then allocate by
-    largest-remainder rounding."""
-    labels = corpus.labels()
-    rng = np.random.default_rng(seed)
-    train, test, evaluation = [], [], []
-    for cls in range(corpus.n_classes):
-        ids = np.flatnonzero(labels == cls)
-        if len(ids) < 3:
-            raise ClassTooSmall(
-                f"class {corpus.class_names[cls]} has {len(ids)} samples")
-        perm = rng.permutation(ids)
-        n_train, n_test, n_eval = largest_remainder_counts(len(ids))
-        train.extend(perm[:n_train])
-        test.extend(perm[n_train:n_train + n_test])
-        evaluation.extend(perm[n_train + n_test:])
-    return SplitPlan(train_ids=np.sort(np.array(train, dtype=int)),
-                     test_ids=np.sort(np.array(test, dtype=int)),
-                     eval_ids=np.sort(np.array(evaluation, dtype=int)))
-
-
 def plan_folds(corpus: LabeledCorpus, seed: int) -> FoldPlan:
     """Ten folds by per-class circular rotation over a seeded shuffle.
 
@@ -245,16 +221,3 @@ def plan_folds(corpus: LabeledCorpus, seed: int) -> FoldPlan:
             test_ids=np.sort(np.array(test, dtype=int)),
             eval_ids=np.sort(np.array(evaluation, dtype=int))))
     return FoldPlan(folds=folds, seed=seed)
-
-
-def export_fold_plan(corpus: LabeledCorpus, plan: FoldPlan, path) -> None:
-    """Audit CSV: clip_path,fold,role."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["clip_path", "fold", "role"])
-        for fold_idx, split in enumerate(plan.folds):
-            for role, ids in (("train", split.train_ids),
-                              ("test", split.test_ids),
-                              ("eval", split.eval_ids)):
-                for i in ids:
-                    writer.writerow([corpus.samples[i].clip_path, fold_idx, role])

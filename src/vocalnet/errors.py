@@ -25,10 +25,6 @@ class NonPowerOfTwoWindow(VocalnetError):
     """FFT frames must have power-of-two length."""
 
 
-class MismatchedSpectra(VocalnetError):
-    """Two spectra being compared have different shapes."""
-
-
 class BankMismatch(VocalnetError):
     """The mel filter bank was built for a different spectrum size."""
 
@@ -49,6 +45,10 @@ class EmptyCorpus(VocalnetError):
 
 class ClassTooSmall(VocalnetError):
     """A class has too few samples to split 70/10/20."""
+
+
+class MalformedManifest(VocalnetError):
+    """A manifest row lacks the path,label pair."""
 
 
 # networks

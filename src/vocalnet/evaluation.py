@@ -136,7 +136,7 @@ def feature_summary(corpus: LabeledCorpus) -> dict[str, dict[str, tuple]]:
     """Per class, the five-number summary of every feature slot.
 
     Returned as {class_name: {slot_name: (min, q1, median, q3, max)}}; feeds
-    the CSV emitter below and the slot-separability check.
+    the CSV emitter below.
     """
     matrix = corpus.feature_matrix()
     labels = corpus.labels()
@@ -146,19 +146,6 @@ def feature_summary(corpus: LabeledCorpus) -> dict[str, dict[str, tuple]]:
         out[name] = {slot_name: _quartiles(rows[:, i])
                      for i, slot_name in enumerate(FEATURE_NAMES)}
     return out
-
-
-def separable_pairs(summary: dict[str, dict[str, tuple]]) -> list[tuple]:
-    """(slot_name, class_a, class_b) triples where min(a) > max(b), i.e. the
-    slot alone separates the pair."""
-    pairs = []
-    names = list(summary)
-    for slot in FEATURE_NAMES:
-        for a in names:
-            for b in names:
-                if a != b and summary[a][slot][0] > summary[b][slot][4]:
-                    pairs.append((slot, a, b))
-    return pairs
 
 
 def write_feature_summary(summary: dict[str, dict[str, tuple]], path) -> None:

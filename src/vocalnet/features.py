@@ -13,9 +13,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.fft import dct
 
-from .audio_io import AudioClip, DEFAULT_HOP, DEFAULT_WINDOW, Frame, frame_clip
-from .errors import (BankMismatch, MismatchedSpectra, NoFrames,
-                     NonPowerOfTwoWindow, SeriesTooShort)
+from .audio_io import AudioClip, DEFAULT_HOP, DEFAULT_WINDOW, frame_clip
+from .errors import BankMismatch, NoFrames, NonPowerOfTwoWindow, SeriesTooShort
 
 N_MFCC = 13
 N_MEL_FILTERS = 26
@@ -44,43 +43,13 @@ FEATURE_FAMILIES = (
     "spectral_variability",
 )
 
+# the columns of clip_level_features, one row per macro-window of the envelope
+CLIP_LEVEL_FAMILIES = ("low_energy_fraction", "beat_sum", "strongest_beat",
+                       "strongest_beat_strength")
+
 FEATURE_NAMES = tuple(f"{family}_{stat}"
                       for family in FEATURE_FAMILIES
                       for stat in ("mean", "std"))
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Magnitude spectrum of one frame (bins 0..W/2)."""
-
-    magnitudes: np.ndarray
-    bin_hz: float
-
-
-@dataclass(frozen=True)
-class FrameFeatures:
-    """Per-window measurements for one frame."""
-
-    zero_crossings: int
-    rms: float
-    flux: float
-    rolloff_hz: float
-    compactness: float
-    moments: np.ndarray  # area, mean, power-spectrum-density, skew, kurtosis
-    centroid_hz: float
-    variability: float
-    mfcc: np.ndarray
-    lpc: np.ndarray
-
-
-@dataclass(frozen=True)
-class ClipLevelFeatures:
-    """Envelope-level measurements for one macro-window of frames."""
-
-    low_energy_fraction: float
-    beat_sum: float
-    strongest_beat_bpm: float
-    strongest_beat_strength: float
 
 
 @dataclass(frozen=True)
@@ -97,92 +66,76 @@ class FeatureVector:
                              f"got {self.values.shape}")
 
 
-def magnitude_spectrum(frame: Frame, sample_rate: int,
-                       window: str = "hann") -> Spectrum:
-    """Magnitude of the real FFT of the windowed frame.
-
-    window="rect" disables the Hann taper; used by oracle tests that compare
-    against a direct DFT.
-    """
-    w = len(frame.samples)
+def magnitude_spectrum(frames: np.ndarray) -> np.ndarray:
+    """Magnitude of the real FFT of each Hann-tapered frame: (F, W/2 + 1)."""
+    w = frames.shape[1]
     if w <= 0 or (w & (w - 1)) != 0:
         raise NonPowerOfTwoWindow(f"frame length {w}")
-    if window == "hann":
-        tapered = frame.samples * np.hanning(w)
-    elif window == "rect":
-        tapered = frame.samples
-    else:
-        raise ValueError(f"unknown window {window!r}")
-    return Spectrum(magnitudes=np.abs(np.fft.rfft(tapered)),
-                    bin_hz=sample_rate / w)
+    return np.abs(np.fft.rfft(frames * np.hanning(w), axis=1))
 
 
-def time_domain_features(samples: np.ndarray) -> tuple[int, float]:
-    """Zero-crossing count and rms of one frame.
+def time_domain_features(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-crossing count and rms of each frame.
 
-    A zero sample adopts the previous sign, so 0 never counts as a crossing
-    by itself.
+    A zero sample adopts the previous sign in its frame, so 0 never counts as
+    a crossing by itself.
     """
-    x = np.asarray(samples, dtype=np.float64)
-    if len(x) == 0:
+    if frames.shape[1] == 0:
         raise ValueError("empty frame")
-    signs = np.sign(x)
-    # forward-fill zeros with the previous sign
-    idx = np.where(signs != 0, np.arange(len(signs)), -1)
-    np.maximum.accumulate(idx, out=idx)
-    filled = np.where(idx >= 0, signs[np.maximum(idx, 0)], 0.0)
-    crossings = int(np.sum(np.abs(np.diff(filled)) > 1.5))
-    rms = float(np.sqrt(np.mean(x ** 2)))
+    signs = np.sign(frames).astype(np.int8)
+    # forward-fill zeros with the previous sign; -1 marks "no sign yet"
+    idx = np.where(signs != 0, np.arange(frames.shape[1], dtype=np.int32), -1)
+    np.maximum.accumulate(idx, axis=1, out=idx)
+    filled = np.where(idx >= 0, np.take_along_axis(signs, np.maximum(idx, 0), 1), 0)
+    crossings = np.count_nonzero(np.abs(np.diff(filled, axis=1)) > 1, axis=1)
+    rms = np.sqrt(np.mean(frames ** 2, axis=1))
     return crossings, rms
 
 
-def spectral_shape_features(current: Spectrum, previous: Spectrum | None = None):
-    """Flux, rolloff, compactness, five moments, centroid, and variability."""
-    m = current.magnitudes
-    if previous is not None:
-        if len(previous.magnitudes) != len(m):
-            raise MismatchedSpectra(
-                f"{len(previous.magnitudes)} vs {len(m)} bins")
-        flux = float(np.sum((m - previous.magnitudes) ** 2))
-    else:
-        flux = 0.0
+def spectral_shape_features(magnitudes: np.ndarray, bin_hz: float):
+    """Flux, rolloff, compactness, five moments, centroid, and variability.
 
-    total = float(np.sum(m))
-    bins = np.arange(len(m))
-    if total > 0:
-        centroid_bins = float(np.sum(bins * m) / total)
-    else:
-        centroid_bins = 0.0
-    centroid_hz = centroid_bins * current.bin_hz
+    One value per frame (row of magnitudes); moments is (F, 5). Flux is the
+    squared change from the previous row, 0 for the first.
+    """
+    m = magnitudes
+    flux = np.zeros(len(m))
+    flux[1:] = np.sum((m[1:] - m[:-1]) ** 2, axis=1)
 
-    energy = m ** 2
-    cum = np.cumsum(energy)
-    target = ROLLOFF_FRACTION * cum[-1]
-    rolloff_hz = float(np.searchsorted(cum, target) * current.bin_hz)
+    total = np.sum(m, axis=1)
+    nonzero = total > 0
+    bins = np.arange(m.shape[1])
+    centroid_bins = np.divide(np.sum(bins * m, axis=1), total,
+                              out=np.zeros_like(total), where=nonzero)
+    centroid_hz = centroid_bins * bin_hz
+
+    cum = np.cumsum(m ** 2, axis=1)
+    target = ROLLOFF_FRACTION * cum[:, -1]
+    rolloff_hz = np.sum(cum < target[:, None], axis=1) * bin_hz
 
     logm = np.log(np.maximum(m, MAG_FLOOR))
-    if len(m) >= 3:
-        neighborhood = (logm[:-2] + logm[1:-1] + logm[2:]) / 3.0
-        compactness = float(np.sum(np.abs(logm[1:-1] - neighborhood)))
-    else:
-        compactness = 0.0
+    neighborhood = (logm[:, :-2] + logm[:, 1:-1] + logm[:, 2:]) / 3.0
+    compactness = np.sum(np.abs(logm[:, 1:-1] - neighborhood), axis=1)
 
-    # first five moments of the magnitude distribution over bin index
-    if total > 0:
-        mu = centroid_bins
-        var = float(np.sum((bins - mu) ** 2 * m) / total)
-        if var > 0:
-            sigma = np.sqrt(var)
-            skew = float(np.sum((bins - mu) ** 3 * m) / total / sigma ** 3)
-            kurt = float(np.sum((bins - mu) ** 4 * m) / total / sigma ** 4)
-        else:
-            skew = 0.0  # point-mass convention
-            kurt = 0.0
-        moments = np.array([total, mu, var, skew, kurt])
-    else:
-        moments = np.zeros(5)
+    # first five moments of the magnitude distribution over bin index; an
+    # all-zero row gets all-zero moments, a point mass zero skew and kurtosis
+    d = bins - centroid_bins[:, None]
+    var = np.divide(np.sum(d ** 2 * m, axis=1), total,
+                    out=np.zeros_like(total), where=nonzero)
+    spread = var > 0
+    sigma = np.sqrt(var)
 
-    variability = float(np.std(m))
+    def standardized(p):
+        # float_power is libm pow, like `**` on a scalar sigma; `**` on an
+        # array may use a SIMD pow that rounds the last bit differently
+        mean_power = np.sum(d ** p * m, axis=1) / np.where(spread, total, 1.0)
+        return np.divide(mean_power, np.float_power(sigma, p),
+                         out=np.zeros_like(total), where=spread)
+
+    moments = np.stack([total, centroid_bins, var, standardized(3),
+                        standardized(4)], axis=1)
+
+    variability = np.std(m, axis=1)
     return flux, rolloff_hz, compactness, moments, centroid_hz, variability
 
 
@@ -213,47 +166,61 @@ def mel_filter_bank(sample_rate: int, window_size: int,
     return bank
 
 
-def mfcc(spectrum: Spectrum, mel_bank: np.ndarray,
+def mfcc(magnitudes: np.ndarray, mel_bank: np.ndarray,
          n_coefficients: int = N_MFCC) -> np.ndarray:
-    """Type-II DCT (orthonormal) of the log mel filter energies."""
-    if mel_bank.shape[1] != len(spectrum.magnitudes):
+    """Type-II DCT (orthonormal) of each frame's log mel filter energies."""
+    if mel_bank.shape[1] != magnitudes.shape[1]:
         raise BankMismatch(f"bank has {mel_bank.shape[1]} bins, "
-                           f"spectrum has {len(spectrum.magnitudes)}")
-    energies = mel_bank @ (spectrum.magnitudes ** 2)
+                           f"spectrum has {magnitudes.shape[1]}")
+    # a stacked matrix @ vector runs one gemv per frame, which sums each frame
+    # as the single-spectrum product does and, unlike one gemm over all
+    # frames, never wakes BLAS worker threads for so small a product
+    energies = np.matmul(mel_bank, (magnitudes ** 2)[:, :, None])[:, :, 0]
     log_energies = np.log(np.maximum(energies, MAG_FLOOR))
-    return dct(log_energies, type=2, norm="ortho")[:n_coefficients]
+    return dct(log_energies, type=2, norm="ortho", axis=1)[:, :n_coefficients]
 
 
-def lpc(samples: np.ndarray, order: int = LPC_ORDER) -> tuple[np.ndarray, bool]:
-    """Forward linear predictor coefficients via Levinson-Durbin.
+def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot product of each row of u with the same row of v.
 
-    Returns (a, degenerate) with the convention x_hat[n] = sum_i a[i-1]*x[n-i].
-    An all-zero frame yields all-zero coefficients with degenerate=True.
+    A stacked (1, n) @ (n, 1) matmul runs one BLAS dot per row, so every row
+    sums in the same order as np.dot on that row alone. Rows must have a
+    positive stride; a reversed view takes another path and must be copied.
     """
-    x = np.asarray(samples, dtype=np.float64)
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+def lpc(frames: np.ndarray, order: int = LPC_ORDER) -> tuple[np.ndarray, np.ndarray]:
+    """Forward linear predictor coefficients of each frame via Levinson-Durbin.
+
+    Returns (a, degenerate): a is (F, order) with the convention
+    x_hat[n] = sum_i a[:, i-1]*x[n-i]; an all-zero frame yields all-zero
+    coefficients and degenerate True. The recursion runs across all frames
+    at once and stops per frame once its prediction error is no longer
+    positive.
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if len(x) <= order:
+    w = frames.shape[1]
+    if w <= order:
         raise ValueError("frame shorter than LPC order")
 
-    # biased autocorrelation
-    r = np.array([np.dot(x[:len(x) - k], x[k:]) for k in range(order + 1)]) / len(x)
-    if r[0] == 0.0:
-        return np.zeros(order), True
+    # biased autocorrelation, (F, order + 1)
+    r = np.stack([_row_dot(frames[:, :w - k], frames[:, k:])
+                  for k in range(order + 1)], axis=1) / w
 
-    a = np.zeros(order)  # predictor coefficients, positive convention
-    err = r[0]
+    a = np.zeros((len(frames), order))  # predictor coefficients, positive convention
+    err = r[:, 0].copy()
+    live = np.ones(len(frames), dtype=bool)
     for i in range(order):
-        acc = r[i + 1] - np.dot(a[:i], r[i:0:-1])
-        if err <= 0:
-            break
-        k = acc / err
-        a_new = a.copy()
-        a_new[i] = k
-        a_new[:i] = a[:i] - k * a[:i][::-1]
-        a = a_new
-        err *= (1.0 - k * k)
-    return a, False
+        live &= err > 0  # a frame whose error is spent keeps its coefficients
+        acc = r[:, i + 1] - _row_dot(a[:, :i], r[:, i:0:-1].copy())
+        k = np.divide(acc, err, out=np.zeros_like(acc), where=live)
+        reflected = a[:, :i] - k[:, None] * a[:, :i][:, ::-1]
+        a[:, :i] = np.where(live[:, None], reflected, a[:, :i])
+        a[:, i] = k
+        err *= 1.0 - k * k
+    return a, r[:, 0] == 0.0
 
 
 def fraction_low_energy(frame_rms_series: np.ndarray) -> float:
@@ -293,86 +260,66 @@ def beat_features(frame_rms_series: np.ndarray,
 
 
 def clip_level_features(frame_rms_series: np.ndarray, hop_seconds: float,
-                        macro_window: int = MACRO_WINDOW_FRAMES
-                        ) -> list[ClipLevelFeatures]:
-    """Envelope features per macro-window of the rms series."""
+                        macro_window: int = MACRO_WINDOW_FRAMES) -> np.ndarray:
+    """Envelope features per macro-window of the rms series.
+
+    One row per macro-window, one column per CLIP_LEVEL_FAMILIES entry.
+    """
     series = np.asarray(frame_rms_series, dtype=np.float64)
-    out = []
+    rows = []
     for start in range(0, len(series), macro_window):
         chunk = series[start:start + macro_window]
-        flewf = fraction_low_energy(chunk)
         if len(chunk) >= 4:
-            bs, sb, ssb = beat_features(chunk, hop_seconds)
+            beats = beat_features(chunk, hop_seconds)
         else:
-            bs, sb, ssb = 0.0, 0.0, 0.0  # too short to carry a beat
-        out.append(ClipLevelFeatures(flewf, bs, sb, ssb))
-    return out
+            beats = (0.0, 0.0, 0.0)  # too short to carry a beat
+        rows.append((fraction_low_energy(chunk), *beats))
+    return np.array(rows).reshape(-1, len(CLIP_LEVEL_FAMILIES))
 
 
-def _mean_std(values: np.ndarray) -> tuple[float, float]:
-    return float(np.mean(values)), float(np.std(values))
+def aggregate_clip(series: dict[str, np.ndarray]) -> FeatureVector:
+    """Pack each family's series into the 28-slot vector.
 
-
-def aggregate_clip(frames: list[FrameFeatures],
-                   clip_level: list[ClipLevelFeatures]) -> FeatureVector:
-    """Pack per-frame and macro-window measurements into the 28-slot vector.
-
-    Vector families (mfcc, moments, lpc) are first collapsed to the mean of
-    their coefficients per frame; stds are population stds throughout, so a
-    single frame or macro-window gives 0 in every std slot.
+    `series` maps every name in FEATURE_FAMILIES to one value per frame (or
+    per macro-window for the clip-level families). Stds are population stds,
+    so a single frame or macro-window gives 0 in every std slot.
     """
-    if not frames:
-        raise NoFrames("no frames to aggregate")
-    if not clip_level:
-        raise NoFrames("no macro-windows to aggregate")
-
-    per_family = {
-        "mfcc": np.array([f.mfcc.mean() for f in frames]),
-        "zero_crossings": np.array([f.zero_crossings for f in frames], dtype=float),
-        "rms": np.array([f.rms for f in frames]),
-        "low_energy_fraction": np.array([c.low_energy_fraction for c in clip_level]),
-        "spectral_flux": np.array([f.flux for f in frames]),
-        "spectral_rolloff": np.array([f.rolloff_hz for f in frames]),
-        "compactness": np.array([f.compactness for f in frames]),
-        "moments": np.array([f.moments.mean() for f in frames]),
-        "lpc": np.array([f.lpc.mean() for f in frames]),
-        "spectral_centroid": np.array([f.centroid_hz for f in frames]),
-        "beat_sum": np.array([c.beat_sum for c in clip_level]),
-        "strongest_beat": np.array([c.strongest_beat_bpm for c in clip_level]),
-        "strongest_beat_strength": np.array([c.strongest_beat_strength
-                                             for c in clip_level]),
-        "spectral_variability": np.array([f.variability for f in frames]),
-    }
     values = []
     for family in FEATURE_FAMILIES:
-        mean, std = _mean_std(per_family[family])
-        values.extend((mean, std))
+        x = np.asarray(series[family], dtype=np.float64)
+        if len(x) == 0:
+            raise NoFrames(f"no values to aggregate for {family}")
+        values.extend((np.mean(x), np.std(x)))
     return FeatureVector(values=np.array(values))
 
 
 def extract_features(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
-                     hop_size: int = DEFAULT_HOP,
-                     fft_window: str = "hann") -> FeatureVector:
-    """Full per-clip extraction: frame, analyze each window, aggregate."""
+                     hop_size: int = DEFAULT_HOP) -> FeatureVector:
+    """Full per-clip extraction: frame, analyze all windows at once, aggregate.
+
+    Vector families (mfcc, moments, lpc) are first collapsed to the mean of
+    their coefficients per frame.
+    """
     frames = frame_clip(clip, window_size, hop_size)
-    bank = mel_filter_bank(clip.sample_rate, window_size)
+    magnitudes = magnitude_spectrum(frames)
+    zero_crossings, rms = time_domain_features(frames)
+    flux, rolloff, compactness, moments, centroid, variability = \
+        spectral_shape_features(magnitudes, clip.sample_rate / window_size)
+    coeffs = mfcc(magnitudes, mel_filter_bank(clip.sample_rate, window_size))
+    predictor, _ = lpc(frames)
+    clip_level = clip_level_features(rms, hop_size / clip.sample_rate)
 
-    frame_features = []
-    previous = None
-    for frame in frames:
-        spectrum = magnitude_spectrum(frame, clip.sample_rate, window=fft_window)
-        zc, rms = time_domain_features(frame.samples)
-        flux, rolloff, compact, moments, centroid, variability = \
-            spectral_shape_features(spectrum, previous)
-        coeffs = mfcc(spectrum, bank)
-        predictor, _ = lpc(frame.samples)
-        frame_features.append(FrameFeatures(
-            zero_crossings=zc, rms=rms, flux=flux, rolloff_hz=rolloff,
-            compactness=compact, moments=moments, centroid_hz=centroid,
-            variability=variability, mfcc=coeffs, lpc=predictor))
-        previous = spectrum
-
-    rms_series = np.array([f.rms for f in frame_features])
-    hop_seconds = hop_size / clip.sample_rate
-    clip_level = clip_level_features(rms_series, hop_seconds)
-    return aggregate_clip(frame_features, clip_level)
+    series = {
+        "mfcc": coeffs.mean(axis=1),
+        "zero_crossings": zero_crossings,
+        "rms": rms,
+        "spectral_flux": flux,
+        "spectral_rolloff": rolloff,
+        "compactness": compactness,
+        "moments": moments.mean(axis=1),
+        "lpc": predictor.mean(axis=1),
+        "spectral_centroid": centroid,
+        "spectral_variability": variability,
+        **dict(zip(CLIP_LEVEL_FAMILIES, clip_level.T)),
+    }
+    return aggregate_clip(series)

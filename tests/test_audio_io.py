@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vocalnet.audio_io import (AudioClip, frame_clip, parse_wav, resample,
                                write_wav)
@@ -70,17 +72,17 @@ class TestRoundTrip:
 
 class TestFrameClip:
     def test_frame_count_and_starts(self):
-        clip = AudioClip(np.zeros(1024), 8000)
+        clip = AudioClip(np.arange(1024.0), 8000)
         frames = frame_clip(clip, 512, 256)
-        assert [f.start_sample for f in frames] == [0, 256, 512]
-        assert all(len(f.samples) == 512 for f in frames)
+        assert frames.shape == (3, 512)
+        assert frames[:, 0].tolist() == [0, 256, 512]
 
     def test_short_clip_zero_padded(self):
         clip = AudioClip(np.ones(100), 8000)
         frames = frame_clip(clip, 512, 256)
-        assert len(frames) == 1
-        assert np.all(frames[0].samples[:100] == 1)
-        assert np.all(frames[0].samples[100:] == 0)
+        assert frames.shape == (1, 512)
+        assert np.all(frames[0, :100] == 1)
+        assert np.all(frames[0, 100:] == 0)
 
     def test_no_overlap(self):
         clip = AudioClip(np.zeros(1024), 8000)
@@ -92,16 +94,21 @@ class TestFrameClip:
         with pytest.raises(EmptyClip):
             frame_clip(clip, 512, 256)
 
-    def test_frames_tile_the_clip(self):
-        rng = np.random.default_rng(2)
-        n = int(rng.integers(600, 5000))
-        clip = AudioClip(rng.uniform(-1, 1, n), 8000)
-        frames = frame_clip(clip, 512, 256)
-        starts = [f.start_sample for f in frames]
-        assert starts == list(range(0, n - 512 + 1, 256))
-        for f in frames:
-            np.testing.assert_array_equal(
-                f.samples, clip.samples[f.start_sample:f.start_sample + 512])
+    @given(n=st.integers(1, 5000),
+           window=st.sampled_from([64, 128, 256, 512, 1024]),
+           data=st.data())
+    def test_frames_tile_the_clip(self, n, window, data):
+        hop = data.draw(st.integers(1, window), label="hop")
+        x = np.random.default_rng(n).uniform(-1, 1, n)
+        frames = frame_clip(AudioClip(x, 8000), window, hop)
+        rows = 1 if n < window else (n - window) // hop + 1
+        assert frames.shape == (rows, window)
+        if n < window:
+            np.testing.assert_array_equal(frames[0, :n], x)
+            assert np.all(frames[0, n:] == 0)
+        else:
+            starts = np.arange(rows)[:, None] * hop
+            np.testing.assert_array_equal(frames, x[starts + np.arange(window)])
 
 
 class TestResample:

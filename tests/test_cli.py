@@ -5,7 +5,9 @@ import pytest
 
 from vocalnet.audio_io import save_wav
 from vocalnet.cli import main, read_config_file
-from vocalnet.dataset import read_feature_cache, write_feature_cache
+from vocalnet.dataset import (LabeledCorpus, LabeledSample,
+                              read_feature_cache, write_feature_cache)
+from vocalnet.mlp import classify, load_model
 
 from conftest import build_tone_corpus_dir, noise_clip, synthetic_feature_corpus
 
@@ -64,14 +66,15 @@ class TestExtract:
         assert main(["extract", "--corpus", str(tmp_path),
                      "--out", str(tmp_path / "out.csv")]) == 2
 
-    def test_parallel_extraction_matches_serial(self, small_corpus_dir, tmp_path):
-        serial = tmp_path / "serial.csv"
-        parallel = tmp_path / "parallel.csv"
-        assert main(["extract", "--corpus", str(small_corpus_dir),
-                     "--out", str(serial)]) == 0
-        assert main(["extract", "--corpus", str(small_corpus_dir),
-                     "--out", str(parallel), "--jobs", "4"]) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
+    def test_one_column_manifest_row_exits_2(self, tmp_path, capsys):
+        save_wav(noise_clip(np.random.default_rng(0), duration=0.1),
+                 tmp_path / "a.wav")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("path,label\na.wav\n")
+        assert main(["extract", "--corpus", str(manifest),
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "manifest.csv" in err and "row 2" in err
 
 
 class TestTrain:
@@ -147,7 +150,61 @@ class TestSelect:
                      "--subset", str(tmp_path / "s.csv"), "--seed", "0"]) == 2
 
 
+@pytest.fixture(scope="module")
+def three_class_model(tmp_path_factory):
+    """A model trained on a 3-class synthetic cache, plus the cache."""
+    root = tmp_path_factory.mktemp("three_class")
+    corpus = synthetic_feature_corpus([(0, 0), (4, 0), (0, 4)], seed=3)
+    cache = root / "cache.csv"
+    write_feature_cache(corpus, cache)
+    model = root / "model.json"
+    assert main(["train", "--cache", str(cache), "--model", str(model),
+                 "--seed", "0", "--max-epochs", "150"]) == 0
+    return model, corpus
+
+
+def write_cache_without(corpus, class_name, path):
+    keep = [s for s in corpus.samples
+            if corpus.class_names[s.label] != class_name]
+    names = [n for n in corpus.class_names if n != class_name]
+    relabeled = [LabeledSample(s.features, names.index(corpus.class_names[s.label]),
+                               s.clip_path) for s in keep]
+    write_feature_cache(LabeledCorpus(relabeled, names), path)
+
+
 class TestEvaluate:
+    def test_labels_match_by_class_name(self, three_class_model, tmp_path,
+                                        capsys):
+        model, corpus = three_class_model
+        reduced = tmp_path / "reduced.csv"
+        write_cache_without(corpus, "class_0", reduced)
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(model),
+                     "--cache", str(reduced)]) == 0
+        out = capsys.readouterr().out
+
+        net, _ = load_model(model)
+        rows = read_feature_cache(reduced)
+        agree = [classify(net, s.features.values)[0]
+                 == net.label_map.index(rows.class_names[s.label])
+                 for s in rows.samples]
+        expected = 100.0 * sum(agree) / len(agree)
+        assert expected > 90.0
+        assert f"Overall accuracy (%):   {expected:.2f}" in out
+
+    def test_class_missing_from_model_exits_2(self, three_class_model,
+                                              tmp_path, capsys):
+        model, corpus = three_class_model
+        names = corpus.class_names + ["class_new"]
+        extra = LabeledCorpus(corpus.samples + [
+            LabeledSample(s.features, 3, s.clip_path + "_new")
+            for s in corpus.samples[:3]], names)
+        cache = tmp_path / "extra.csv"
+        write_feature_cache(extra, cache)
+        assert main(["evaluate", "--model", str(model),
+                     "--cache", str(cache)]) == 2
+        assert "class_new" in capsys.readouterr().err
+
     def test_evaluate_prints_report(self, model_path, cache_path, capsys):
         assert main(["evaluate", "--model", str(model_path),
                      "--cache", str(cache_path)]) == 0

@@ -3,11 +3,10 @@ import csv
 import numpy as np
 import pytest
 
-from vocalnet import dataset
 from vocalnet.audio_io import AudioClip, save_wav
 from vocalnet.dataset import (LabeledCorpus, LabeledSample,
                               largest_remainder_counts, load_corpus,
-                              plan_folds, plan_split, read_feature_cache,
+                              plan_folds, read_feature_cache,
                               write_feature_cache)
 from vocalnet.errors import ClassTooSmall, EmptyCorpus
 from vocalnet.features import FeatureVector
@@ -104,9 +103,11 @@ class TestLargestRemainder:
 
 
 class TestPlanSplit:
+    """The 70/10/20 split of a single fold."""
+
     def test_dog_shaped_corpus(self):
         corpus = label_corpus([10] * 9)
-        plan = plan_split(corpus, seed=0)
+        plan = plan_folds(corpus, seed=0).folds[0]
         assert len(plan.train_ids) == 63
         assert len(plan.test_ids) == 9
         assert len(plan.eval_ids) == 18
@@ -116,7 +117,7 @@ class TestPlanSplit:
 
     def test_bird_shaped_corpus(self):
         corpus = label_corpus([25] * 14)
-        plan = plan_split(corpus, seed=0)
+        plan = plan_folds(corpus, seed=0).folds[0]
         labels = corpus.labels()
         assert len(plan.eval_ids) == 70
         for cls in range(14):
@@ -126,7 +127,7 @@ class TestPlanSplit:
 
     def test_disjoint_and_complete(self):
         corpus = label_corpus([11, 13, 17])
-        plan = plan_split(corpus, seed=3)
+        plan = plan_folds(corpus, seed=3).folds[0]
         train = set(plan.train_ids.tolist())
         test = set(plan.test_ids.tolist())
         evaluation = set(plan.eval_ids.tolist())
@@ -137,7 +138,7 @@ class TestPlanSplit:
 
     def test_class_too_small(self):
         with pytest.raises(ClassTooSmall):
-            plan_split(label_corpus([10, 2]), seed=0)
+            plan_folds(label_corpus([10, 2]), seed=0)
 
 
 class TestPlanFolds:
@@ -168,7 +169,8 @@ class TestPlanFolds:
         plan = plan_folds(corpus, seed=3)
         n = len(corpus.samples)
         for split in plan.folds:
-            ids = split.all_ids()
+            ids = np.concatenate([split.train_ids, split.test_ids,
+                                  split.eval_ids])
             assert len(ids) == n
             assert set(ids.tolist()) == set(range(n))
 
@@ -184,13 +186,3 @@ class TestPlanFolds:
         corpus = label_corpus([5, 10])
         with pytest.warns(UserWarning):
             plan_folds(corpus, seed=0)
-
-    def test_export_fold_plan(self, tmp_path):
-        corpus = label_corpus([10])
-        plan = plan_folds(corpus, seed=0)
-        path = tmp_path / "folds.csv"
-        dataset.export_fold_plan(corpus, plan, path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["clip_path", "fold", "role"]
-        assert len(rows) == 1 + 10 * 10  # header + folds * samples

@@ -5,7 +5,7 @@ from vocalnet.errors import EmptyMatrix, LabelOutOfRange
 from vocalnet.evaluation import (ConfusionMatrix, confusion_matrix,
                                  cross_fold_report, feature_summary,
                                  render_report_csv, render_report_text,
-                                 separable_pairs, summarize, _quartiles)
+                                 summarize, _quartiles)
 
 from conftest import synthetic_feature_corpus
 
@@ -152,13 +152,6 @@ class TestFeatureSummary:
         for stats in summary["class_0"].values():
             lo, q1, med, q3, hi = stats
             assert lo <= q1 <= med <= q3 <= hi
-
-    def test_separable_slot_flagged(self):
-        corpus = synthetic_feature_corpus([(0,), (100,)], samples_per_class=8,
-                                          informative=(0,), noise=0.1)
-        pairs = separable_pairs(feature_summary(corpus))
-        from vocalnet.features import FEATURE_NAMES
-        assert (FEATURE_NAMES[0], "class_1", "class_0") in pairs
 
 
 class TestRendering:

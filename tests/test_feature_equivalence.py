@@ -1,0 +1,67 @@
+"""The columnar extractor against the per-frame reference it replaced.
+
+feature_oracle.py holds the earlier per-frame implementation unchanged; every
+slot of the 28-slot vector must agree with it to 1e-12, and the two
+zero-crossing slots exactly.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import feature_oracle
+from vocalnet.audio_io import AudioClip
+from vocalnet.features import FEATURE_NAMES, extract_features
+
+from conftest import RATE, noise_clip, tone_clip
+
+ZERO_CROSSING_SLOTS = [i for i, name in enumerate(FEATURE_NAMES)
+                       if name.startswith("zero_crossings")]
+
+
+def assert_matches_reference(clip, window=512, hop=256):
+    got = extract_features(clip, window, hop).values
+    want = feature_oracle.extract_features(clip, window, hop).values
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(got[ZERO_CROSSING_SLOTS],
+                                  want[ZERO_CROSSING_SLOTS])
+
+
+@st.composite
+def clips(draw):
+    """(clip, window, hop): edge-case lengths and degenerate signals."""
+    window = draw(st.sampled_from([256, 512, 1024]))
+    hop = draw(st.sampled_from([window // 4, window // 2, window]))
+    n = draw(st.one_of(
+        st.sampled_from([1, window - 1, window, window + hop - 1,
+                         window + hop]),
+        st.integers(1, RATE)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["noise", "silence", "dc", "quantized"]))
+    if kind == "noise":
+        x = rng.uniform(-1, 1, n)
+    elif kind == "silence":
+        x = np.zeros(n)
+    elif kind == "dc":
+        x = np.full(n, draw(st.floats(-1, 1)))
+    else:  # 8-bit steps of quiet noise: many samples are exactly zero
+        x = np.round(np.clip(rng.normal(0, 0.02, n), -1, 1) * 128) / 128
+    return AudioClip(x, RATE), window, hop
+
+
+@settings(max_examples=60, deadline=None)
+@given(clips())
+def test_matches_per_frame_reference(case):
+    clip, window, hop = case
+    assert_matches_reference(clip, window, hop)
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: tone_clip(440, rng),
+    lambda rng: tone_clip(1760, rng, noise=0.0),
+    lambda rng: noise_clip(rng),
+    lambda rng: noise_clip(rng, duration=0.01),
+], ids=["tone440", "clean_tone1760", "noise", "short_noise"])
+def test_matches_reference_on_fixture_clips(make):
+    assert_matches_reference(make(np.random.default_rng(0)))

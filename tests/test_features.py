@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from vocalnet.audio_io import AudioClip, Frame
+from vocalnet.audio_io import AudioClip
 from vocalnet import features as F
-from vocalnet.errors import (BankMismatch, MismatchedSpectra, NoFrames,
-                             NonPowerOfTwoWindow, SeriesTooShort)
+from vocalnet.errors import (BankMismatch, NoFrames, NonPowerOfTwoWindow,
+                             SeriesTooShort)
 
 from conftest import tone_clip
 
 
-def make_frame(samples):
-    return Frame(samples=np.asarray(samples, dtype=float), index=0, start_sample=0)
+def one_frame(samples):
+    """A single frame (or spectrum) as the (1, W) array the extractor takes."""
+    return np.asarray(samples, dtype=float)[None, :]
 
 
 def direct_dft_magnitudes(x):
@@ -27,106 +28,105 @@ def direct_dft_magnitudes(x):
 
 class TestMagnitudeSpectrum:
     def test_zero_frame(self):
-        spec = F.magnitude_spectrum(make_frame(np.zeros(64)), 8000)
-        assert np.all(spec.magnitudes == 0)
-        assert spec.bin_hz == 8000 / 64
+        mags = F.magnitude_spectrum(one_frame(np.zeros(64)))
+        assert mags.shape == (1, 33)
+        assert np.all(mags == 0)
 
     def test_pure_sine_peaks_at_its_bin(self):
         n = np.arange(64)
         x = np.sin(2 * np.pi * 4 * n / 64)
-        spec = F.magnitude_spectrum(make_frame(x), 8000, window="rect")
-        assert int(np.argmax(spec.magnitudes)) == 4
+        assert int(np.argmax(F.magnitude_spectrum(one_frame(x)))) == 4
 
     def test_matches_direct_dft_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             x = rng.standard_normal(64)
-            spec = F.magnitude_spectrum(make_frame(x), 8000, window="rect")
-            np.testing.assert_allclose(spec.magnitudes, direct_dft_magnitudes(x),
-                                       atol=1e-9)
+            mags = F.magnitude_spectrum(one_frame(x))[0]
+            np.testing.assert_allclose(
+                mags, direct_dft_magnitudes(x * np.hanning(64)), atol=1e-9)
 
     def test_parseval_on_windowed_signal(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             x = rng.standard_normal(128)
             windowed = x * np.hanning(128)
-            spec = F.magnitude_spectrum(make_frame(x), 8000)
             # full symmetric spectrum energy: interior bins count twice
-            m = spec.magnitudes
+            m = F.magnitude_spectrum(one_frame(x))[0]
             full = m[0] ** 2 + m[-1] ** 2 + 2 * np.sum(m[1:-1] ** 2)
             np.testing.assert_allclose(np.sum(windowed ** 2), full / 128,
                                        rtol=1e-10)
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(NonPowerOfTwoWindow):
-            F.magnitude_spectrum(make_frame(np.zeros(100)), 8000)
+            F.magnitude_spectrum(one_frame(np.zeros(100)))
 
 
 class TestTimeDomain:
     def test_alternating_signs(self):
-        zc, rms = F.time_domain_features(np.array([1, -1, 1, -1, 1, -1, 1, -1.0]))
-        assert zc == 7
-        assert rms == 1.0
+        zc, rms = F.time_domain_features(one_frame([1, -1, 1, -1, 1, -1, 1, -1]))
+        assert zc[0] == 7
+        assert rms[0] == 1.0
 
     def test_constant(self):
-        zc, rms = F.time_domain_features(np.full(50, 0.5))
-        assert zc == 0
-        assert rms == 0.5
+        zc, rms = F.time_domain_features(one_frame(np.full(50, 0.5)))
+        assert zc[0] == 0
+        assert rms[0] == 0.5
 
     def test_sine_rms_analytic(self):
         t = np.arange(8000) / 8000
-        _, rms = F.time_domain_features(np.sin(2 * np.pi * 100 * t))
-        assert abs(rms - 1 / np.sqrt(2)) < 1e-3
+        _, rms = F.time_domain_features(one_frame(np.sin(2 * np.pi * 100 * t)))
+        assert abs(rms[0] - 1 / np.sqrt(2)) < 1e-3
 
     def test_zero_adopts_previous_sign(self):
-        zc, _ = F.time_domain_features(np.array([1.0, 0.0, 1.0]))
-        assert zc == 0
-        zc, _ = F.time_domain_features(np.array([1.0, 0.0, -1.0]))
-        assert zc == 1
+        zc, _ = F.time_domain_features(np.array([[1.0, 0.0, 1.0],
+                                                 [1.0, 0.0, -1.0],
+                                                 [0.0, 0.0, -1.0]]))
+        assert zc.tolist() == [0, 1, 0]
 
 
 class TestSpectralShape:
     def test_point_mass_spectrum(self):
         m = np.zeros(33)
         m[7] = 2.0
-        spec = F.Spectrum(m, bin_hz=10.0)
-        flux, rolloff, _, moments, centroid, var = F.spectral_shape_features(spec)
-        assert centroid == 70.0
-        assert rolloff == 70.0
-        assert var > 0
-        assert moments[3] == 0.0  # degenerate skew
-        assert moments[4] == 0.0  # degenerate kurtosis
+        flux, rolloff, _, moments, centroid, var = \
+            F.spectral_shape_features(one_frame(m), bin_hz=10.0)
+        assert centroid[0] == 70.0
+        assert rolloff[0] == 70.0
+        assert var[0] > 0
+        assert moments[0, 3] == 0.0  # degenerate skew
+        assert moments[0, 4] == 0.0  # degenerate kurtosis
 
     def test_flux_zero_when_unchanged(self):
         rng = np.random.default_rng(2)
-        spec = F.Spectrum(np.abs(rng.standard_normal(33)), 10.0)
-        flux, *_ = F.spectral_shape_features(spec, spec)
-        assert flux == 0.0
+        m = np.abs(rng.standard_normal(33))
+        flux, *_ = F.spectral_shape_features(np.stack([m, m]), 10.0)
+        assert flux.tolist() == [0.0, 0.0]
+
+    def test_flux_is_squared_change_from_previous_row(self):
+        rng = np.random.default_rng(12)
+        m = np.abs(rng.standard_normal((3, 33)))
+        flux, *_ = F.spectral_shape_features(m, 10.0)
+        assert flux[0] == 0.0  # the first frame has no predecessor
+        np.testing.assert_allclose(flux[1:], np.sum(np.diff(m, axis=0) ** 2, axis=1))
 
     def test_flat_spectrum_hand_cumulative(self):
-        spec = F.Spectrum(np.ones(33), bin_hz=10.0)
-        _, rolloff, _, _, centroid, _ = F.spectral_shape_features(spec)
-        assert centroid == 160.0  # mean bin index 16
-        assert rolloff == 280.0   # ceil(0.85 * 33) = 29th bin -> index 28
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(MismatchedSpectra):
-            F.spectral_shape_features(F.Spectrum(np.ones(33), 1.0),
-                                      F.Spectrum(np.ones(17), 1.0))
+        _, rolloff, _, _, centroid, _ = F.spectral_shape_features(
+            one_frame(np.ones(33)), bin_hz=10.0)
+        assert centroid[0] == 160.0  # mean bin index 16
+        assert rolloff[0] == 280.0   # ceil(0.85 * 33) = 29th bin -> index 28
 
     def test_all_zero_spectrum_is_finite(self):
-        spec = F.Spectrum(np.zeros(33), 10.0)
-        out = F.spectral_shape_features(spec)
-        flat = np.concatenate([np.atleast_1d(v) for v in out])
+        out = F.spectral_shape_features(one_frame(np.zeros(33)), 10.0)
+        flat = np.concatenate([np.ravel(v) for v in out])
         assert np.all(np.isfinite(flat))
-        assert out[4] == 0.0  # centroid convention
+        assert out[4][0] == 0.0  # centroid convention
 
     def test_centroid_invariant_under_scaling(self):
         rng = np.random.default_rng(3)
         m = np.abs(rng.standard_normal(33))
-        one = F.spectral_shape_features(F.Spectrum(m, 10.0))
-        two = F.spectral_shape_features(F.Spectrum(2 * m, 10.0))
-        assert one[4] == pytest.approx(two[4])
+        one = F.spectral_shape_features(one_frame(m), 10.0)
+        two = F.spectral_shape_features(one_frame(2 * m), 10.0)
+        assert one[4][0] == pytest.approx(two[4][0])
 
 
 class TestMfcc:
@@ -144,7 +144,7 @@ class TestMfcc:
 
     def test_zero_spectrum_constant_log(self):
         bank = F.mel_filter_bank(22050, 512)
-        coeffs = F.mfcc(F.Spectrum(np.zeros(257), 22050 / 512), bank)
+        coeffs = F.mfcc(one_frame(np.zeros(257)), bank)[0]
         # DCT-II (ortho) of a constant c over 26 points: c * sqrt(26) at k=0
         assert coeffs[0] == pytest.approx(np.log(1e-10) * np.sqrt(26))
         np.testing.assert_allclose(coeffs[1:], 0.0, atol=1e-12)
@@ -154,14 +154,13 @@ class TestMfcc:
         bank = F.mel_filter_bank(22050, 512)
         for _ in range(20):
             mags = np.abs(rng.standard_normal(257))
-            spec = F.Spectrum(mags, 22050 / 512)
-            np.testing.assert_allclose(F.mfcc(spec, bank),
+            np.testing.assert_allclose(F.mfcc(one_frame(mags), bank)[0],
                                        self.mfcc_oracle(mags, bank), atol=1e-9)
 
     def test_bank_mismatch(self):
         bank = F.mel_filter_bank(22050, 512)
         with pytest.raises(BankMismatch):
-            F.mfcc(F.Spectrum(np.zeros(100), 1.0), bank)
+            F.mfcc(one_frame(np.zeros(100)), bank)
 
     def test_bank_geometry(self):
         bank = F.mel_filter_bank(22050, 512)
@@ -191,7 +190,7 @@ class TestLpc:
         x = np.zeros(8192)
         for n in range(1, len(x)):
             x[n] = 0.9 * x[n - 1] + 0.01 * rng.standard_normal()
-        a, degenerate = F.lpc(x, order=10)
+        (a,), (degenerate,) = F.lpc(one_frame(x), order=10)
         assert not degenerate
         assert abs(a[0] - 0.9) < 0.05
         assert np.max(np.abs(a[1:])) < 0.05
@@ -204,13 +203,13 @@ class TestLpc:
         np.testing.assert_allclose(a[1:], 0.0, atol=1e-12)
 
     def test_all_zero_frame_flagged(self):
-        a, degenerate = F.lpc(np.zeros(100))
-        assert degenerate
-        assert np.all(a == 0)
+        a, degenerate = F.lpc(np.stack([np.zeros(100), np.ones(100)]))
+        assert degenerate.tolist() == [True, False]
+        assert np.all(a[0] == 0)
 
     def test_white_noise_near_zero(self):
         rng = np.random.default_rng(6)
-        a, _ = F.lpc(rng.standard_normal(8192))
+        a, _ = F.lpc(one_frame(rng.standard_normal(8192)))
         assert np.max(np.abs(a)) < 0.1
 
 
@@ -251,31 +250,24 @@ class TestEnvelopeFeatures:
 
 class TestAggregate:
     @staticmethod
-    def constant_frame_features(value):
-        return F.FrameFeatures(
-            zero_crossings=int(value), rms=value, flux=value,
-            rolloff_hz=value, compactness=value,
-            moments=np.full(5, value), centroid_hz=value,
-            variability=value, mfcc=np.full(13, value),
-            lpc=np.full(10, value))
+    def series(*values):
+        return {family: np.array(values, dtype=float)
+                for family in F.FEATURE_FAMILIES}
 
     def test_two_frames_mean_and_population_std(self):
-        frames = [self.constant_frame_features(0.0),
-                  self.constant_frame_features(2.0)]
-        clip_level = [F.ClipLevelFeatures(0.0, 0.0, 0.0, 0.0),
-                      F.ClipLevelFeatures(2.0, 2.0, 2.0, 2.0)]
-        fv = F.aggregate_clip(frames, clip_level)
+        fv = F.aggregate_clip(self.series(0.0, 2.0))
         np.testing.assert_allclose(fv.values[::2], 1.0)  # every mean slot
         np.testing.assert_allclose(fv.values[1::2], 1.0)  # population std
 
     def test_single_frame_zero_stds(self):
-        fv = F.aggregate_clip([self.constant_frame_features(3.0)],
-                              [F.ClipLevelFeatures(0.1, 0.2, 0.3, 0.4)])
+        fv = F.aggregate_clip(self.series(3.0))
         np.testing.assert_allclose(fv.values[1::2], 0.0)
 
     def test_no_frames_raises(self):
+        series = self.series(1.0)
+        series["rms"] = np.array([])
         with pytest.raises(NoFrames):
-            F.aggregate_clip([], [F.ClipLevelFeatures(0, 0, 0, 0)])
+            F.aggregate_clip(series)
 
     def test_slot_count_and_canonical_order(self):
         assert len(F.FEATURE_NAMES) == 28
@@ -327,17 +319,10 @@ class TestExtractProperties:
         clip = tone_clip(880, rng)
         from vocalnet.audio_io import frame_clip
         frames = frame_clip(clip, 512, 256)
-        bank = F.mel_filter_bank(clip.sample_rate, 512)
-        prev = F.magnitude_spectrum(frames[4], clip.sample_rate)
-        cur = F.magnitude_spectrum(frames[5], clip.sample_rate)
-        isolated = F.spectral_shape_features(cur, prev)
-
-        # full pipeline pass
-        previous = None
-        for i, fr in enumerate(frames):
-            spectrum = F.magnitude_spectrum(fr, clip.sample_rate)
-            if i == 5:
-                pipeline_vals = F.spectral_shape_features(spectrum, previous)
-            previous = spectrum
-        assert isolated[0] == pipeline_vals[0]
-        np.testing.assert_array_equal(isolated[3], pipeline_vals[3])
+        bin_hz = clip.sample_rate / 512
+        isolated = F.spectral_shape_features(F.magnitude_spectrum(frames[4:6]),
+                                             bin_hz)
+        pipeline_vals = F.spectral_shape_features(F.magnitude_spectrum(frames),
+                                                  bin_hz)
+        assert isolated[0][1] == pipeline_vals[0][5]
+        np.testing.assert_array_equal(isolated[3][1], pipeline_vals[3][5])
