@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyClip, MalformedRiff, UnsupportedFormat
+from .errors import EmptyClip, InvalidSetting, MalformedRiff, UnsupportedFormat
 
 DEFAULT_WINDOW = 512
 DEFAULT_HOP = 256
@@ -132,9 +132,9 @@ def frame_clip(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
     that no labeled sample is ever dropped.
     """
     if window_size <= 0:
-        raise ValueError("window_size must be positive")
+        raise InvalidSetting(f"window_size must be positive, got {window_size}")
     if not 0 < hop_size <= window_size:
-        raise ValueError("hop_size must be in (0, window_size]")
+        raise InvalidSetting(f"hop_size must be in (0, {window_size}], got {hop_size}")
     x = clip.samples
     if len(x) == 0:
         raise EmptyClip(clip.source_path or "<clip>")
@@ -149,7 +149,7 @@ def frame_clip(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     """Linear-interpolation resampling to target_rate; identity when rates match."""
     if target_rate <= 0:
-        raise ValueError("target_rate must be positive")
+        raise InvalidSetting(f"target_rate must be positive, got {target_rate}")
     if target_rate == clip.sample_rate:
         return clip
     n_out = int(round(len(clip.samples) * target_rate / clip.sample_rate))

@@ -1,8 +1,12 @@
 """Command-line front end: extract, select, train, evaluate, classify.
 
 Configuration precedence is flags > config file (key = value lines) >
-defaults. Exit codes: 2 unreadable inputs / nothing extracted, 3 class too
-small to split, 4 unparseable clip, 5 feature dimension mismatch.
+defaults. Commands raise; `main` alone turns a failure into an exit code:
+  2  a missing or malformed corpus, cache, model, subset or config file, a
+     corpus with no usable clip, or an out-of-range setting;
+  3  a class too small to split, in select or train;
+  4  a clip that cannot be opened or parsed, in classify;
+  5  a feature vector whose length does not match the model.
 """
 
 from __future__ import annotations
@@ -10,35 +14,38 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import audio_io, dataset, evaluation, features, mlp, pipeline, selection
-from .errors import (ClassTooSmall, DimensionMismatch, EmptyCorpus,
-                     MalformedRiff, UnsupportedFormat, VocalnetError)
+from .errors import (ClassTooSmall, DimensionMismatch, InvalidSetting,
+                     LabelOutOfRange, MalformedRiff, UnsupportedFormat,
+                     VocalnetError)
 
-EXIT_UNREADABLE = 2
-EXIT_CLASS_TOO_SMALL = 3
-EXIT_BAD_CLIP = 4
-EXIT_DIMENSION = 5
+EXIT_CODES = (  # the first entry a failure is an instance of decides its code
+    (ClassTooSmall, 3),
+    ((MalformedRiff, UnsupportedFormat), 4),
+    (DimensionMismatch, 5),
+    ((VocalnetError, OSError), 2),
+)
 
+_TRAINING = mlp.TrainingConfig()
+EXTRACTION_KEYS = ("window", "hop", "rate")  # recorded in the model for classify
 DEFAULTS = {
     "window": audio_io.DEFAULT_WINDOW,
     "hop": audio_io.DEFAULT_HOP,
     "rate": audio_io.DEFAULT_RATE,
-    "hidden": None,   # defaults to the class count
+    "hidden": None,   # the class count; see _hidden_width
     "layers": 1,
-    "learning_rate": 0.1,
-    "momentum": 0.9,
-    "max_epochs": 10000,
-    "patience": 20,
-    "seed": 0,
+    "learning_rate": _TRAINING.learning_rate,
+    "momentum": _TRAINING.momentum,
+    "max_epochs": _TRAINING.max_epochs,
+    "patience": _TRAINING.test_patience,
+    "seed": _TRAINING.seed,
 }
 
 
 def read_config_file(path) -> dict:
-    """key = value lines; blank lines and # comments ignored."""
+    """key = value lines; # comments and blank lines ignored, bad bytes read as U+FFFD."""
     values = {}
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -53,16 +60,13 @@ def resolve(args, key, cast=int):
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
-    if getattr(args, "_config", None) and key in args._config:
-        return cast(args._config[key])
+    if key in args._config:
+        try:
+            return cast(args._config[key])
+        except ValueError:
+            raise InvalidSetting(f"config value {key} = {args._config[key]!r} "
+                                 f"is not {cast.__name__}") from None
     return DEFAULTS[key]
-
-
-def _add_common(parser):
-    parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--seed", type=int, help="random seed")
-    parser.add_argument("--ci", action="store_true",
-                        help="CI mode: --seed must be given explicitly")
 
 
 def _add_extraction(parser):
@@ -91,14 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="class-per-directory root or path,label manifest CSV")
     p.add_argument("--out", required=True, help="feature cache CSV")
     _add_extraction(p)
-    _add_common(p)
 
     p = sub.add_parser("select", help="forward feature selection by MDL")
     p.add_argument("--cache", required=True, help="feature cache CSV")
     p.add_argument("--trace", required=True, help="selection trace CSV")
     p.add_argument("--subset", required=True, help="selected-slots output CSV")
     _add_training(p)
-    _add_common(p)
 
     p = sub.add_parser("train", help="10-fold training; exports the best fold's network")
     p.add_argument("--cache", required=True, help="feature cache CSV")
@@ -107,28 +109,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset", help="selected-slots CSV from the select command")
     _add_extraction(p)
     _add_training(p)
-    _add_common(p)
 
     p = sub.add_parser("evaluate", help="score a model against a feature cache")
     p.add_argument("--model", required=True)
     p.add_argument("--cache", required=True)
     p.add_argument("--report", help="report path prefix (.txt and .csv written)")
-    _add_common(p)
 
     p = sub.add_parser("classify", help="classify one WAV file")
     p.add_argument("--model", required=True)
     p.add_argument("wav", help="clip to classify")
-    _add_common(p)
 
+    for p in sub.choices.values():  # options every command takes
+        p.add_argument("--config", help="key = value config file")
+        p.add_argument("--seed", type=int, help="random seed")
+        p.add_argument("--ci", action="store_true",
+                       help="CI mode: --seed must be given explicitly")
     return parser
 
 
 def _prepare(args) -> None:
-    args._config = read_config_file(args.config) if getattr(args, "config", None) else {}
+    args._config = read_config_file(args.config) if args.config else {}
     if args.ci and args.command in ("train", "select") and args.seed is None:
-        print("error: --seed is mandatory for train/select in CI mode",
-              file=sys.stderr)
-        raise SystemExit(EXIT_UNREADABLE)
+        raise InvalidSetting("--seed is mandatory for train/select in CI mode")
 
 
 def _training_config(args) -> mlp.TrainingConfig:
@@ -140,15 +142,20 @@ def _training_config(args) -> mlp.TrainingConfig:
         seed=resolve(args, "seed"))
 
 
+def _hidden_width(args, corpus) -> int:
+    hidden = resolve(args, "hidden")
+    return corpus.n_classes if hidden is None else hidden
+
+
+def _write_report(report, prefix) -> None:
+    with open(prefix + ".txt", "w") as fh:
+        fh.write(evaluation.render_report_text(report) + "\n")
+    with open(prefix + ".csv", "w") as fh:
+        fh.write(evaluation.render_report_csv(report))
+
+
 def cmd_extract(args) -> int:
-    window = resolve(args, "window")
-    hop = resolve(args, "hop")
-    rate = resolve(args, "rate")
-    try:
-        corpus = dataset.load_corpus(args.corpus, window, hop, rate)
-    except EmptyCorpus as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNREADABLE
+    corpus = dataset.load_corpus(args.corpus, *(resolve(args, key) for key in EXTRACTION_KEYS))
     for path, message in corpus.load_errors:
         print(f"warning: skipped {path}: {message}", file=sys.stderr)
     dataset.write_feature_cache(corpus, args.out)
@@ -158,15 +165,10 @@ def cmd_extract(args) -> int:
 
 
 def cmd_select(args) -> int:
-    try:
-        corpus = dataset.read_feature_cache(args.cache)
-    except (OSError, EmptyCorpus, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNREADABLE
+    corpus = dataset.read_feature_cache(args.cache)
     config = _training_config(args)
     folds = dataset.plan_folds(corpus, config.seed)
-    hidden = resolve(args, "hidden") or corpus.n_classes
-    trace = selection.forward_select(corpus, folds, hidden,
+    trace = selection.forward_select(corpus, folds, _hidden_width(args, corpus),
                                      resolve(args, "layers"), config)
     selection.export_trace(trace, args.trace)
     selection.write_subset(trace, args.subset)
@@ -176,27 +178,17 @@ def cmd_select(args) -> int:
 
 
 def cmd_train(args) -> int:
-    try:
-        corpus = dataset.read_feature_cache(args.cache)
-    except (OSError, EmptyCorpus, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNREADABLE
+    corpus = dataset.read_feature_cache(args.cache)
     subset = selection.read_subset(args.subset) if args.subset else None
     config = _training_config(args)
-    try:
-        folds = dataset.plan_folds(corpus, config.seed)
-        run = pipeline.train_all_folds(
-            corpus, folds, config,
-            hidden_width=resolve(args, "hidden"),
-            hidden_layers=resolve(args, "layers"),
-            feature_slots=subset)
-    except ClassTooSmall as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CLASS_TOO_SMALL
+    folds = dataset.plan_folds(corpus, config.seed)
+    run = pipeline.train_all_folds(
+        corpus, folds, config,
+        hidden_width=_hidden_width(args, corpus),
+        hidden_layers=resolve(args, "layers"),
+        feature_slots=subset)
 
-    extraction = {"window": resolve(args, "window"),
-                  "hop": resolve(args, "hop"),
-                  "rate": resolve(args, "rate")}
+    extraction = {key: resolve(args, key) for key in EXTRACTION_KEYS}
     mlp.save_model(run.best.network, args.model, seed=config.seed,
                    stop_reason=run.best.state.stop_reason,
                    extraction=extraction)
@@ -211,85 +203,49 @@ def cmd_train(args) -> int:
     print(f"exported fold {run.best.fold} -> {args.model}")
 
     if args.report:
-        aggregate = evaluation.summarize(run.summary.summed_matrix)
-        with open(args.report + ".txt", "w") as fh:
-            fh.write(evaluation.render_report_text(aggregate) + "\n")
-        with open(args.report + ".csv", "w") as fh:
-            fh.write(evaluation.render_report_csv(aggregate))
+        _write_report(evaluation.summarize(run.summary.summed_matrix), args.report)
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        net, _doc = mlp.load_model(args.model)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: cannot read model: {exc}", file=sys.stderr)
-        return EXIT_UNREADABLE
-    try:
-        corpus = dataset.read_feature_cache(args.cache)
-    except (OSError, EmptyCorpus, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNREADABLE
+    net, _doc = mlp.load_model(args.model)
+    corpus = dataset.read_feature_cache(args.cache)
 
     # the cache numbers its own classes; score against the model's numbering
     model_index = {name: i for i, name in
                    enumerate(net.label_map or corpus.class_names)}
     unknown = [name for name in corpus.class_names if name not in model_index]
     if unknown:
-        print(f"error: classes not in the model: {', '.join(unknown)}",
-              file=sys.stderr)
-        return EXIT_UNREADABLE
+        raise LabelOutOfRange(f"classes not in the model: {', '.join(unknown)}")
     truths = [model_index[corpus.class_names[label]] for label in corpus.labels()]
 
     matrix = corpus.feature_matrix()
     if net.feature_slots is not None:
         matrix = matrix[:, net.feature_slots]
-    try:
-        predictions = [mlp.classify(net, row)[0] for row in matrix]
-    except DimensionMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
+    predictions = [mlp.classify(net, row)[0] for row in matrix]
     cm = evaluation.confusion_matrix(truths, predictions,
-                                     net.spec.n, net.label_map)
+                                     net.spec.n, net.label_map or None)
     report = evaluation.summarize(cm)
     print(evaluation.render_report_text(report))
     if args.report:
-        with open(args.report + ".txt", "w") as fh:
-            fh.write(evaluation.render_report_text(report) + "\n")
-        with open(args.report + ".csv", "w") as fh:
-            fh.write(evaluation.render_report_csv(report))
+        _write_report(report, args.report)
     return 0
 
 
 def cmd_classify(args) -> int:
-    try:
-        net, doc = mlp.load_model(args.model)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: cannot read model: {exc}", file=sys.stderr)
-        return EXIT_UNREADABLE
+    net, doc = mlp.load_model(args.model)
     try:
         clip = audio_io.read_wav(args.wav)
-    except OSError as exc:
-        print(f"error: cannot read clip: {exc}", file=sys.stderr)
-        return EXIT_BAD_CLIP
-    except (MalformedRiff, UnsupportedFormat) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_BAD_CLIP
+    except OSError as exc:  # an unopenable clip is a bad clip (4), not a bad file (2)
+        raise MalformedRiff(f"cannot read clip: {exc}") from exc
 
     extraction = doc.get("extraction") or {}
-    clip = audio_io.resample(clip, extraction.get("rate", audio_io.DEFAULT_RATE))
-    vector = features.extract_features(
-        clip,
-        extraction.get("window", audio_io.DEFAULT_WINDOW),
-        extraction.get("hop", audio_io.DEFAULT_HOP))
+    window, hop, rate = (extraction.get(key, DEFAULTS[key]) for key in EXTRACTION_KEYS)
+    vector = features.extract_features(audio_io.resample(clip, rate), window, hop)
     values = vector.values
     if net.feature_slots is not None:
         values = values[net.feature_slots]
-    try:
-        label, activations = mlp.classify(net, values)
-    except DimensionMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
+    label, activations = mlp.classify(net, values)
     name = net.label_map[label] if net.label_map else str(label)
     print(name)
     print(" ".join(f"{a:.4f}" for a in activations))
@@ -307,12 +263,12 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _prepare(args)
     try:
+        _prepare(args)
         return COMMANDS[args.command](args)
-    except VocalnetError as exc:
+    except (VocalnetError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_UNREADABLE
+        return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

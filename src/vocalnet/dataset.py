@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import audio_io, features
-from .errors import ClassTooSmall, EmptyCorpus, MalformedManifest
+from .errors import ClassTooSmall, EmptyCorpus, MalformedArtifact
 from .features import FEATURE_NAMES, FeatureVector
 
 PSEUDO_CLASS = "_pseudo"
@@ -70,18 +70,26 @@ def _sorted_class_names(names: set[str]) -> list[str]:
     return ordered
 
 
+def read_csv_rows(path) -> list[tuple[int, list[str]]]:
+    """(line number, row) for each non-empty row of a CSV file; undecodable
+    text or a malformed field raises MalformedArtifact."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            return [(reader.line_num, row) for row in reader if row]
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise MalformedArtifact(f"{path}: {exc}") from exc
+
+
 def _manifest_rows(manifest: Path) -> list[tuple[str, str]]:
     rows = []
-    with open(manifest, newline="") as fh:
-        for number, row in enumerate(csv.reader(fh), start=1):
-            if not row or not row[0].strip():
-                continue
-            if row[0].strip().lower() == "path":  # optional header
-                continue
-            if len(row) < 2 or not row[1].strip():
-                raise MalformedManifest(
-                    f"{manifest}: row {number} has no label: {','.join(row)}")
-            rows.append((row[0].strip(), row[1].strip()))
+    for number, row in read_csv_rows(manifest):
+        if not row[0].strip() or row[0].strip().lower() == "path":  # optional header
+            continue
+        if len(row) < 2 or not row[1].strip():
+            raise MalformedArtifact(
+                f"{manifest}: row {number} has no label: {','.join(row)}")
+        rows.append((row[0].strip(), row[1].strip()))
     return rows
 
 
@@ -144,25 +152,25 @@ def write_feature_cache(corpus: LabeledCorpus, path) -> None:
 
 
 def read_feature_cache(path) -> LabeledCorpus:
-    """Rebuild a corpus from a feature cache CSV."""
+    """Rebuild a corpus from a feature cache CSV; a row that is not a path, a
+    label and 28 numbers raises MalformedArtifact."""
+    lines = read_csv_rows(path)
+    if not lines or lines[0][1][:2] != ["clip_path", "label"]:
+        raise EmptyCorpus(f"{path} is not a feature cache")
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:2] != ["clip_path", "label"]:
-            raise EmptyCorpus(f"{path} is not a feature cache")
-        for row in reader:
-            if not row:
-                continue
-            rows.append((row[0], row[1], np.array([float(v) for v in row[2:]])))
+    for number, row in lines[1:]:
+        try:
+            rows.append((row[0], row[1], FeatureVector([float(v) for v in row[2:]])))
+        except (IndexError, ValueError) as exc:
+            raise MalformedArtifact(f"{path}: row {number}: {exc}") from None
     if not rows:
         raise EmptyCorpus(f"{path} has no rows")
 
     class_names = _sorted_class_names({label for _, label, _ in rows})
     label_index = {name: i for i, name in enumerate(class_names)}
-    samples = [LabeledSample(features=FeatureVector(values=vals),
-                             label=label_index[label], clip_path=path_)
-               for path_, label, vals in rows]
+    samples = [LabeledSample(features=vector, label=label_index[label],
+                             clip_path=path_)
+               for path_, label, vector in rows]
     return LabeledCorpus(samples=samples, class_names=class_names,
                          pseudo_present=PSEUDO_CLASS in class_names)
 

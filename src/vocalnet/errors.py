@@ -47,8 +47,12 @@ class ClassTooSmall(VocalnetError):
     """A class has too few samples to split 70/10/20."""
 
 
-class MalformedManifest(VocalnetError):
-    """A manifest row lacks the path,label pair."""
+class MalformedArtifact(VocalnetError, ValueError):
+    """A manifest, feature cache, subset file or model file is malformed."""
+
+
+class InvalidSetting(VocalnetError, ValueError):
+    """A setting is out of range or a config-file value will not cast."""
 
 
 # networks

@@ -14,7 +14,8 @@ import numpy as np
 from scipy.fft import dct
 
 from .audio_io import AudioClip, DEFAULT_HOP, DEFAULT_WINDOW, frame_clip
-from .errors import BankMismatch, NoFrames, NonPowerOfTwoWindow, SeriesTooShort
+from .errors import (BankMismatch, InvalidSetting, NoFrames, NonPowerOfTwoWindow,
+                     SeriesTooShort)
 
 N_MFCC = 13
 N_MEL_FILTERS = 26
@@ -203,7 +204,7 @@ def lpc(frames: np.ndarray, order: int = LPC_ORDER) -> tuple[np.ndarray, np.ndar
         raise ValueError("order must be >= 1")
     w = frames.shape[1]
     if w <= order:
-        raise ValueError("frame shorter than LPC order")
+        raise InvalidSetting(f"a {w}-sample frame is not longer than LPC order {order}")
 
     # biased autocorrelation, (F, order + 1)
     r = np.stack([_row_dot(frames[:, :w - k], frames[:, k:])

@@ -10,11 +10,13 @@ held-out (test) MSE worsening for a patience window, train MSE stalling over
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySet
+from .errors import DimensionMismatch, EmptySet, InvalidSetting, MalformedArtifact
+from .features import FEATURE_NAMES
 
 MODEL_FORMAT_VERSION = 1
 STD_FLOOR = 1e-8
@@ -31,8 +33,10 @@ class NetworkSpec:
     n: int  # outputs
 
     def __post_init__(self):
-        if self.j < 1 or self.k < 1 or self.m < 1 or self.n < 1:
-            raise ValueError(f"invalid topology ({self.j}, [{self.k}, {self.m}], {self.n})")
+        if not all(isinstance(v, (int, np.integer)) and v >= 1
+                   for v in (self.j, self.k, self.m, self.n)):
+            raise InvalidSetting(
+                f"invalid topology ({self.j}, [{self.k}, {self.m}], {self.n})")
 
     def layer_sizes(self) -> list[int]:
         return [self.j] + [self.k] * self.m + [self.n]
@@ -72,9 +76,11 @@ class TrainingConfig:
 
     def __post_init__(self):
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+            raise InvalidSetting(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must be in [0, 1)")
+            raise InvalidSetting(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.seed < 0:
+            raise InvalidSetting(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -135,11 +141,8 @@ def classify(net: Network, x: np.ndarray) -> tuple[int, np.ndarray]:
 
 def mse(net: Network, inputs: np.ndarray, targets: np.ndarray) -> float:
     """Mean over samples and outputs of the squared output error."""
-    inputs = _check_input(net, inputs)
-    a = (inputs - net.input_mean) / net.input_std
-    for w in net.weights:
-        a = sigmoid(w[0] + a @ w[1:])
-    return float(np.mean((a - targets) ** 2))
+    outputs = _forward_layers(net, _check_input(net, inputs))[-1]
+    return float(np.mean((outputs - targets) ** 2))
 
 
 def _sample_gradients(net: Network, x: np.ndarray,
@@ -216,10 +219,6 @@ def train(net: Network, train_inputs: np.ndarray, train_targets: np.ndarray,
     train_mse = mse(net, train_inputs, train_targets)
     test_mse = mse(net, test_inputs, test_targets)
 
-    if config.max_epochs == 0:
-        return net, TrainingState(epoch=0, train_mse=train_mse,
-                                  test_mse=test_mse, stop_reason="EpochCap")
-
     epoch = 0
     stop_reason = "EpochCap"
     for epoch in range(1, config.max_epochs + 1):
@@ -276,16 +275,36 @@ def save_model(net: Network, path, seed: int | None = None,
 
 
 def load_model(path) -> tuple[Network, dict]:
-    """Load a model JSON; returns (network, full document)."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format {doc.get('format_version')}")
-    spec = NetworkSpec(**doc["spec"])
-    net = Network(spec=spec,
-                  weights=[np.array(w) for w in doc["weights"]],
-                  input_mean=np.array(doc["input_mean"]),
-                  input_std=np.array(doc["input_std"]),
-                  label_map=list(doc["label_map"]),
-                  feature_slots=doc.get("feature_slots"))
+    """Load a model JSON; returns (network, full document). Bad JSON, another
+    format version, missing keys, or arrays, labels, slots or extraction
+    settings that do not fit the spec raise MalformedArtifact."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if doc["format_version"] != MODEL_FORMAT_VERSION:
+            raise ValueError(f"format version {doc['format_version']!r}")
+        spec = NetworkSpec(**doc["spec"])
+        net = Network(spec=spec,
+                      weights=[np.array(w, dtype=np.float64) for w in doc["weights"]],
+                      input_mean=np.array(doc["input_mean"], dtype=np.float64),
+                      input_std=np.array(doc["input_std"], dtype=np.float64),
+                      label_map=[str(name) for name in doc["label_map"]],
+                      feature_slots=doc.get("feature_slots"))
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise MalformedArtifact(f"{path}: {type(exc).__name__}: {exc}") from exc
+    slots, extraction = net.feature_slots, doc.get("extraction") or {}
+    misfits = [name for name, fits in {
+        # the layer count goes first, as layer_sizes() builds m + 2 entries
+        "weights": len(net.weights) == spec.m + 1 and [w.shape for w in net.weights]
+        == [(s + 1, t) for s, t in pairwise(spec.layer_sizes())],
+        "input statistics": net.input_mean.shape == net.input_std.shape == (spec.j,),
+        "label_map": len(net.label_map) in (0, spec.n),
+        "feature_slots": slots is None or isinstance(slots, list) and len(slots) == spec.j
+        and all(type(i) is int and 0 <= i < len(FEATURE_NAMES) for i in slots),
+        "extraction": isinstance(extraction, dict)
+        and all(type(v) is int for v in extraction.values()),
+    }.items() if not fits]
+    if misfits:
+        raise MalformedArtifact(f"{path}: {', '.join(misfits)} do not fit "
+                                f"({spec.j}, [{spec.k}, {spec.m}], {spec.n})")
     return net, doc

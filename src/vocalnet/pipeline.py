@@ -5,8 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dataset import FoldPlan, LabeledCorpus
 from .evaluation import EvalReport, FoldSummary, confusion_matrix, cross_fold_report, summarize
 from .mlp import (Network, NetworkSpec, TrainingConfig, TrainingState,

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import FoldPlan, LabeledCorpus
+from .dataset import FoldPlan, LabeledCorpus, read_csv_rows
+from .errors import MalformedArtifact
 from .features import FEATURE_NAMES
 from .mlp import Network, NetworkSpec, TrainingConfig, init_network, mse, one_hot, train
 
@@ -123,7 +124,13 @@ def write_subset(trace: SelectionTrace, path) -> None:
 
 
 def read_subset(path) -> list[int]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header
-        return [int(row[0]) for row in reader if row]
+    """Slot indices from a write_subset file; a slot that is not an integer
+    in 0..27, a repeated slot or no slot at all raises MalformedArtifact."""
+    rows = read_csv_rows(path)[1:]  # after the header
+    try:
+        slots = [int(row[0]) for _, row in rows]
+    except ValueError as exc:
+        raise MalformedArtifact(f"{path}: {exc}") from None
+    if not 0 < len(slots) == len(set(slots) & set(range(len(FEATURE_NAMES)))):
+        raise MalformedArtifact(f"{path}: {slots} are not distinct slots in 0..27")
+    return slots
