@@ -152,15 +152,21 @@ def write_feature_cache(corpus: LabeledCorpus, path) -> None:
 
 
 def read_feature_cache(path) -> LabeledCorpus:
-    """Rebuild a corpus from a feature cache CSV; a row that is not a path, a
-    label and 28 numbers raises MalformedArtifact."""
+    """Rebuild a corpus from a feature cache CSV. A header other than
+    clip_path,label and the 28 slot names, or a row that is not a path, a
+    label and 28 finite numbers, raises MalformedArtifact."""
     lines = read_csv_rows(path)
-    if not lines or lines[0][1][:2] != ["clip_path", "label"]:
-        raise EmptyCorpus(f"{path} is not a feature cache")
+    number, header = lines[0] if lines else (1, [])
+    if header != ["clip_path", "label", *FEATURE_NAMES]:
+        raise MalformedArtifact(f"{path}: row {number}: not the header clip_path,"
+                                f"label and the {len(FEATURE_NAMES)} slot names")
     rows = []
     for number, row in lines[1:]:
         try:
-            rows.append((row[0], row[1], FeatureVector([float(v) for v in row[2:]])))
+            vector = FeatureVector([float(v) for v in row[2:]])
+            if not np.isfinite(vector.values).all():
+                raise ValueError("non-finite value")
+            rows.append((row[0], row[1], vector))
         except (IndexError, ValueError) as exc:
             raise MalformedArtifact(f"{path}: row {number}: {exc}") from None
     if not rows:

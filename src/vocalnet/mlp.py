@@ -5,6 +5,13 @@ units each, n sigmoid outputs (one per class, one-hot targets, argmax
 decoding). Training minimizes mean-square error and stops on the first of:
 held-out (test) MSE worsening for a patience window, train MSE stalling over
 100 epochs, train MSE dropping below 0.01, or the epoch cap.
+
+Each layer's weights are a (source + 1, target) matrix, bias row first. While
+training, all of them lie back to back, in layer order and row-major, in one
+flat `theta` array; the network's weight matrices are views into it, and the
+momentum `velocity` and the per-sample `grad` have the same layout. One
+momentum step is thus four in-place operations over whole buffers, and a
+per-sample update allocates no array.
 """
 
 from __future__ import annotations
@@ -92,7 +99,10 @@ class TrainingState:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
+    """Logistic function. exp(-x) overflows to inf for x below about -709,
+    and 1 / (1 + inf) is then the exact limit 0.0, so the warning is muted."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def init_network(spec: NetworkSpec, seed: int) -> Network:
@@ -145,48 +155,112 @@ def mse(net: Network, inputs: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean((outputs - targets) ** 2))
 
 
-def _sample_gradients(net: Network, x: np.ndarray,
-                      t: np.ndarray) -> list[np.ndarray]:
-    """Gradients of the per-sample loss mean_outputs((o - t)^2) by back-propagation."""
-    activations = _forward_layers(net, x)
-    out = activations[-1]
-    delta = (2.0 / net.spec.n) * (out - t) * out * (1.0 - out)
-    grads: list[np.ndarray] = [None] * len(net.weights)
-    for layer in reversed(range(len(net.weights))):
-        prev = activations[layer]
-        grad = np.empty_like(net.weights[layer])
-        grad[0] = delta
-        grad[1:] = np.outer(prev, delta)
-        grads[layer] = grad
-        if layer > 0:
-            delta = (net.weights[layer][1:] @ delta) * prev * (1.0 - prev)
-    return grads
+class _Backprop:
+    """Per-sample back-propagation over one flat parameter buffer.
+
+    Built once per training run from a network and its z-scored inputs; every
+    buffer an update touches is allocated here, so a step allocates nothing.
+    Each step applies the float operations of the per-layer textbook update
+    in the same order, so its results are bit-identical to that update.
+    """
+
+    def __init__(self, net: Network, inputs: np.ndarray, targets: np.ndarray):
+        shapes = [w.shape for w in net.weights]
+        self.theta = np.concatenate([w.ravel() for w in net.weights])
+        self.velocity = np.zeros_like(self.theta)
+        self.grad = np.empty_like(self.theta)
+        self.weights = _layer_views(self.theta, shapes)
+        grads = _layer_views(self.grad, shapes)
+        # Every activation vector starts with a 1, so one outer product with
+        # a layer's delta fills its gradient's bias row (1.0 * d == d) and body.
+        rows = np.ones((len(inputs), net.spec.j + 1))
+        rows[:, 1:] = (inputs - net.input_mean) / net.input_std
+        self.rows = [(row[:, None], row[1:]) for row in rows]
+        self.targets = list(np.asarray(targets, dtype=np.float64))
+        outs = [np.ones(t + 1) for _, t in shapes]
+        deltas = [np.empty(t) for _, t in shapes]
+        scratch = [np.empty(t) for _, t in shapes]  # for 1 - activation
+        # 0-d arrays: numpy converts a Python float operand on every call
+        self.one = np.array(1.0)
+        self.output_scale = np.array(2.0 / net.spec.n)
+        self.forward_layers = [(w[1:], w[0], out[1:])
+                               for w, out in zip(self.weights, outs)]
+        self.output = (outs[-1][1:], deltas[-1], scratch[-1])
+        # layers above the first, last first: the gradient, the input
+        # activation as a column and the delta; then the weights, delta,
+        # activation and scratch that carry the delta to the layer below
+        self.backward_layers = [
+            (grads[i], outs[i - 1][:, None], deltas[i],
+             self.weights[i][1:], deltas[i - 1], outs[i - 1][1:], scratch[i - 1])
+            for i in range(len(shapes) - 1, 0, -1)]
+        self.first_layer = (grads[0], deltas[0])
+
+    def backprop(self, idx: int) -> None:
+        """Gradient of sample idx's loss mean_outputs((o - t)^2) into grad."""
+        one = self.one
+        x_column, a = self.rows[idx]
+        for w_body, w_bias, z in self.forward_layers:
+            np.dot(a, w_body, z)
+            z += w_bias
+            np.negative(z, z)  # sigmoid: 1 / (1 + exp(-z))
+            np.exp(z, z)
+            z += one
+            np.divide(one, z, z)
+            a = z
+        out, d, s = self.output
+        np.subtract(out, self.targets[idx], d)
+        d *= self.output_scale
+        d *= out
+        np.subtract(one, out, s)
+        d *= s
+        for grad, prev_column, d, w_body, below, prev, s in self.backward_layers:
+            np.multiply(prev_column, d, grad)
+            np.dot(w_body, d, below)
+            below *= prev
+            np.subtract(one, prev, s)
+            below *= s
+        grad, d = self.first_layer
+        np.multiply(x_column, d, grad)
+
+    def step(self, idx: int, learning_rate: np.ndarray, momentum: np.ndarray) -> None:
+        """One momentum update of theta on sample idx."""
+        self.backprop(idx)
+        self.velocity *= momentum
+        self.grad *= learning_rate
+        self.velocity -= self.grad
+        self.theta += self.velocity
+
+
+def _layer_views(flat: np.ndarray, shapes: list[tuple[int, int]]) -> list[np.ndarray]:
+    ends = np.cumsum([r * c for r, c in shapes])
+    return [part.reshape(shape)
+            for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
 
 
 def mse_gradients(net: Network, inputs: np.ndarray,
                   targets: np.ndarray) -> list[np.ndarray]:
-    """Analytic gradient of the full-batch MSE with respect to every weight."""
-    inputs = _check_input(net, inputs)
-    total = [np.zeros_like(w) for w in net.weights]
-    for x, t in zip(inputs, targets):
-        for acc, g in zip(total, _sample_gradients(net, x, t)):
-            acc += g
-    return [g / len(inputs) for g in total]
+    """Analytic gradient of the full-batch MSE with respect to every weight:
+    the mean of the per-sample gradients of the kernel that train runs."""
+    kernel = _Backprop(net, _check_input(net, inputs), targets)
+    total = np.zeros_like(kernel.grad)
+    with np.errstate(over="ignore"):
+        for idx in range(len(kernel.rows)):
+            kernel.backprop(idx)
+            total += kernel.grad
+    total /= len(kernel.rows)
+    return _layer_views(total, [w.shape for w in net.weights])
 
 
 def train_epoch(net: Network, inputs: np.ndarray, targets: np.ndarray,
                 config: TrainingConfig, rng: np.random.Generator,
-                velocity: list[np.ndarray]) -> float:
+                kernel: _Backprop) -> float:
     """One shuffled pass of per-sample updates with momentum; returns train MSE
-    after the pass. Mutates net and velocity in place."""
-    inputs = _check_input(net, inputs)
-    order = rng.permutation(len(inputs))
-    for idx in order:
-        grads = _sample_gradients(net, inputs[idx], targets[idx])
-        for w, v, g in zip(net.weights, velocity, grads):
-            v *= config.momentum
-            v -= config.learning_rate * g
-            w += v
+    after the pass. kernel holds these inputs z-scored and the buffers net's
+    weights view; the pass updates them in place."""
+    learning_rate, momentum = np.array(config.learning_rate), np.array(config.momentum)
+    with np.errstate(over="ignore"):
+        for idx in rng.permutation(len(inputs)):
+            kernel.step(idx, learning_rate, momentum)
     return mse(net, inputs, targets)
 
 
@@ -208,12 +282,14 @@ def train(net: Network, train_inputs: np.ndarray, train_targets: np.ndarray,
         raise EmptySet("train and test sets must be non-empty")
 
     net = net.copy()
-    fit_input_norm(net, np.asarray(train_inputs, dtype=np.float64))
+    inputs = _check_input(net, train_inputs)
+    fit_input_norm(net, inputs)
     rng = np.random.default_rng(config.seed)
-    velocity = [np.zeros_like(w) for w in net.weights]
+    kernel = _Backprop(net, inputs, train_targets)
+    net.weights = kernel.weights  # training updates kernel.theta in place
 
     best_test = np.inf
-    best_snapshot = net.copy()
+    best_theta = kernel.theta.copy()
     worsening = 0
     train_history: list[float] = []
     train_mse = mse(net, train_inputs, train_targets)
@@ -223,13 +299,13 @@ def train(net: Network, train_inputs: np.ndarray, train_targets: np.ndarray,
     stop_reason = "EpochCap"
     for epoch in range(1, config.max_epochs + 1):
         train_mse = train_epoch(net, train_inputs, train_targets, config,
-                                rng, velocity)
+                                rng, kernel)
         test_mse = mse(net, test_inputs, test_targets)
         train_history.append(train_mse)
 
         if test_mse < best_test:
             best_test = test_mse
-            best_snapshot = net.copy()
+            np.copyto(best_theta, kernel.theta)
             worsening = 0
         else:
             worsening += 1
@@ -244,7 +320,7 @@ def train(net: Network, train_inputs: np.ndarray, train_targets: np.ndarray,
             break
         if worsening >= config.test_patience:
             stop_reason = "TestWorsening"
-            net = best_snapshot
+            np.copyto(kernel.theta, best_theta)
             test_mse = best_test
             train_mse = mse(net, train_inputs, train_targets)
             break

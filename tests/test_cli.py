@@ -179,6 +179,23 @@ class TestTrain:
                      "--subset", subset]) == 2
         assert capsys.readouterr().err.startswith("error: MalformedArtifact")
 
+    @pytest.mark.parametrize("line, edit", [
+        (2, lambda cells: cells[:5] + ["nan"] + cells[6:]),
+        (3, lambda cells: cells[:-1] + ["inf"]),
+        (1, lambda cells: cells[:2] + ["slot_x"] + cells[3:]),
+    ], ids=["nan", "inf", "renamed-slot"])
+    def test_bad_cache_exits_2(self, cache_path, tmp_path, capsys, line, edit):
+        lines = cache_path.read_text().splitlines()
+        lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
+        cache = write_text(tmp_path / "cache.csv", "\n".join(lines) + "\n")
+        model = tmp_path / "m.json"
+        assert main(["train", "--cache", cache, "--model", str(model),
+                     "--seed", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: MalformedArtifact")
+        assert f"{cache}: row {line}:" in err
+        assert not model.exists()
+
 
 class TestSelect:
     def test_select_round_trip(self, tmp_path):

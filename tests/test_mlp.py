@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,15 @@ class TestForward:
                               + np.array([[0.2, -0.3], [0.4, 0.5]]).T @ h)))
         np.testing.assert_allclose(forward(net, x), o, atol=1e-12)
 
+    def test_sigmoid_saturates_exactly_without_warning(self):
+        net = init_network(NetworkSpec(2, 3, 1, 2), seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = mlp.sigmoid(np.array([-1000.0, 0.0, 1000.0]))
+            classify(net, np.array([1e6, -1e6]))  # far from the training statistics
+        np.testing.assert_array_equal(out.view(np.uint64),
+                                      np.array([0.0, 0.5, 1.0]).view(np.uint64))
+
     def test_dimension_mismatch(self):
         net = init_network(NetworkSpec(3, 2, 1, 2), seed=0)
         with pytest.raises(DimensionMismatch):
@@ -110,8 +121,9 @@ class TestGradients:
         mlp.fit_input_norm(net, x)
         before = mse(net, x, t)
         rng = np.random.default_rng(0)
-        velocity = [np.zeros_like(w) for w in net.weights]
-        after = mlp.train_epoch(net, x, t, config, rng, velocity)
+        kernel = mlp._Backprop(net, x, t)
+        net.weights = kernel.weights
+        after = mlp.train_epoch(net, x, t, config, rng, kernel)
         assert after < before
 
     def test_zero_learning_rate_rejected(self):
