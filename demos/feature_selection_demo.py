@@ -7,8 +7,8 @@ stop, because adding a noise slot buys no fit but costs description length.
 
 import numpy as np
 
-from vocalnet.dataset import LabeledCorpus, LabeledSample, plan_folds
-from vocalnet.features import FEATURE_NAMES, FeatureVector
+from vocalnet.dataset import make_corpus, plan_folds
+from vocalnet.features import FEATURE_NAMES
 from vocalnet.mlp import TrainingConfig
 from vocalnet.pipeline import train_all_folds
 from vocalnet.selection import forward_select
@@ -16,14 +16,16 @@ from vocalnet.selection import forward_select
 rng = np.random.default_rng(3)
 centers = [(0, 0), (4, 0), (0, 4)]
 
-samples = []
-for cls, (cx, cy) in enumerate(centers):
+paths, labels, rows = [], [], []
+for name, (cx, cy) in zip(["species_a", "species_b", "species_c"], centers):
     for i in range(20):
         v = rng.standard_normal(28)
         v[0] = cx + 0.3 * rng.standard_normal()
         v[1] = cy + 0.3 * rng.standard_normal()
-        samples.append(LabeledSample(FeatureVector(v), cls, f"c{cls}_{i}"))
-corpus = LabeledCorpus(samples, ["species_a", "species_b", "species_c"])
+        paths.append(f"{name}/{i}")
+        labels.append(name)
+        rows.append(v)
+corpus = make_corpus(paths, labels, rows)
 
 folds = plan_folds(corpus, seed=0)
 config = TrainingConfig(max_epochs=200, seed=0)

@@ -8,7 +8,7 @@ fold, and prints the per-fold accuracies and the aggregate confusion matrix.
 import numpy as np
 
 from vocalnet.audio_io import AudioClip
-from vocalnet.dataset import LabeledCorpus, LabeledSample, plan_folds
+from vocalnet.dataset import make_corpus, plan_folds
 from vocalnet.evaluation import render_report_text, summarize
 from vocalnet.features import extract_features
 from vocalnet.mlp import TrainingConfig
@@ -36,13 +36,13 @@ classes = [("low_hoot", lambda: tone(330)),
             ("high_trill", lambda: tone(2640)),
             ("_pseudo", noise)]
 
-samples = []
-for label, (name, make) in enumerate(classes):
+paths, labels, rows = [], [], []
+for name, make in classes:
     for i in range(CLIPS_PER_CLASS):
-        vector = extract_features(make())
-        samples.append(LabeledSample(vector, label, f"{name}/{i}"))
-corpus = LabeledCorpus(samples, [name for name, _ in classes],
-                       pseudo_present=True)
+        paths.append(f"{name}/{i}")
+        labels.append(name)
+        rows.append(extract_features(make()).values)
+corpus = make_corpus(paths, labels, rows)
 
 print(f"corpus: {len(corpus.samples)} clips, classes {corpus.class_names}")
 

@@ -6,9 +6,8 @@ forward feature selection -> confusion-matrix evaluation.
 """
 
 from .audio_io import AudioClip, frame_clip, parse_wav, read_wav, resample, save_wav, write_wav
-from .dataset import (FoldPlan, LabeledCorpus, LabeledSample, SplitPlan,
-                      load_corpus, plan_folds, read_feature_cache,
-                      write_feature_cache)
+from .dataset import (LabeledCorpus, SplitPlan, load_corpus, make_corpus,
+                      plan_folds, read_feature_cache, write_feature_cache)
 from .evaluation import (ConfusionMatrix, EvalReport, confusion_matrix,
                          cross_fold_report, feature_summary, summarize)
 from .features import (FEATURE_NAMES, FeatureVector, extract_features)

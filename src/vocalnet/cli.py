@@ -82,6 +82,9 @@ def _add_training(parser):
     parser.add_argument("--momentum", type=float)
     parser.add_argument("--max-epochs", dest="max_epochs", type=int)
     parser.add_argument("--patience", type=int)
+    parser.add_argument("--seed", type=int, help="random seed")
+    parser.add_argument("--ci", action="store_true",
+                        help="CI mode: --seed must be given explicitly")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="10-fold training; exports the best fold's network")
     p.add_argument("--cache", required=True, help="feature cache CSV")
     p.add_argument("--model", required=True, help="model JSON output")
-    p.add_argument("--report", help="report path prefix (.txt and .csv written)")
+    p.add_argument("--report", help="report path prefix (.txt, .csv and "
+                                    ".features.csv written)")
     p.add_argument("--subset", help="selected-slots CSV from the select command")
     _add_extraction(p)
     _add_training(p)
@@ -119,17 +123,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("wav", help="clip to classify")
 
-    for p in sub.choices.values():  # options every command takes
-        p.add_argument("--config", help="key = value config file")
-        p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument("--ci", action="store_true",
-                       help="CI mode: --seed must be given explicitly")
+    for name in ("extract", "select", "train"):  # the commands that resolve settings
+        sub.choices[name].add_argument("--config", help="key = value config file")
     return parser
 
 
 def _prepare(args) -> None:
-    args._config = read_config_file(args.config) if args.config else {}
-    if args.ci and args.command in ("train", "select") and args.seed is None:
+    config = getattr(args, "config", None)
+    args._config = read_config_file(config) if config else {}
+    if getattr(args, "ci", False) and args.seed is None:
         raise InvalidSetting("--seed is mandatory for train/select in CI mode")
 
 
@@ -204,6 +206,8 @@ def cmd_train(args) -> int:
 
     if args.report:
         _write_report(evaluation.summarize(run.summary.summed_matrix), args.report)
+        evaluation.write_feature_summary(evaluation.feature_summary(corpus),
+                                         args.report + ".features.csv")
     return 0
 
 
@@ -217,9 +221,9 @@ def cmd_evaluate(args) -> int:
     unknown = [name for name in corpus.class_names if name not in model_index]
     if unknown:
         raise LabelOutOfRange(f"classes not in the model: {', '.join(unknown)}")
-    truths = [model_index[corpus.class_names[label]] for label in corpus.labels()]
+    truths = [model_index[corpus.class_names[label]] for label in corpus.labels]
 
-    matrix = corpus.feature_matrix()
+    matrix = corpus.samples
     if net.feature_slots is not None:
         matrix = matrix[:, net.feature_slots]
     predictions = [mlp.classify(net, row)[0] for row in matrix]

@@ -1,9 +1,10 @@
 """Labeled corpora and 70/10/20 split planning with 10-fold rotation.
 
 A corpus is either a directory with one subdirectory of WAV files per class or
-a CSV manifest of path,label rows. A class literally named `_pseudo` is the
-negative-example class and is always ordered last; at training time it is an
-ordinary class with its own output node.
+a CSV manifest of path,label rows. A loaded corpus is columnar: one (N, 28)
+feature matrix, one label index and one clip path per row. A class literally
+named `_pseudo` is the negative-example class and is always ordered last; at
+training time it is an ordinary class with its own output node.
 """
 
 from __future__ import annotations
@@ -24,29 +25,17 @@ SPLIT_FRACTIONS = (0.7, 0.1, 0.2)  # train, test, eval
 N_FOLDS = 10
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    features: FeatureVector
-    label: int
-    clip_path: str
-
-
 @dataclass
 class LabeledCorpus:
-    samples: list[LabeledSample]
+    samples: np.ndarray  # (N, 28) feature matrix, row i for clip i
+    labels: np.ndarray  # (N,) index into class_names
+    clip_paths: list[str]
     class_names: list[str]
-    pseudo_present: bool = False
     load_errors: list[tuple[str, str]] = field(default_factory=list)
 
     @property
     def n_classes(self) -> int:
         return len(self.class_names)
-
-    def labels(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples], dtype=int)
-
-    def feature_matrix(self) -> np.ndarray:
-        return np.array([s.features.values for s in self.samples])
 
 
 @dataclass(frozen=True)
@@ -56,18 +45,20 @@ class SplitPlan:
     eval_ids: np.ndarray
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    folds: list[SplitPlan]
-    seed: int
-
-
-def _sorted_class_names(names: set[str]) -> list[str]:
-    """Lexicographic order with the pseudo class forced last."""
-    ordered = sorted(n for n in names if n != PSEUDO_CLASS)
-    if PSEUDO_CLASS in names:
-        ordered.append(PSEUDO_CLASS)
-    return ordered
+def make_corpus(clip_paths, label_names, rows, load_errors=()) -> LabeledCorpus:
+    """A corpus from one label name and one 28-value row per clip. Classes
+    are the names present, sorted with the pseudo class last; every loader
+    builds its corpus here, so this is the only place that orders them."""
+    class_names = sorted(set(label_names) - {PSEUDO_CLASS})
+    if PSEUDO_CLASS in label_names:
+        class_names.append(PSEUDO_CLASS)
+    index = {name: i for i, name in enumerate(class_names)}
+    return LabeledCorpus(
+        samples=np.array(rows, dtype=np.float64).reshape(len(clip_paths),
+                                                         len(FEATURE_NAMES)),
+        labels=np.array([index[name] for name in label_names], dtype=int),
+        clip_paths=[str(p) for p in clip_paths], class_names=class_names,
+        load_errors=list(load_errors))
 
 
 def read_csv_rows(path) -> list[tuple[int, list[str]]]:
@@ -112,10 +103,7 @@ def load_corpus(root, window_size: int = audio_io.DEFAULT_WINDOW,
     else:
         raise EmptyCorpus(f"{root} is neither a directory nor a manifest")
 
-    class_names = _sorted_class_names({label for _, label in entries})
-    label_index = {name: i for i, name in enumerate(class_names)}
-
-    samples: list[LabeledSample] = []
+    paths, labels, rows = [], [], []
     load_errors: list[tuple[str, str]] = []
     for path, label in entries:
         try:
@@ -125,20 +113,14 @@ def load_corpus(root, window_size: int = audio_io.DEFAULT_WINDOW,
         except Exception as exc:  # record and continue with the rest
             load_errors.append((str(path), str(exc)))
             continue
-        samples.append(LabeledSample(features=vector, label=label_index[label],
-                                     clip_path=str(path)))
+        paths.append(path)
+        labels.append(label)
+        rows.append(vector.values)
 
-    if not samples:
+    if not rows:
         raise EmptyCorpus(f"no usable clips under {root}")
-    used = _sorted_class_names({class_names[s.label] for s in samples})
-    if used != class_names:  # drop classes whose every clip failed
-        remap = {label_index[name]: i for i, name in enumerate(used)}
-        samples = [LabeledSample(s.features, remap[s.label], s.clip_path)
-                   for s in samples]
-        class_names = used
-    return LabeledCorpus(samples=samples, class_names=class_names,
-                         pseudo_present=PSEUDO_CLASS in class_names,
-                         load_errors=load_errors)
+    # a class whose every clip failed has no label here, so it is dropped
+    return make_corpus(paths, labels, rows, load_errors)
 
 
 def write_feature_cache(corpus: LabeledCorpus, path) -> None:
@@ -146,9 +128,10 @@ def write_feature_cache(corpus: LabeledCorpus, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["clip_path", "label", *FEATURE_NAMES])
-        for s in corpus.samples:
-            writer.writerow([s.clip_path, corpus.class_names[s.label],
-                             *(repr(float(v)) for v in s.features.values)])
+        for path, label, values in zip(corpus.clip_paths, corpus.labels,
+                                       corpus.samples):
+            writer.writerow([path, corpus.class_names[label],
+                             *(repr(float(v)) for v in values)])
 
 
 def read_feature_cache(path) -> LabeledCorpus:
@@ -160,25 +143,20 @@ def read_feature_cache(path) -> LabeledCorpus:
     if header != ["clip_path", "label", *FEATURE_NAMES]:
         raise MalformedArtifact(f"{path}: row {number}: not the header clip_path,"
                                 f"label and the {len(FEATURE_NAMES)} slot names")
-    rows = []
+    paths, labels, rows = [], [], []
     for number, row in lines[1:]:
         try:
-            vector = FeatureVector([float(v) for v in row[2:]])
-            if not np.isfinite(vector.values).all():
+            values = FeatureVector([float(v) for v in row[2:]]).values
+            if not np.isfinite(values).all():
                 raise ValueError("non-finite value")
-            rows.append((row[0], row[1], vector))
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise MalformedArtifact(f"{path}: row {number}: {exc}") from None
+        paths.append(row[0])
+        labels.append(row[1])
+        rows.append(values)
     if not rows:
         raise EmptyCorpus(f"{path} has no rows")
-
-    class_names = _sorted_class_names({label for _, label, _ in rows})
-    label_index = {name: i for i, name in enumerate(class_names)}
-    samples = [LabeledSample(features=vector, label=label_index[label],
-                             clip_path=path_)
-               for path_, label, vector in rows]
-    return LabeledCorpus(samples=samples, class_names=class_names,
-                         pseudo_present=PSEUDO_CLASS in class_names)
+    return make_corpus(paths, labels, rows)
 
 
 def largest_remainder_counts(total: int,
@@ -195,14 +173,14 @@ def largest_remainder_counts(total: int,
     return tuple(counts)
 
 
-def plan_folds(corpus: LabeledCorpus, seed: int) -> FoldPlan:
+def plan_folds(corpus: LabeledCorpus, seed: int) -> list[SplitPlan]:
     """Ten folds by per-class circular rotation over a seeded shuffle.
 
     Fold i takes its eval block at a rotating offset, the test block right
     after it, and trains on the rest; with class sizes that are multiples of
     10 every sample lands in eval exactly twice and in test exactly once.
     """
-    labels = corpus.labels()
+    labels = corpus.labels
     rng = np.random.default_rng(seed)
     small = [corpus.class_names[c] for c in range(corpus.n_classes)
              if np.sum(labels == c) < N_FOLDS]
@@ -234,4 +212,4 @@ def plan_folds(corpus: LabeledCorpus, seed: int) -> FoldPlan:
             train_ids=np.sort(np.array(train, dtype=int)),
             test_ids=np.sort(np.array(test, dtype=int)),
             eval_ids=np.sort(np.array(evaluation, dtype=int))))
-    return FoldPlan(folds=folds, seed=seed)
+    return folds

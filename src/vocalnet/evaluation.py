@@ -138,11 +138,9 @@ def feature_summary(corpus: LabeledCorpus) -> dict[str, dict[str, tuple]]:
     Returned as {class_name: {slot_name: (min, q1, median, q3, max)}}; feeds
     the CSV emitter below.
     """
-    matrix = corpus.feature_matrix()
-    labels = corpus.labels()
     out: dict[str, dict[str, tuple]] = {}
     for cls, name in enumerate(corpus.class_names):
-        rows = matrix[labels == cls]
+        rows = corpus.samples[corpus.labels == cls]
         out[name] = {slot_name: _quartiles(rows[:, i])
                      for i, slot_name in enumerate(FEATURE_NAMES)}
     return out

@@ -58,12 +58,11 @@ class FeatureVector:
     """The 28 per-clip values in canonical family order (mean then std each)."""
 
     values: np.ndarray
-    feature_names: tuple = FEATURE_NAMES
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.values.shape != (len(self.feature_names),):
-            raise ValueError(f"expected {len(self.feature_names)} values, "
+        if self.values.shape != (len(FEATURE_NAMES),):
+            raise ValueError(f"expected {len(FEATURE_NAMES)} values, "
                              f"got {self.values.shape}")
 
 

@@ -128,19 +128,20 @@ def _check_input(net: Network, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward_layers(net: Network, x: np.ndarray) -> list[np.ndarray]:
-    """Activations of every layer including the z-scored input."""
-    a = (x - net.input_mean) / net.input_std
-    activations = [a]
+def _zscore(net: Network, x: np.ndarray) -> np.ndarray:
+    return (x - net.input_mean) / net.input_std
+
+
+def _outputs(net: Network, a: np.ndarray) -> np.ndarray:
+    """Output activations for z-scored inputs a."""
     for w in net.weights:
         a = sigmoid(w[0] + a @ w[1:])
-        activations.append(a)
-    return activations
+    return a
 
 
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
     """Output activations for one input vector, all in (0, 1)."""
-    return _forward_layers(net, _check_input(net, x))[-1]
+    return _outputs(net, _zscore(net, _check_input(net, x)))
 
 
 def classify(net: Network, x: np.ndarray) -> tuple[int, np.ndarray]:
@@ -149,10 +150,13 @@ def classify(net: Network, x: np.ndarray) -> tuple[int, np.ndarray]:
     return int(np.argmax(activations)), activations
 
 
+def _zscored_mse(net: Network, z: np.ndarray, targets: np.ndarray) -> float:
+    return float(np.mean((_outputs(net, z) - targets) ** 2))
+
+
 def mse(net: Network, inputs: np.ndarray, targets: np.ndarray) -> float:
     """Mean over samples and outputs of the squared output error."""
-    outputs = _forward_layers(net, _check_input(net, inputs))[-1]
-    return float(np.mean((outputs - targets) ** 2))
+    return _zscored_mse(net, _zscore(net, _check_input(net, inputs)), targets)
 
 
 class _Backprop:
@@ -171,10 +175,11 @@ class _Backprop:
         self.grad = np.empty_like(self.theta)
         self.weights = _layer_views(self.theta, shapes)
         grads = _layer_views(self.grad, shapes)
+        self.z = _zscore(net, inputs)  # for the batch MSE after each epoch
         # Every activation vector starts with a 1, so one outer product with
         # a layer's delta fills its gradient's bias row (1.0 * d == d) and body.
         rows = np.ones((len(inputs), net.spec.j + 1))
-        rows[:, 1:] = (inputs - net.input_mean) / net.input_std
+        rows[:, 1:] = self.z
         self.rows = [(row[:, None], row[1:]) for row in rows]
         self.targets = list(np.asarray(targets, dtype=np.float64))
         outs = [np.ones(t + 1) for _, t in shapes]
@@ -261,7 +266,7 @@ def train_epoch(net: Network, inputs: np.ndarray, targets: np.ndarray,
     with np.errstate(over="ignore"):
         for idx in rng.permutation(len(inputs)):
             kernel.step(idx, learning_rate, momentum)
-    return mse(net, inputs, targets)
+    return _zscored_mse(net, kernel.z, targets)
 
 
 def one_hot(labels: np.ndarray, n: int) -> np.ndarray:
@@ -286,21 +291,22 @@ def train(net: Network, train_inputs: np.ndarray, train_targets: np.ndarray,
     fit_input_norm(net, inputs)
     rng = np.random.default_rng(config.seed)
     kernel = _Backprop(net, inputs, train_targets)
+    test_z = _zscore(net, _check_input(net, test_inputs))  # the statistics are fixed now
     net.weights = kernel.weights  # training updates kernel.theta in place
 
     best_test = np.inf
     best_theta = kernel.theta.copy()
     worsening = 0
     train_history: list[float] = []
-    train_mse = mse(net, train_inputs, train_targets)
-    test_mse = mse(net, test_inputs, test_targets)
+    train_mse = _zscored_mse(net, kernel.z, train_targets)
+    test_mse = _zscored_mse(net, test_z, test_targets)
 
     epoch = 0
     stop_reason = "EpochCap"
     for epoch in range(1, config.max_epochs + 1):
         train_mse = train_epoch(net, train_inputs, train_targets, config,
                                 rng, kernel)
-        test_mse = mse(net, test_inputs, test_targets)
+        test_mse = _zscored_mse(net, test_z, test_targets)
         train_history.append(train_mse)
 
         if test_mse < best_test:
@@ -322,7 +328,7 @@ def train(net: Network, train_inputs: np.ndarray, train_targets: np.ndarray,
             stop_reason = "TestWorsening"
             np.copyto(kernel.theta, best_theta)
             test_mse = best_test
-            train_mse = mse(net, train_inputs, train_targets)
+            train_mse = _zscored_mse(net, kernel.z, train_targets)
             break
 
     return net, TrainingState(epoch=epoch, train_mse=train_mse,

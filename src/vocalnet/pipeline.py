@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dataset import FoldPlan, LabeledCorpus
+from .dataset import LabeledCorpus, SplitPlan
 from .evaluation import EvalReport, FoldSummary, confusion_matrix, cross_fold_report, summarize
 from .mlp import (Network, NetworkSpec, TrainingConfig, TrainingState,
                   classify, init_network, one_hot, train)
@@ -26,15 +26,15 @@ class TrainingRun:
     best: FoldResult  # highest eval accuracy; ties to the earlier fold
 
 
-def train_fold(corpus: LabeledCorpus, fold_plan: FoldPlan, fold: int,
+def train_fold(corpus: LabeledCorpus, fold_plan: list[SplitPlan], fold: int,
                config: TrainingConfig, hidden_width: int, hidden_layers: int,
                feature_slots: list[int] | None = None) -> FoldResult:
     """Train on one fold's train/test split and score it on the eval set."""
-    split = fold_plan.folds[fold]
-    matrix = corpus.feature_matrix()
+    split = fold_plan[fold]
+    matrix = corpus.samples
     if feature_slots is not None:
         matrix = matrix[:, feature_slots]
-    labels = corpus.labels()
+    labels = corpus.labels
     n = corpus.n_classes
 
     spec = NetworkSpec(j=matrix.shape[1], k=hidden_width, m=hidden_layers, n=n)
@@ -54,7 +54,7 @@ def train_fold(corpus: LabeledCorpus, fold_plan: FoldPlan, fold: int,
                       report=summarize(cm))
 
 
-def train_all_folds(corpus: LabeledCorpus, fold_plan: FoldPlan,
+def train_all_folds(corpus: LabeledCorpus, fold_plan: list[SplitPlan],
                     config: TrainingConfig, hidden_width: int | None = None,
                     hidden_layers: int = 1,
                     feature_slots: list[int] | None = None) -> TrainingRun:
@@ -63,7 +63,7 @@ def train_all_folds(corpus: LabeledCorpus, fold_plan: FoldPlan,
         hidden_width = corpus.n_classes
     results = [train_fold(corpus, fold_plan, f, config, hidden_width,
                           hidden_layers, feature_slots)
-               for f in range(len(fold_plan.folds))]
+               for f in range(len(fold_plan))]
     summary = cross_fold_report([r.report for r in results])
     best = max(results, key=lambda r: (r.report.overall_accuracy, -r.fold))
     return TrainingRun(results=results, summary=summary, best=best)

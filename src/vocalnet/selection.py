@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import FoldPlan, LabeledCorpus, read_csv_rows
+from .dataset import LabeledCorpus, SplitPlan, read_csv_rows
 from .errors import MalformedArtifact
 from .features import FEATURE_NAMES
 from .mlp import Network, NetworkSpec, TrainingConfig, init_network, mse, one_hot, train
@@ -49,16 +49,16 @@ def mdl_score(net: Network, inputs: np.ndarray, targets: np.ndarray) -> float:
                  + (w / 2.0) * np.log(n))
 
 
-def forward_select(corpus: LabeledCorpus, folds: FoldPlan, hidden_width: int,
+def forward_select(corpus: LabeledCorpus, folds: list[SplitPlan], hidden_width: int,
                    hidden_layers: int, config: TrainingConfig) -> SelectionTrace:
     """Greedy forward substitution over the 28 slots, trained on fold 1 only.
 
     Every candidate evaluation is recorded in the trace; ties between equal
     scores go to the lower slot index.
     """
-    split = folds.folds[0]
-    all_features = corpus.feature_matrix()
-    labels = corpus.labels()
+    split = folds[0]
+    all_features = corpus.samples
+    labels = corpus.labels
     n_out = corpus.n_classes
     n_slots = all_features.shape[1]
 

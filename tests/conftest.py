@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from vocalnet.audio_io import AudioClip, save_wav
-from vocalnet.dataset import LabeledCorpus, LabeledSample
-from vocalnet.features import FeatureVector
+from vocalnet.dataset import make_corpus
 
 RATE = 22050
 
@@ -56,15 +55,16 @@ def synthetic_feature_corpus(class_centers, samples_per_class=20, seed=3,
     """Corpus of raw 28-slot vectors: the informative slots carry class
     centers, everything else is standard normal noise."""
     rng = np.random.default_rng(seed)
-    samples = []
+    paths, labels, rows = [], [], []
     for cls, center in enumerate(class_centers):
         for i in range(samples_per_class):
             v = rng.standard_normal(28)
             for slot, value in zip(informative, center):
                 v[slot] = value + noise * rng.standard_normal()
-            samples.append(LabeledSample(FeatureVector(v), cls, f"s{cls}_{i}"))
-    names = [f"class_{c}" for c in range(len(class_centers))]
-    return LabeledCorpus(samples, names)
+            paths.append(f"s{cls}_{i}")
+            labels.append(f"class_{cls}")
+            rows.append(v)
+    return make_corpus(paths, labels, rows)
 
 
 @pytest.fixture(scope="session")

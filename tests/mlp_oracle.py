@@ -2,9 +2,10 @@
 kernel in vocalnet.mlp replaced.
 
 Each update z-scores its row, allocates one gradient matrix per layer and
-applies momentum layer by layer. `_sample_gradients`, `train_epoch` and
-`train` are kept unchanged as the oracle that tests/test_train_equivalence.py
-requires vocalnet.mlp.train to match bit for bit.
+applies momentum layer by layer. `_forward_layers`, `_sample_gradients`,
+`train_epoch` and `train` are kept unchanged as the oracle that
+tests/test_train_equivalence.py requires vocalnet.mlp.train to match bit for
+bit.
 """
 
 from __future__ import annotations
@@ -13,8 +14,18 @@ import numpy as np
 
 from vocalnet.errors import EmptySet
 from vocalnet.mlp import (STALL_THRESHOLD, Network, TrainingConfig,
-                          TrainingState, _check_input, _forward_layers,
-                          fit_input_norm, mse)
+                          TrainingState, _check_input, fit_input_norm, mse,
+                          sigmoid)
+
+
+def _forward_layers(net: Network, x: np.ndarray) -> list[np.ndarray]:
+    """Activations of every layer including the z-scored input."""
+    a = (x - net.input_mean) / net.input_std
+    activations = [a]
+    for w in net.weights:
+        a = sigmoid(w[0] + a @ w[1:])
+        activations.append(a)
+    return activations
 
 
 def _sample_gradients(net: Network, x: np.ndarray,

@@ -93,7 +93,7 @@ def test_criterion_3_xor_convergence():
 def test_criterion_4_end_to_end_synthetic_corpus(tone_corpus_dir):
     start = time.time()
     corpus = dataset.load_corpus(tone_corpus_dir)
-    assert corpus.pseudo_present
+    assert corpus.class_names[-1] == "_pseudo"
     folds = plan_folds(corpus, seed=0)
     run = pipeline.train_all_folds(corpus, folds, TrainingConfig(seed=0))
     assert run.summary.mean_accuracy >= 95.0, run.summary.mean_accuracy
@@ -110,11 +110,11 @@ def test_criterion_5_split_fold_invariants():
         sizes = [int(rng.integers(10, 41)) for _ in range(n_classes)]
         from test_dataset import label_corpus
         corpus = label_corpus(sizes)
-        labels = corpus.labels()
+        labels = corpus.labels
         plan = plan_folds(corpus, seed=seed)
         n = len(corpus.samples)
         eval_appearances = np.zeros(n, dtype=int)
-        for split in plan.folds:
+        for split in plan:
             train = set(split.train_ids.tolist())
             test = set(split.test_ids.tolist())
             evaluation = set(split.eval_ids.tolist())

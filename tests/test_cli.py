@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from vocalnet.audio_io import save_wav
 from vocalnet.cli import DEFAULTS, main, read_config_file
-from vocalnet.dataset import (LabeledCorpus, LabeledSample,
-                              read_feature_cache, write_feature_cache)
+from vocalnet.dataset import make_corpus, read_feature_cache, write_feature_cache
+from vocalnet.evaluation import _quartiles
 from vocalnet.features import FEATURE_NAMES
 from vocalnet.mlp import classify, load_model
 
@@ -130,6 +131,22 @@ class TestTrain:
         assert (tmp_path / "report.txt").exists()
         assert (tmp_path / "report.csv").exists()
 
+    def test_report_writes_feature_summary(self, cache_path, tmp_path):
+        prefix = str(tmp_path / "report")
+        assert main(["train", "--cache", str(cache_path), "--model",
+                     str(tmp_path / "m.json"), "--seed", "0", "--max-epochs", "5",
+                     "--report", prefix]) == 0
+        with open(prefix + ".features.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        corpus = read_feature_cache(cache_path)
+        assert rows[0] == ["class", "slot", "min", "q1", "median", "q3", "max"]
+        assert [row[:2] for row in rows[1:]] == [
+            [name, slot] for name in corpus.class_names for slot in FEATURE_NAMES]
+        cls, slot = 2, FEATURE_NAMES.index("spectral_centroid_mean")
+        row = rows[1 + cls * len(FEATURE_NAMES) + slot]
+        column = corpus.samples[corpus.labels == cls, slot]
+        assert tuple(float(v) for v in row[2:]) == _quartiles(column)
+
     def test_unreadable_cache_exits_2(self, tmp_path):
         assert main(["train", "--cache", str(tmp_path / "nope.csv"),
                      "--model", str(tmp_path / "m.json"), "--seed", "0"]) == 2
@@ -240,12 +257,11 @@ def three_class_model(tmp_path_factory):
 
 
 def write_cache_without(corpus, class_name, path):
-    keep = [s for s in corpus.samples
-            if corpus.class_names[s.label] != class_name]
-    names = [n for n in corpus.class_names if n != class_name]
-    relabeled = [LabeledSample(s.features, names.index(corpus.class_names[s.label]),
-                               s.clip_path) for s in keep]
-    write_feature_cache(LabeledCorpus(relabeled, names), path)
+    names = [corpus.class_names[label] for label in corpus.labels]
+    keep = [i for i, name in enumerate(names) if name != class_name]
+    write_feature_cache(make_corpus([corpus.clip_paths[i] for i in keep],
+                                    [names[i] for i in keep],
+                                    corpus.samples[keep]), path)
 
 
 class TestEvaluate:
@@ -261,9 +277,9 @@ class TestEvaluate:
 
         net, _ = load_model(model)
         rows = read_feature_cache(reduced)
-        agree = [classify(net, s.features.values)[0]
-                 == net.label_map.index(rows.class_names[s.label])
-                 for s in rows.samples]
+        agree = [classify(net, values)[0]
+                 == net.label_map.index(rows.class_names[label])
+                 for values, label in zip(rows.samples, rows.labels)]
         expected = 100.0 * sum(agree) / len(agree)
         assert expected > 90.0
         assert f"Overall accuracy (%):   {expected:.2f}" in out
@@ -271,10 +287,10 @@ class TestEvaluate:
     def test_class_missing_from_model_exits_2(self, three_class_model,
                                               tmp_path, capsys):
         model, corpus = three_class_model
-        names = corpus.class_names + ["class_new"]
-        extra = LabeledCorpus(corpus.samples + [
-            LabeledSample(s.features, 3, s.clip_path + "_new")
-            for s in corpus.samples[:3]], names)
+        names = [corpus.class_names[label] for label in corpus.labels]
+        extra = make_corpus(corpus.clip_paths + [p + "_new" for p in corpus.clip_paths[:3]],
+                            names + ["class_new"] * 3,
+                            np.vstack([corpus.samples, corpus.samples[:3]]))
         cache = tmp_path / "extra.csv"
         write_feature_cache(extra, cache)
         assert main(["evaluate", "--model", str(model),
@@ -348,6 +364,22 @@ class TestClassify:
                      "--max-epochs", "500"]) == 0
         wav = sorted((small_corpus_dir / "tone440").glob("*.wav"))[0]
         assert main(["classify", "--model", str(model), str(wav)]) == 0
+
+
+REQUIRED = {"extract": ["--corpus", "c", "--out", "o.csv"],
+            "evaluate": ["--model", "m.json", "--cache", "c.csv"],
+            "classify": ["--model", "m.json", "x.wav"]}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command in REQUIRED for flag in ("--seed", "--ci", "--config")
+    if (command, flag) != ("extract", "--config")])
+def test_flag_the_command_ignores_exits_2(command, flag, capsys):
+    value = [] if flag == "--ci" else ["0"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *REQUIRED[command], flag, *value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestConfigFile:

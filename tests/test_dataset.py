@@ -2,27 +2,27 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vocalnet.audio_io import AudioClip, save_wav
-from vocalnet.dataset import (LabeledCorpus, LabeledSample,
-                              largest_remainder_counts, load_corpus,
-                              plan_folds, read_feature_cache,
-                              write_feature_cache)
+from vocalnet.audio_io import save_wav
+from vocalnet.dataset import (PSEUDO_CLASS, largest_remainder_counts,
+                              load_corpus, make_corpus, plan_folds,
+                              read_feature_cache, write_feature_cache)
 from vocalnet.errors import ClassTooSmall, EmptyCorpus
-from vocalnet.features import FeatureVector
+from vocalnet.features import FEATURE_NAMES
 
 from conftest import noise_clip
 
 
 def label_corpus(class_sizes):
-    """Minimal corpus with the given per-class sample counts."""
+    """Minimal corpus with the given per-class sample counts; class c is
+    class_names[c], as the zero-padded names sort in class order."""
     rng = np.random.default_rng(0)
-    samples = []
-    for cls, size in enumerate(class_sizes):
-        for i in range(size):
-            samples.append(LabeledSample(FeatureVector(rng.standard_normal(28)),
-                                         cls, f"c{cls}_{i}"))
-    return LabeledCorpus(samples, [f"class_{c}" for c in range(len(class_sizes))])
+    labels = [f"class_{cls:02d}" for cls, size in enumerate(class_sizes)
+              for _ in range(size)]
+    rows = rng.standard_normal((len(labels), 28))
+    return make_corpus([f"c{i}" for i in range(len(labels))], labels, rows)
 
 
 class TestLoadCorpus:
@@ -36,7 +36,7 @@ class TestLoadCorpus:
         corpus = load_corpus(tmp_path)
         assert len(corpus.samples) == 12
         assert corpus.class_names == ["birdA", "birdB", "birdC"]
-        assert not corpus.pseudo_present
+        np.testing.assert_array_equal(corpus.labels, np.repeat([0, 1, 2], 4))
 
     def test_pseudo_class_ordered_last(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -46,7 +46,6 @@ class TestLoadCorpus:
             save_wav(noise_clip(rng, duration=0.1), d / "0.wav")
         corpus = load_corpus(tmp_path)
         assert corpus.class_names == ["birdA", "birdB", "_pseudo"]
-        assert corpus.pseudo_present
 
     def test_manifest_with_bad_row(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -58,6 +57,21 @@ class TestLoadCorpus:
         assert len(corpus.samples) == 2
         assert len(corpus.load_errors) == 1
         assert "missing.wav" in corpus.load_errors[0][0]
+
+    def test_class_whose_every_clip_fails_is_dropped(self, tmp_path):
+        rng = np.random.default_rng(4)
+        for name in ("birdA", "birdB", "birdC"):
+            (tmp_path / name).mkdir()
+        for name in ("birdA", "birdC"):
+            for i in range(2):
+                save_wav(noise_clip(rng, duration=0.1), tmp_path / name / f"{i}.wav")
+        (tmp_path / "birdB" / "0.wav").write_bytes(b"RIFF....WAVEjunk")
+        corpus = load_corpus(tmp_path)
+        assert corpus.class_names == ["birdA", "birdC"]
+        np.testing.assert_array_equal(corpus.labels, [0, 0, 1, 1])
+        assert corpus.samples.shape == (4, 28)
+        assert [path for path, _ in corpus.load_errors] == [
+            str(tmp_path / "birdB" / "0.wav")]
 
     def test_empty_corpus_raises(self, tmp_path):
         (tmp_path / "empty_class").mkdir()
@@ -72,9 +86,8 @@ class TestFeatureCache:
         write_feature_cache(corpus, path)
         back = read_feature_cache(path)
         assert back.class_names == corpus.class_names
-        np.testing.assert_array_equal(back.feature_matrix(),
-                                      corpus.feature_matrix())
-        np.testing.assert_array_equal(back.labels(), corpus.labels())
+        np.testing.assert_array_equal(back.samples, corpus.samples)
+        np.testing.assert_array_equal(back.labels, corpus.labels)
 
     def test_header_names_slots(self, tmp_path):
         corpus = label_corpus([3])
@@ -82,8 +95,31 @@ class TestFeatureCache:
         write_feature_cache(corpus, path)
         with open(path) as fh:
             header = next(csv.reader(fh))
-        from vocalnet.features import FEATURE_NAMES
         assert header == ["clip_path", "label", *FEATURE_NAMES]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_property(self, tmp_path_factory, data):
+        # any text a CSV field can hold on one line, quotes and commas included
+        text = st.text(st.characters(blacklist_categories=("Cs", "Cc")),
+                       min_size=1, max_size=12)
+        n = data.draw(st.integers(1, 8))
+        labels = data.draw(st.lists(st.one_of(st.just(PSEUDO_CLASS), text),
+                                    min_size=n, max_size=n))
+        paths = data.draw(st.lists(text, min_size=n, max_size=n))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        rows = np.array(data.draw(st.lists(st.lists(finite, min_size=28, max_size=28),
+                                           min_size=n, max_size=n)))
+        path = tmp_path_factory.mktemp("cache") / "cache.csv"
+        write_feature_cache(make_corpus(paths, labels, rows), path)
+        back = read_feature_cache(path)
+
+        np.testing.assert_array_equal(back.samples.view(np.int64),
+                                      rows.view(np.int64))
+        assert [back.class_names[i] for i in back.labels] == labels
+        ordinary = sorted(set(labels) - {PSEUDO_CLASS})
+        assert back.class_names == ordinary + [PSEUDO_CLASS] * (PSEUDO_CLASS in labels)
+        assert back.clip_paths == paths
 
 
 class TestLargestRemainder:
@@ -107,18 +143,18 @@ class TestPlanSplit:
 
     def test_dog_shaped_corpus(self):
         corpus = label_corpus([10] * 9)
-        plan = plan_folds(corpus, seed=0).folds[0]
+        plan = plan_folds(corpus, seed=0)[0]
         assert len(plan.train_ids) == 63
         assert len(plan.test_ids) == 9
         assert len(plan.eval_ids) == 18
-        labels = corpus.labels()
+        labels = corpus.labels
         for cls in range(9):
             assert np.sum(labels[plan.eval_ids] == cls) == 2
 
     def test_bird_shaped_corpus(self):
         corpus = label_corpus([25] * 14)
-        plan = plan_folds(corpus, seed=0).folds[0]
-        labels = corpus.labels()
+        plan = plan_folds(corpus, seed=0)[0]
+        labels = corpus.labels
         assert len(plan.eval_ids) == 70
         for cls in range(14):
             assert np.sum(labels[plan.eval_ids] == cls) == 5
@@ -127,7 +163,7 @@ class TestPlanSplit:
 
     def test_disjoint_and_complete(self):
         corpus = label_corpus([11, 13, 17])
-        plan = plan_folds(corpus, seed=3).folds[0]
+        plan = plan_folds(corpus, seed=3)[0]
         train = set(plan.train_ids.tolist())
         test = set(plan.test_ids.tolist())
         evaluation = set(plan.eval_ids.tolist())
@@ -146,7 +182,7 @@ class TestPlanFolds:
         corpus = label_corpus([10, 10, 10])
         plan = plan_folds(corpus, seed=0)
         appearances = np.zeros(30, dtype=int)
-        for split in plan.folds:
+        for split in plan:
             appearances[split.eval_ids] += 1
         assert np.all(appearances == 2)
 
@@ -154,21 +190,21 @@ class TestPlanFolds:
         corpus = label_corpus([10, 20])
         plan = plan_folds(corpus, seed=1)
         appearances = np.zeros(30, dtype=int)
-        for split in plan.folds:
+        for split in plan:
             appearances[split.test_ids] += 1
         assert np.all(appearances == 1)
 
     def test_consecutive_eval_sets_differ(self):
         corpus = label_corpus([12, 15, 10])
         plan = plan_folds(corpus, seed=2)
-        for a, b in zip(plan.folds, plan.folds[1:]):
+        for a, b in zip(plan, plan[1:]):
             assert set(a.eval_ids.tolist()) != set(b.eval_ids.tolist())
 
     def test_every_fold_partitions_the_corpus(self):
         corpus = label_corpus([13, 21, 34])
         plan = plan_folds(corpus, seed=3)
         n = len(corpus.samples)
-        for split in plan.folds:
+        for split in plan:
             ids = np.concatenate([split.train_ids, split.test_ids,
                                   split.eval_ids])
             assert len(ids) == n
@@ -178,7 +214,7 @@ class TestPlanFolds:
         corpus = label_corpus([10, 10])
         one = plan_folds(corpus, seed=5)
         two = plan_folds(corpus, seed=5)
-        for a, b in zip(one.folds, two.folds):
+        for a, b in zip(one, two):
             np.testing.assert_array_equal(a.train_ids, b.train_ids)
             np.testing.assert_array_equal(a.eval_ids, b.eval_ids)
 
