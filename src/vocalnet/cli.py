@@ -1,7 +1,9 @@
 """Command-line front end: extract, select, train, evaluate, classify.
 
 Configuration precedence is flags > config file (key = value lines) >
-defaults. Commands raise; `main` alone turns a failure into an exit code:
+defaults. A UserWarning, such as the small-class fold warning, prints as one
+`warning: <message>` line on stderr. Commands raise; `main` alone turns a
+failure into an exit code:
   2  a missing or malformed corpus, cache, model, subset or config file, a
      corpus with no usable clip, or an out-of-range setting;
   3  a class too small to split, in select or train;
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from . import audio_io, dataset, evaluation, features, mlp, pipeline, selection
 from .errors import (ClassTooSmall, DimensionMismatch, InvalidSetting,
@@ -265,14 +268,27 @@ COMMANDS = {
 }
 
 
+def _warning_lines(show):
+    """A showwarning that prints a UserWarning as one `warning: <message>`
+    line on stderr and passes any other category on to `show`."""
+    def showwarning(message, category, *where):
+        if issubclass(category, UserWarning):
+            print(f"warning: {message}", file=sys.stderr)
+        else:
+            show(message, category, *where)
+    return showwarning
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        _prepare(args)
-        return COMMANDS[args.command](args)
-    except (VocalnetError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
+    with warnings.catch_warnings():  # restores showwarning on the way out
+        warnings.showwarning = _warning_lines(warnings.showwarning)
+        try:
+            _prepare(args)
+            return COMMANDS[args.command](args)
+        except (VocalnetError, OSError) as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

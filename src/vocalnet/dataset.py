@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import audio_io, features
-from .errors import ClassTooSmall, EmptyCorpus, MalformedArtifact
+from .errors import (ClassTooSmall, EmptyClip, EmptyCorpus, MalformedArtifact,
+                     MalformedRiff, UnsupportedFormat)
 from .features import FEATURE_NAMES, FeatureVector
 
 PSEUDO_CLASS = "_pseudo"
@@ -89,8 +90,10 @@ def load_corpus(root, window_size: int = audio_io.DEFAULT_WINDOW,
                 rate: int = audio_io.DEFAULT_RATE) -> LabeledCorpus:
     """Load a corpus from a class-per-directory tree or a path,label manifest.
 
-    Unreadable clips are recorded in corpus.load_errors and skipped; the
-    corpus still loads as long as at least one clip succeeds.
+    A clip that cannot be opened or parsed, or that resamples to no samples,
+    is recorded in corpus.load_errors and skipped; the corpus still loads as
+    long as at least one clip succeeds. Any other error, such as an
+    out-of-range window, hop or rate, is raised.
     """
     root = Path(root)
     if root.is_file():
@@ -110,7 +113,7 @@ def load_corpus(root, window_size: int = audio_io.DEFAULT_WINDOW,
             clip = audio_io.read_wav(path)
             clip = audio_io.resample(clip, rate)
             vector = features.extract_features(clip, window_size, hop_size)
-        except Exception as exc:  # record and continue with the rest
+        except (MalformedRiff, UnsupportedFormat, EmptyClip, OSError) as exc:
             load_errors.append((str(path), str(exc)))
             continue
         paths.append(path)
@@ -182,12 +185,6 @@ def plan_folds(corpus: LabeledCorpus, seed: int) -> list[SplitPlan]:
     """
     labels = corpus.labels
     rng = np.random.default_rng(seed)
-    small = [corpus.class_names[c] for c in range(corpus.n_classes)
-             if np.sum(labels == c) < N_FOLDS]
-    if small:
-        warnings.warn(f"classes smaller than {N_FOLDS} samples reuse eval "
-                      f"members across folds: {', '.join(small)}")
-
     perms = []
     sizes = []
     for cls in range(corpus.n_classes):
@@ -197,6 +194,13 @@ def plan_folds(corpus: LabeledCorpus, seed: int) -> list[SplitPlan]:
                 f"class {corpus.class_names[cls]} has {len(ids)} samples")
         perms.append(rng.permutation(ids))
         sizes.append(largest_remainder_counts(len(ids)))
+
+    # after the size check, so a class too small to split gets the error alone
+    small = [corpus.class_names[c] for c, perm in enumerate(perms)
+             if len(perm) < N_FOLDS]
+    if small:
+        warnings.warn(f"classes smaller than {N_FOLDS} samples reuse eval "
+                      f"members across folds: {', '.join(small)}")
 
     folds = []
     for i in range(N_FOLDS):

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dct
 
 from .audio_io import AudioClip, DEFAULT_HOP, DEFAULT_WINDOW, frame_clip
 from .errors import (BankMismatch, InvalidSetting, NoFrames, NonPowerOfTwoWindow,
@@ -166,9 +165,26 @@ def mel_filter_bank(sample_rate: int, window_size: int,
     return bank
 
 
+@lru_cache(maxsize=8)
+def _dct_basis(n_coefficients: int, n_points: int) -> np.ndarray:
+    """The first n_coefficients rows of the orthonormal type-II DCT matrix of
+    length N = n_points, read-only. Row k is c_k cos(pi k (2n + 1) / 2N) with
+    c_0 = sqrt(1/N) and c_k = sqrt(2/N) otherwise."""
+    k = np.arange(min(n_coefficients, n_points))[:, None]
+    n = np.arange(n_points)
+    basis = np.sqrt(2.0 / n_points) * np.cos(np.pi * k * (2 * n + 1) / (2 * n_points))
+    basis[0] /= np.sqrt(2.0)
+    basis.flags.writeable = False
+    return basis
+
+
 def mfcc(magnitudes: np.ndarray, mel_bank: np.ndarray,
          n_coefficients: int = N_MFCC) -> np.ndarray:
-    """Type-II DCT (orthonormal) of each frame's log mel filter energies."""
+    """Type-II DCT (orthonormal) of each frame's log mel filter energies.
+
+    The DCT is a product with the cached orthonormal basis of _dct_basis,
+    applied frame by frame like the mel bank.
+    """
     if mel_bank.shape[1] != magnitudes.shape[1]:
         raise BankMismatch(f"bank has {mel_bank.shape[1]} bins, "
                            f"spectrum has {magnitudes.shape[1]}")
@@ -177,7 +193,8 @@ def mfcc(magnitudes: np.ndarray, mel_bank: np.ndarray,
     # frames, never wakes BLAS worker threads for so small a product
     energies = np.matmul(mel_bank, (magnitudes ** 2)[:, :, None])[:, :, 0]
     log_energies = np.log(np.maximum(energies, MAG_FLOOR))
-    return dct(log_energies, type=2, norm="ortho", axis=1)[:, :n_coefficients]
+    basis = _dct_basis(n_coefficients, mel_bank.shape[0])
+    return np.matmul(basis, log_energies[:, :, None])[:, :, 0]
 
 
 def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:

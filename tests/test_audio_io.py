@@ -1,11 +1,14 @@
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vocalnet.audio_io import (AudioClip, frame_clip, parse_wav, resample,
                                write_wav)
-from vocalnet.errors import EmptyClip, MalformedRiff, UnsupportedFormat
+from vocalnet.errors import (EmptyClip, MalformedRiff, UnsupportedFormat,
+                             VocalnetError)
 
 from conftest import wav_bytes
 
@@ -58,6 +61,40 @@ class TestParseWav:
             clip = parse_wav(wav_bytes(raw))
             assert np.all(clip.samples >= -1.0)
             assert np.all(clip.samples <= 1.0)
+
+
+def riff_fmt_header(format_tag, channels, sample_rate, bits) -> bytes:
+    """A RIFF/WAVE header and a 16-byte fmt chunk, with no data chunk."""
+    align = channels * bits // 8
+    return (b"RIFF" + struct.pack("<I", 36) + b"WAVE" + b"fmt "
+            + struct.pack("<IHHIIHH", 16, format_tag, channels, sample_rate,
+                          sample_rate * align, align, bits))
+
+
+# junk, a data chunk, or a data chunk whose declared size is arbitrary
+CHUNKS = st.one_of(
+    st.binary(max_size=64),
+    st.binary(max_size=64).map(lambda body: b"data" + struct.pack("<I", len(body)) + body),
+    st.builds(lambda size, body: b"data" + struct.pack("<I", size) + body,
+              st.integers(0, 2**32 - 1), st.binary(max_size=64)))
+
+
+class TestParseWavProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.one_of(
+        st.binary(max_size=200),
+        st.builds(lambda head, chunks: head + b"".join(chunks),
+                  st.builds(riff_fmt_header, st.sampled_from((1, 1, 3)),
+                            st.integers(1, 2), st.integers(1, 96000),
+                            st.sampled_from((8, 16, 16, 24))),
+                  st.lists(CHUNKS, max_size=3))))
+    def test_arbitrary_bytes_raise_only_vocalnet_errors(self, data):
+        try:
+            clip = parse_wav(data)
+        except VocalnetError:
+            return
+        assert clip.samples.ndim == 1 and len(clip.samples) > 0
+        assert np.all(np.abs(clip.samples) <= 1.0)
 
 
 class TestRoundTrip:

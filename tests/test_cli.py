@@ -3,6 +3,10 @@ import copy
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,13 @@ from conftest import build_tone_corpus_dir, noise_clip, synthetic_feature_corpus
 def write_text(path, text) -> str:
     path.write_text(text)
     return str(path)
+
+
+def output_flags(command, directory) -> list[str]:
+    """The output files that `train` or `select` writes, under directory."""
+    return {"train": ["--model", str(directory / "m.json")],
+            "select": ["--trace", str(directory / "t.csv"),
+                       "--subset", str(directory / "s.csv")]}[command]
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +88,19 @@ class TestExtract:
         (tmp_path / "cls").mkdir()
         assert main(["extract", "--corpus", str(tmp_path),
                      "--out", str(tmp_path / "out.csv")]) == 2
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--window", "500"], "NonPowerOfTwoWindow"),
+        (["--window", "8", "--hop", "4"], "InvalidSetting"),
+        (["--rate", "0"], "InvalidSetting"),
+    ], ids=["window-500", "window-8", "rate-0"])
+    def test_bad_setting_exits_2(self, small_corpus_dir, tmp_path, capsys,
+                                 flags, error):
+        # a setting that fails every clip is reported, not skipped clip by clip
+        assert main(["extract", "--corpus", str(small_corpus_dir),
+                     "--out", str(tmp_path / "out.csv"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
 
     def test_one_column_manifest_row_exits_2(self, tmp_path, capsys):
         save_wav(noise_clip(np.random.default_rng(0), duration=0.1),
@@ -156,12 +180,22 @@ class TestTrain:
         corpus = synthetic_feature_corpus([(0,), (5,)], samples_per_class=2)
         cache = tmp_path / "tiny.csv"
         write_feature_cache(corpus, cache)
-        outputs = {"train": ["--model", str(tmp_path / "m.json")],
-                   "select": ["--trace", str(tmp_path / "t.csv"),
-                              "--subset", str(tmp_path / "s.csv")]}
-        assert main([command, "--cache", str(cache), *outputs[command],
-                     "--seed", "0"]) == 3
-        assert capsys.readouterr().err.startswith("error: ClassTooSmall")
+        assert main([command, "--cache", str(cache),
+                     *output_flags(command, tmp_path), "--seed", "0"]) == 3
+        err = capsys.readouterr().err  # the error alone, with no fold warning
+        assert err.startswith("error: ClassTooSmall") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["train", "select"])
+    def test_small_class_warning_is_one_line(self, tmp_path, command, capsys):
+        corpus = synthetic_feature_corpus([(0,), (5,)], samples_per_class=8)
+        cache = tmp_path / "small.csv"
+        write_feature_cache(corpus, cache)
+        assert main([command, "--cache", str(cache), *output_flags(command, tmp_path),
+                     "--seed", "0", "--max-epochs", "5"]) == 0
+        err = capsys.readouterr().err
+        assert err == ("warning: classes smaller than 10 samples reuse eval "
+                       "members across folds: class_0, class_1\n")
+        assert "UserWarning" not in err and ".py:" not in err
 
     def test_ci_mode_requires_seed(self, cache_path, tmp_path, capsys):
         assert main(["train", "--cache", str(cache_path),
@@ -380,6 +414,16 @@ def test_flag_the_command_ignores_exits_2(command, flag, capsys):
         main([command, *REQUIRED[command], flag, *value])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_imports_without_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c",
+         'import sys; sys.modules["scipy"] = None; import vocalnet.cli'],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 class TestConfigFile:

@@ -2,9 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vocalnet import mlp
 from vocalnet.errors import DimensionMismatch, EmptySet
+from vocalnet.features import FEATURE_NAMES
 from vocalnet.mlp import (Network, NetworkSpec, TrainingConfig, classify,
                           forward, init_network, load_model, mse,
                           mse_gradients, one_hot, save_model, train)
@@ -256,6 +260,38 @@ class TestModelFile:
         assert doc["stop_reason"] == "TargetReached"
         for wa, wb in zip(net.weights, back.weights):
             np.testing.assert_array_equal(wa, wb)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_property(self, tmp_path_factory, data):
+        spec = NetworkSpec(*(data.draw(st.integers(1, top)) for top in (6, 5, 2, 4)))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        net = Network(
+            spec=spec,
+            weights=[data.draw(arrays(np.float64, (s + 1, t), elements=finite))
+                     for s, t in zip(spec.layer_sizes(), spec.layer_sizes()[1:])],
+            input_mean=data.draw(arrays(np.float64, spec.j, elements=finite)),
+            input_std=data.draw(arrays(np.float64, spec.j, elements=finite)),
+            label_map=data.draw(st.one_of(
+                st.just([]), st.lists(st.text(max_size=8), min_size=spec.n,
+                                      max_size=spec.n))),
+            feature_slots=data.draw(st.one_of(
+                st.none(), st.lists(st.integers(0, len(FEATURE_NAMES) - 1),
+                                    min_size=spec.j, max_size=spec.j, unique=True))))
+        extraction = data.draw(st.dictionaries(
+            st.sampled_from(("window", "hop", "rate")), st.integers()))
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        save_model(net, path, extraction=extraction)
+        back, doc = load_model(path)
+
+        assert back.spec == spec
+        for wa, wb in zip(net.weights, back.weights, strict=True):
+            assert np.array_equal(wa, wb)
+        assert np.array_equal(back.input_mean, net.input_mean)
+        assert np.array_equal(back.input_std, net.input_std)
+        assert back.label_map == net.label_map
+        assert back.feature_slots == net.feature_slots
+        assert doc["extraction"] == extraction
 
     def test_unknown_version_rejected(self, tmp_path):
         import json

@@ -2,11 +2,14 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vocalnet import dataset, pipeline, selection
+from vocalnet.features import FEATURE_NAMES
 from vocalnet.mlp import NetworkSpec, TrainingConfig, init_network, one_hot
-from vocalnet.selection import (forward_select, mdl_score, read_subset,
-                                export_trace, write_subset)
+from vocalnet.selection import (SelectionTrace, forward_select, mdl_score,
+                                read_subset, export_trace, write_subset)
 
 from conftest import synthetic_feature_corpus
 
@@ -114,3 +117,11 @@ class TestTraceFiles:
         assert rows[0] == ["round", "slot", "slot_name", "mdl", "accepted"]
         assert len(rows) == 1 + len(informative_trace.steps)
         assert read_subset(subset_path) == informative_trace.final_subset
+
+    @settings(max_examples=50, deadline=None)
+    @given(slots=st.lists(st.integers(0, len(FEATURE_NAMES) - 1), min_size=1,
+                          max_size=len(FEATURE_NAMES), unique=True))
+    def test_subset_round_trip_property(self, tmp_path_factory, slots):
+        path = tmp_path_factory.mktemp("subset") / "subset.csv"
+        write_subset(SelectionTrace(steps=[], final_subset=slots, final_mdl=0.0), path)
+        assert read_subset(path) == slots
