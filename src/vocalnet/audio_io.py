@@ -1,8 +1,9 @@
 """RIFF/WAVE PCM parsing, framing, and resampling.
 
-Only uncompressed PCM at 8 or 16 bits, mono or stereo, is accepted; everything
-the corpus needs is stored that way precisely because it is raw. Samples are
-normalized to [-1, 1] floats and stereo is downmixed to mono on load.
+Only uncompressed PCM at 8 or 16 bits, mono or stereo, at MIN_SAMPLE_RATE Hz
+or more, is accepted; everything the corpus needs is stored that way precisely
+because it is raw. Samples are normalized to [-1, 1] floats and stereo is
+downmixed to mono on load.
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ from .errors import EmptyClip, InvalidSetting, MalformedRiff, UnsupportedFormat
 DEFAULT_WINDOW = 512
 DEFAULT_HOP = 256
 DEFAULT_RATE = 22050
+# Below the rate of any real recording. The floor bounds what resampling to
+# the common rate can add: at most DEFAULT_RATE / MIN_SAMPLE_RATE (~22) output
+# samples per input sample, where a header declaring 1 Hz asked for 22050.
+MIN_SAMPLE_RATE = 1000
 
 
 @dataclass(frozen=True)
@@ -80,6 +85,9 @@ def parse_wav(data: bytes, source_path: str = "") -> AudioClip:
         raise UnsupportedFormat(f"{channels} channels not supported")
     if sample_rate <= 0:
         raise MalformedRiff("non-positive sample rate")
+    if sample_rate < MIN_SAMPLE_RATE:
+        raise UnsupportedFormat(f"sample rate {sample_rate} Hz is below "
+                                f"{MIN_SAMPLE_RATE} Hz")
 
     if bits == 16:
         usable = len(pcm_bytes) - (len(pcm_bytes) % 2)

@@ -266,7 +266,10 @@ def beat_features(frame_rms_series: np.ndarray,
         return 0.0, 0.0, 0.0
 
     lags = np.arange(lag_min, lag_max + 1)
-    hist = np.array([max(0.0, float(np.dot(e[:-lag], e[lag:]))) for lag in lags])
+    # the full autocorrelation runs one BLAS dot over the overlap e[:-lag],
+    # e[lag:] per lag, so each bin sums as np.dot on that pair alone does
+    autocorrelation = np.correlate(e, e, "full")[len(e) - 1 + lags]
+    hist = np.maximum(autocorrelation, 0.0)
     beat_sum = float(np.sum(hist))
     if beat_sum == 0.0:
         return 0.0, 0.0, 0.0
@@ -299,15 +302,23 @@ def aggregate_clip(series: dict[str, np.ndarray]) -> FeatureVector:
 
     `series` maps every name in FEATURE_FAMILIES to one value per frame (or
     per macro-window for the clip-level families). Stds are population stds,
-    so a single frame or macro-window gives 0 in every std slot.
+    so a single frame or macro-window gives 0 in every std slot. Series of
+    one length are stacked and reduced together, a row at a time in the order
+    np.mean and np.std take one series alone.
     """
-    values = []
-    for family in FEATURE_FAMILIES:
-        x = np.asarray(series[family], dtype=np.float64)
-        if len(x) == 0:
+    by_length: dict[int, list[int]] = {}  # series length -> family indices
+    for i, family in enumerate(FEATURE_FAMILIES):
+        n = len(series[family])
+        if n == 0:
             raise NoFrames(f"no values to aggregate for {family}")
-        values.extend((np.mean(x), np.std(x)))
-    return FeatureVector(values=np.array(values))
+        by_length.setdefault(n, []).append(i)
+    values = np.empty((len(FEATURE_FAMILIES), 2))  # (mean, std) per family
+    for rows in by_length.values():
+        stacked = np.array([series[FEATURE_FAMILIES[i]] for i in rows],
+                           dtype=np.float64)
+        values[rows, 0] = stacked.mean(axis=1)
+        values[rows, 1] = stacked.std(axis=1)
+    return FeatureVector(values=values.ravel())
 
 
 def extract_features(clip: AudioClip, window_size: int = DEFAULT_WINDOW,

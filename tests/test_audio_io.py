@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vocalnet.audio_io import (AudioClip, frame_clip, parse_wav, resample,
-                               write_wav)
+from vocalnet.audio_io import (MIN_SAMPLE_RATE, AudioClip, frame_clip,
+                               parse_wav, resample, write_wav)
 from vocalnet.errors import (EmptyClip, MalformedRiff, UnsupportedFormat,
                              VocalnetError)
 
@@ -19,6 +19,20 @@ class TestParseWav:
         assert clip.sample_rate == 8000
         np.testing.assert_allclose(
             clip.samples, [0.0, 0.5, -0.5, 32767 / 32768], atol=1e-12)
+
+    def test_absurd_sample_rate_rejected(self):
+        # 244 bytes declaring 1 Hz would resample to 2,205,000 samples
+        data = wav_bytes(np.zeros(100), sample_rate=1)
+        assert len(data) == 244
+        with pytest.raises(UnsupportedFormat, match="sample rate"):
+            parse_wav(data)
+
+    def test_sample_rate_floor(self):
+        assert parse_wav(wav_bytes([1, 2], sample_rate=MIN_SAMPLE_RATE)
+                         ).sample_rate == MIN_SAMPLE_RATE
+        with pytest.raises(UnsupportedFormat):
+            parse_wav(wav_bytes([1, 2], sample_rate=MIN_SAMPLE_RATE - 1))
+        assert MIN_SAMPLE_RATE <= 8000  # the lowest rate the tests use
 
     def test_truncated_header_rejected(self):
         with pytest.raises(MalformedRiff):

@@ -14,13 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vocalnet.audio_io import save_wav
-from vocalnet.cli import DEFAULTS, main, read_config_file
+from vocalnet.cli import COMMANDS, DEFAULTS, build_parser, main, read_config_file
 from vocalnet.dataset import make_corpus, read_feature_cache, write_feature_cache
 from vocalnet.evaluation import _quartiles
 from vocalnet.features import FEATURE_NAMES
 from vocalnet.mlp import classify, load_model
 
-from conftest import build_tone_corpus_dir, noise_clip, synthetic_feature_corpus
+from conftest import (build_tone_corpus_dir, noise_clip, synthetic_feature_corpus,
+                      wav_bytes)
 
 
 def write_text(path, text) -> str:
@@ -82,6 +83,20 @@ class TestExtract:
         out = tmp_path / "cache.csv"
         assert main(["extract", "--corpus", str(root), "--out", str(out)]) == 0
         assert "broken.wav" in capsys.readouterr().err
+        assert len(read_feature_cache(out).samples) == 40
+
+    def test_clip_at_absurd_sample_rate_is_skipped(self, small_corpus_dir,
+                                                   tmp_path, capsys):
+        import shutil
+        root = tmp_path / "corpus"
+        shutil.copytree(small_corpus_dir, root)
+        (root / "tone440" / "one_hz.wav").write_bytes(
+            wav_bytes(np.zeros(100), sample_rate=1))
+        out = tmp_path / "cache.csv"
+        assert main(["extract", "--corpus", str(root), "--out", str(out)]) == 0
+        assert any(line.startswith("warning: skipped ") and "one_hz.wav" in line
+                   and "sample rate" in line
+                   for line in capsys.readouterr().err.splitlines())
         assert len(read_feature_cache(out).samples) == 40
 
     def test_empty_corpus_exits_2(self, tmp_path):
@@ -381,6 +396,12 @@ class TestClassify:
         assert main(["classify", "--model", str(model_path), str(bad)]) == 4
         assert "MalformedRiff" in capsys.readouterr().err
 
+    def test_absurd_sample_rate_exits_4(self, model_path, tmp_path, capsys):
+        clip = tmp_path / "one_hz.wav"
+        clip.write_bytes(wav_bytes(np.zeros(100), sample_rate=1))
+        assert main(["classify", "--model", str(model_path), str(clip)]) == 4
+        assert capsys.readouterr().err.startswith("error: UnsupportedFormat: ")
+
     def test_missing_clip_exits_4(self, model_path, tmp_path, capsys):
         assert main(["classify", "--model", str(model_path),
                      str(tmp_path / "nope.wav")]) == 4
@@ -414,6 +435,41 @@ def test_flag_the_command_ignores_exits_2(command, flag, capsys):
         main([command, *REQUIRED[command], flag, *value])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def exit_output(run, capsys, code) -> tuple[str, str]:
+    """stdout and stderr of a run that ends argparse-style with SystemExit(code)."""
+    with pytest.raises(SystemExit) as exc:
+        run()
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    return captured.out, captured.err
+
+
+# main builds only the named command's subparser; what it prints must be what
+# the parser with all five commands, build_parser(), prints
+@pytest.mark.parametrize("argv", [["--help"], ["-h"]]
+                         + [[command, "--help"] for command in COMMANDS],
+                         ids=lambda argv: " ".join(argv))
+def test_help_matches_the_full_parser(argv, capsys, monkeypatch):
+    full = exit_output(lambda: build_parser().parse_args(argv), capsys, 0)
+    assert full[0].startswith("usage: vocalnet") and not full[1]
+    assert exit_output(lambda: main(argv), capsys, 0) == full
+    monkeypatch.setattr(sys, "argv", ["vocalnet", *argv])  # the installed entry point
+    assert exit_output(main, capsys, 0) == full
+
+
+@pytest.mark.parametrize("argv, top_level", [
+    ([], True), (["bogus"], True),
+    (["classify", "--model", "m.json", "a.wav", "b.wav"], True),
+    (["evaluate", "--model", "m.json", "--cache", "c.csv", "--seed", "0"], True),
+    (["classify"], False),
+], ids=["none", "unknown", "extra-positional", "foreign-flag", "missing-required"])
+def test_usage_errors_match_the_full_parser(argv, top_level, capsys):
+    full = exit_output(lambda: build_parser().parse_args(argv), capsys, 2)
+    assert exit_output(lambda: main(argv), capsys, 2) == full
+    # the top-level parser's usage line lists all five commands
+    assert ("{extract,select,train,evaluate,classify}" in full[1]) == top_level
 
 
 def test_cli_imports_without_scipy():

@@ -62,6 +62,9 @@ def test_matches_per_frame_reference(case):
     lambda rng: tone_clip(1760, rng, noise=0.0),
     lambda rng: noise_clip(rng),
     lambda rng: noise_clip(rng, duration=0.01),
-], ids=["tone440", "clean_tone1760", "noise", "short_noise"])
+    # a constant whose spectral moments are near-degenerate: moments_std is
+    # 1.36e-12 here, and it reads 0.0 when d ** 3 and d ** 4 become products
+    lambda rng: AudioClip(np.full(63462, 0.2913600460146013), RATE),
+], ids=["tone440", "clean_tone1760", "noise", "short_noise", "constant_dc"])
 def test_matches_reference_on_fixture_clips(make):
     assert_matches_reference(make(np.random.default_rng(0)))

@@ -247,6 +247,35 @@ class TestEnvelopeFeatures:
         with pytest.raises(SeriesTooShort):
             F.beat_features(np.ones(3), 0.01)
 
+    @staticmethod
+    def per_lag_beats(series, hop_seconds):
+        """beat_features with one np.dot per lag, the reference for the histogram."""
+        e = series - series.mean()
+        lag_min = max(1, int(np.ceil(60.0 / (F.BPM_MAX * hop_seconds))))
+        lag_max = min(len(e) - 1, int(np.floor(60.0 / (F.BPM_MIN * hop_seconds))))
+        lags = np.arange(lag_min, lag_max + 1)
+        hist = np.array([max(0.0, float(np.dot(e[:-lag], e[lag:]))) for lag in lags])
+        if len(hist) == 0 or hist.sum() == 0.0:
+            return 0.0, 0.0, 0.0
+        best = int(np.argmax(hist))
+        beat_sum = float(hist.sum())
+        return beat_sum, 60.0 / (lags[best] * hop_seconds), float(hist[best] / beat_sum)
+
+    @pytest.mark.parametrize("n", [4, 5, 100, 101])
+    @pytest.mark.parametrize("hop_seconds", [
+        256 / 22050,  # lags 26..129, cut to n - 1
+        0.3,          # lags 1..5: lag_max == n - 1 for n = 4, 5
+        0.0001,       # lag_min 3000 > n - 1: no lag fits
+    ])
+    def test_beat_histogram_matches_per_lag_dot(self, n, hop_seconds):
+        rng = np.random.default_rng(n)
+        for envelope in (rng.uniform(0, 1, n), rng.uniform(0, 1, n) ** 4,
+                         np.tile([1.0, 0.0, 0.0, 0.5], n)[:n]):
+            # each bin is the same BLAS dot over the same overlap, so all
+            # three values are exact, the strongest beat included
+            assert (F.beat_features(envelope, hop_seconds)
+                    == self.per_lag_beats(envelope, hop_seconds))
+
 
 class TestAggregate:
     @staticmethod
@@ -268,6 +297,19 @@ class TestAggregate:
         series["rms"] = np.array([])
         with pytest.raises(NoFrames):
             F.aggregate_clip(series)
+
+    def test_mixed_lengths_match_per_family_reductions(self):
+        # per-frame families have F values, clip-level ones M macro-windows
+        rng = np.random.default_rng(3)
+        for frames, windows in ((1, 1), (7, 1), (250, 3), (100, 100)):
+            series = {family: rng.normal(0, 10.0 ** (i % 7 - 3),
+                                         windows if family in F.CLIP_LEVEL_FAMILIES
+                                         else frames)
+                      for i, family in enumerate(F.FEATURE_FAMILIES)}
+            series["zero_crossings"] = rng.integers(0, 300, frames)
+            want = [stat(np.asarray(series[family], dtype=float))
+                    for family in F.FEATURE_FAMILIES for stat in (np.mean, np.std)]
+            np.testing.assert_array_equal(F.aggregate_clip(series).values, want)
 
     def test_slot_count_and_canonical_order(self):
         assert len(F.FEATURE_NAMES) == 28
