@@ -13,7 +13,7 @@ from .evaluation import (ConfusionMatrix, EvalReport, confusion_matrix,
 from .features import (FEATURE_NAMES, FeatureVector, extract_features)
 from .mlp import (Network, NetworkSpec, TrainingConfig, TrainingState,
                   classify, forward, init_network, load_model, save_model, train)
-from .pipeline import train_all_folds
+from .pipeline import evaluate, train_all_folds
 from .selection import SelectionTrace, forward_select, mdl_score
 
 __version__ = "0.1.0"

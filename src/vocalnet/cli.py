@@ -4,10 +4,12 @@ Configuration precedence is flags > config file (key = value lines) >
 defaults. A UserWarning, such as the small-class fold warning, prints as one
 `warning: <message>` line on stderr. Commands raise; `main` alone turns a
 failure into an exit code:
-  2  a missing or malformed corpus, cache, model, subset or config file, a
-     corpus with no usable clip, or an out-of-range setting;
+  2  a missing or malformed corpus, cache, model, subset or config file
+     (a config line without `=` or whose key is no setting), a corpus with
+     no usable clip, or an out-of-range setting;
   3  a class too small to split, in select or train;
-  4  a clip that cannot be opened or parsed, in classify;
+  4  a clip that cannot be opened or parsed, or that resamples to no
+     samples, in classify;
   5  a feature vector whose length does not match the model.
 """
 
@@ -18,13 +20,12 @@ import sys
 import warnings
 
 from . import audio_io, dataset, evaluation, features, mlp, pipeline, selection
-from .errors import (ClassTooSmall, DimensionMismatch, InvalidSetting,
-                     LabelOutOfRange, MalformedRiff, UnsupportedFormat,
-                     VocalnetError)
+from .errors import (ClassTooSmall, DimensionMismatch, EmptyClip, InvalidSetting,
+                     MalformedRiff, UnsupportedFormat, VocalnetError)
 
 EXIT_CODES = (  # the first entry a failure is an instance of decides its code
     (ClassTooSmall, 3),
-    ((MalformedRiff, UnsupportedFormat), 4),
+    ((MalformedRiff, UnsupportedFormat, EmptyClip), 4),
     (DimensionMismatch, 5),
     ((VocalnetError, OSError), 2),
 )
@@ -46,15 +47,20 @@ DEFAULTS = {
 
 
 def read_config_file(path) -> dict:
-    """key = value lines; # comments and blank lines ignored, bad bytes read as U+FFFD."""
+    """key = value lines; # comments and blank lines ignored, bad bytes read as
+    U+FFFD. A line without `=`, or a key that is not in DEFAULTS, raises
+    InvalidSetting; any command's settings may share one file."""
     values = {}
     with open(path, errors="replace") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key, equals, value = (part.strip() for part in line.partition("="))
+            if not equals or key not in DEFAULTS:
+                raise InvalidSetting(f"{path}: line {number}: {line!r} is not "
+                                     f"key = value with a key in {', '.join(DEFAULTS)}")
+            values[key] = value
     return values
 
 
@@ -240,23 +246,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     net, _doc = mlp.load_model(args.model)
-    corpus = dataset.read_feature_cache(args.cache)
-
-    # the cache numbers its own classes; score against the model's numbering
-    model_index = {name: i for i, name in
-                   enumerate(net.label_map or corpus.class_names)}
-    unknown = [name for name in corpus.class_names if name not in model_index]
-    if unknown:
-        raise LabelOutOfRange(f"classes not in the model: {', '.join(unknown)}")
-    truths = [model_index[corpus.class_names[label]] for label in corpus.labels]
-
-    matrix = corpus.samples
-    if net.feature_slots is not None:
-        matrix = matrix[:, net.feature_slots]
-    predictions = [mlp.classify(net, row)[0] for row in matrix]
-    cm = evaluation.confusion_matrix(truths, predictions,
-                                     net.spec.n, net.label_map or None)
-    report = evaluation.summarize(cm)
+    report = pipeline.evaluate(net, dataset.read_feature_cache(args.cache))
     print(evaluation.render_report_text(report))
     if args.report:
         _write_report(report, args.report)

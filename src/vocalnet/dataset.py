@@ -162,15 +162,14 @@ def read_feature_cache(path) -> LabeledCorpus:
     return make_corpus(paths, labels, rows)
 
 
-def largest_remainder_counts(total: int,
-                             fractions=SPLIT_FRACTIONS) -> tuple[int, ...]:
-    """Integer allocation of total over fractions; remainders resolved to the
-    largest fractional part, ties to the earlier position."""
-    quotas = [total * f for f in fractions]
+def largest_remainder_counts(total: int) -> tuple[int, int, int]:
+    """Integer allocation of total over SPLIT_FRACTIONS; remainders resolved
+    to the largest fractional part, ties to the earlier position."""
+    quotas = [total * f for f in SPLIT_FRACTIONS]
     counts = [int(q) for q in quotas]
     remainders = [q - c for q, c in zip(quotas, counts)]
     leftover = total - sum(counts)
-    order = sorted(range(len(fractions)), key=lambda i: (-remainders[i], i))
+    order = sorted(range(len(SPLIT_FRACTIONS)), key=lambda i: (-remainders[i], i))
     for i in order[:leftover]:
         counts[i] += 1
     return tuple(counts)

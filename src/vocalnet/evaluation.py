@@ -78,8 +78,7 @@ def confusion_matrix(truths, predictions, n: int,
     return ConfusionMatrix(counts=counts, class_names=list(class_names))
 
 
-def summarize(matrix: ConfusionMatrix,
-              threshold: float = ACCURACY_THRESHOLD) -> EvalReport:
+def summarize(matrix: ConfusionMatrix) -> EvalReport:
     """Overall accuracy/error plus per-class true/false positive breakdown."""
     total = matrix.total
     if total == 0:
@@ -96,7 +95,7 @@ def summarize(matrix: ConfusionMatrix,
     return EvalReport(matrix=matrix, overall_accuracy=accuracy,
                       overall_error_rate=100.0 - accuracy,
                       per_class=per_class,
-                      hypothesis_pass=accuracy >= threshold)
+                      hypothesis_pass=accuracy >= ACCURACY_THRESHOLD)
 
 
 def cross_fold_report(reports: list[EvalReport]) -> FoldSummary:

@@ -147,17 +147,16 @@ def mel_to_hz(mel):
 
 
 @lru_cache(maxsize=32)
-def mel_filter_bank(sample_rate: int, window_size: int,
-                    n_filters: int = N_MEL_FILTERS) -> np.ndarray:
-    """Triangular mel filters from 0 Hz to Nyquist, sampled at the FFT bins."""
+def mel_filter_bank(sample_rate: int, window_size: int) -> np.ndarray:
+    """N_MEL_FILTERS triangular mel filters, 0 Hz to Nyquist, sampled at the FFT bins."""
     n_bins = window_size // 2 + 1
     nyquist = sample_rate / 2.0
-    mel_points = np.linspace(0.0, float(mel_scale(nyquist)), n_filters + 2)
+    mel_points = np.linspace(0.0, float(mel_scale(nyquist)), N_MEL_FILTERS + 2)
     hz_points = mel_to_hz(mel_points)
     bin_freqs = np.arange(n_bins) * (sample_rate / window_size)
 
-    bank = np.zeros((n_filters, n_bins))
-    for i in range(n_filters):
+    bank = np.zeros((N_MEL_FILTERS, n_bins))
+    for i in range(N_MEL_FILTERS):
         lo, mid, hi = hz_points[i], hz_points[i + 1], hz_points[i + 2]
         rising = (bin_freqs - lo) / max(mid - lo, 1e-12)
         falling = (hi - bin_freqs) / max(hi - mid, 1e-12)
@@ -166,11 +165,11 @@ def mel_filter_bank(sample_rate: int, window_size: int,
 
 
 @lru_cache(maxsize=8)
-def _dct_basis(n_coefficients: int, n_points: int) -> np.ndarray:
-    """The first n_coefficients rows of the orthonormal type-II DCT matrix of
+def _dct_basis(n_points: int) -> np.ndarray:
+    """The first N_MFCC rows of the orthonormal type-II DCT matrix of
     length N = n_points, read-only. Row k is c_k cos(pi k (2n + 1) / 2N) with
     c_0 = sqrt(1/N) and c_k = sqrt(2/N) otherwise."""
-    k = np.arange(min(n_coefficients, n_points))[:, None]
+    k = np.arange(min(N_MFCC, n_points))[:, None]
     n = np.arange(n_points)
     basis = np.sqrt(2.0 / n_points) * np.cos(np.pi * k * (2 * n + 1) / (2 * n_points))
     basis[0] /= np.sqrt(2.0)
@@ -178,12 +177,11 @@ def _dct_basis(n_coefficients: int, n_points: int) -> np.ndarray:
     return basis
 
 
-def mfcc(magnitudes: np.ndarray, mel_bank: np.ndarray,
-         n_coefficients: int = N_MFCC) -> np.ndarray:
+def mfcc(magnitudes: np.ndarray, mel_bank: np.ndarray) -> np.ndarray:
     """Type-II DCT (orthonormal) of each frame's log mel filter energies.
 
-    The DCT is a product with the cached orthonormal basis of _dct_basis,
-    applied frame by frame like the mel bank.
+    The DCT is a product with the cached orthonormal basis of _dct_basis (its
+    first N_MFCC rows), applied frame by frame like the mel bank.
     """
     if mel_bank.shape[1] != magnitudes.shape[1]:
         raise BankMismatch(f"bank has {mel_bank.shape[1]} bins, "
@@ -193,7 +191,7 @@ def mfcc(magnitudes: np.ndarray, mel_bank: np.ndarray,
     # frames, never wakes BLAS worker threads for so small a product
     energies = np.matmul(mel_bank, (magnitudes ** 2)[:, :, None])[:, :, 0]
     log_energies = np.log(np.maximum(energies, MAG_FLOOR))
-    basis = _dct_basis(n_coefficients, mel_bank.shape[0])
+    basis = _dct_basis(mel_bank.shape[0])
     return np.matmul(basis, log_energies[:, :, None])[:, :, 0]
 
 
@@ -279,16 +277,15 @@ def beat_features(frame_rms_series: np.ndarray,
     return beat_sum, bpm, strength
 
 
-def clip_level_features(frame_rms_series: np.ndarray, hop_seconds: float,
-                        macro_window: int = MACRO_WINDOW_FRAMES) -> np.ndarray:
-    """Envelope features per macro-window of the rms series.
+def clip_level_features(frame_rms_series: np.ndarray, hop_seconds: float) -> np.ndarray:
+    """Envelope features per MACRO_WINDOW_FRAMES-frame window of the rms series.
 
     One row per macro-window, one column per CLIP_LEVEL_FAMILIES entry.
     """
     series = np.asarray(frame_rms_series, dtype=np.float64)
     rows = []
-    for start in range(0, len(series), macro_window):
-        chunk = series[start:start + macro_window]
+    for start in range(0, len(series), MACRO_WINDOW_FRAMES):
+        chunk = series[start:start + MACRO_WINDOW_FRAMES]
         if len(chunk) >= 4:
             beats = beat_features(chunk, hop_seconds)
         else:

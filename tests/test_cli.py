@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 from vocalnet.audio_io import save_wav
 from vocalnet.cli import COMMANDS, DEFAULTS, build_parser, main, read_config_file
-from vocalnet.dataset import make_corpus, read_feature_cache, write_feature_cache
+from vocalnet.dataset import (make_corpus, plan_folds, read_feature_cache,
+                              write_feature_cache)
 from vocalnet.evaluation import _quartiles
 from vocalnet.features import FEATURE_NAMES
 from vocalnet.mlp import classify, load_model
@@ -227,9 +229,16 @@ class TestTrain:
         lambda d: ["--config", write_text(d / "run.cfg", "max_epochs = lots\n")],
         lambda d: ["--subset", str(d / "missing.csv")],
         lambda d: ["--model", str(d / "missing" / "m.json"), "--max-epochs", "5"],
+        lambda d: ["--max-epochs", "-5"],
+        lambda d: ["--patience", "0"],
+        lambda d: ["--config", write_text(d / "run.cfg", "max_epoch = 1\n")],
+        lambda d: ["--config", write_text(d / "run.cfg", "bogus = 9\n")],
+        lambda d: ["--config", write_text(d / "run.cfg", "seed 3\n")],
     ], ids=["hidden-0", "layers-0", "learning-rate-0", "momentum-1",
             "negative-seed", "missing-config", "uncastable-config",
-            "missing-subset", "model-dir-missing"])
+            "missing-subset", "model-dir-missing", "negative-max-epochs",
+            "patience-0", "misspelled-config-key", "unknown-config-key",
+            "config-line-without-equals"])
     def test_bad_input_exits_2(self, cache_path, tmp_path, capsys, extra):
         assert main(["train", "--cache", str(cache_path),
                      "--model", str(tmp_path / "m.json"), "--seed", "0",
@@ -352,6 +361,33 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert "Overall accuracy" in out
 
+    # few epochs keep the exported fold's accuracy below 100%
+    @pytest.mark.parametrize("slots, epochs", [(None, "5"), ([0, 8, 18, 19], "20")],
+                             ids=["all-slots", "subset"])
+    def test_agrees_with_train_on_the_exported_fold(self, cache_path, tmp_path,
+                                                    capsys, slots, epochs):
+        model = tmp_path / "m.json"
+        subset = []
+        if slots:
+            subset = ["--subset", write_text(tmp_path / "subset.csv", "slot,slot_name\n"
+                                             + "".join(f"{i},{FEATURE_NAMES[i]}\n"
+                                                       for i in slots))]
+        assert main(["train", "--cache", str(cache_path), "--model", str(model),
+                     "--seed", "3", "--max-epochs", epochs, *subset]) == 0
+        out = capsys.readouterr().out
+        fold = int(re.search(r"^exported fold (\d+)", out, re.M).group(1))
+        printed = re.search(rf"^fold {fold}: eval accuracy ([\d.]+)%", out, re.M).group(1)
+        assert float(printed) < 100.0
+
+        corpus = read_feature_cache(cache_path)
+        rows = plan_folds(corpus, 3)[fold].eval_ids
+        eval_cache = tmp_path / "eval.csv"
+        write_feature_cache(make_corpus([corpus.clip_paths[i] for i in rows],
+                                        [corpus.class_names[corpus.labels[i]] for i in rows],
+                                        corpus.samples[rows]), eval_cache)
+        assert main(["evaluate", "--model", str(model), "--cache", str(eval_cache)]) == 0
+        assert f"Overall accuracy (%):   {printed}\n" in capsys.readouterr().out
+
     def test_unreadable_model_exits_2(self, cache_path, tmp_path):
         assert main(["evaluate", "--model", str(tmp_path / "nope.json"),
                      "--cache", str(cache_path)]) == 2
@@ -401,6 +437,13 @@ class TestClassify:
         clip.write_bytes(wav_bytes(np.zeros(100), sample_rate=1))
         assert main(["classify", "--model", str(model_path), str(clip)]) == 4
         assert capsys.readouterr().err.startswith("error: UnsupportedFormat: ")
+
+    def test_clip_that_resamples_to_nothing_exits_4(self, model_path, tmp_path,
+                                                      capsys):
+        clip = tmp_path / "fast.wav"  # 100 samples at 2 GHz are no sample at 22050 Hz
+        clip.write_bytes(wav_bytes(np.zeros(100), sample_rate=2_000_000_000))
+        assert main(["classify", "--model", str(model_path), str(clip)]) == 4
+        assert capsys.readouterr().err.startswith("error: EmptyClip: ")
 
     def test_missing_clip_exits_4(self, model_path, tmp_path, capsys):
         assert main(["classify", "--model", str(model_path),

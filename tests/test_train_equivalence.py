@@ -7,7 +7,7 @@ epoch, the stop reason and both MSEs must be equal, not merely close.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mlp_oracle
@@ -44,13 +44,13 @@ def assert_trains_identically(spec, split, config, init_seed=0):
     return got
 
 
+# every rule at the paper's constants: train MSE below 0.01, and a train MSE
+# that falls by less than 1e-6 over 100 epochs
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("reason, config", [
-    ("TargetReached", TrainingConfig(learning_rate=0.5, max_epochs=2000,
-                                     train_mse_target=0.05, seed=1)),
-    ("TrainStalled", TrainingConfig(learning_rate=1e-7, momentum=0.0,
-                                    max_epochs=50, test_patience=10**6,
-                                    train_stall_window=5, seed=2)),
+    ("TargetReached", TrainingConfig(learning_rate=0.5, max_epochs=2000, seed=1)),
+    ("TrainStalled", TrainingConfig(learning_rate=1e-12, momentum=0.0,
+                                    max_epochs=150, test_patience=10**6, seed=2)),
     ("TestWorsening", TrainingConfig(test_patience=3, seed=3)),
     ("EpochCap", TrainingConfig(max_epochs=7, seed=4)),
 ])
@@ -89,14 +89,15 @@ def test_mse_gradients_match_per_sample_sum(m):
        n=st.integers(1, 4), rows=st.integers(2, 12), test_rows=st.integers(1, 4),
        subset=st.booleans(), learning_rate=st.sampled_from([0.05, 0.3, 1.0]),
        momentum=st.sampled_from([0.0, 0.5, 0.9]), max_epochs=st.integers(0, 25),
-       patience=st.integers(1, 8), stall=st.integers(1, 8),
-       seed=st.integers(0, 2**16))
+       patience=st.integers(1, 8), seed=st.integers(0, 2**16))
+# a rate too small to move the train MSE stalls at epoch 101
+@example(j=3, k=2, m=1, n=2, rows=8, test_rows=2, subset=True, learning_rate=1e-12,
+         momentum=0.0, max_epochs=150, patience=200, seed=9)
 def test_matches_reference_on_small_topologies(j, k, m, n, rows, test_rows, subset,
                                                learning_rate, momentum, max_epochs,
-                                               patience, stall, seed):
+                                               patience, seed):
     cols = list(np.random.default_rng(seed).permutation(WIDE)[:j]) if subset else None
     split = make_split(seed, rows, test_rows, j, n, cols)
     config = TrainingConfig(learning_rate=learning_rate, momentum=momentum,
-                            max_epochs=max_epochs, test_patience=patience,
-                            train_stall_window=stall, seed=seed)
+                            max_epochs=max_epochs, test_patience=patience, seed=seed)
     assert_trains_identically(NetworkSpec(j, k, m, n), split, config, init_seed=seed)
