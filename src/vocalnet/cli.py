@@ -213,6 +213,9 @@ def cmd_select(args) -> int:
 
 
 def cmd_train(args) -> int:
+    # train never extracts, so check the settings classify will extract with
+    extraction = {key: resolve(args, key) for key in EXTRACTION_KEYS}
+    features.check_extraction(**extraction)
     corpus = dataset.read_feature_cache(args.cache)
     subset = selection.read_subset(args.subset) if args.subset else None
     config = _training_config(args)
@@ -223,7 +226,6 @@ def cmd_train(args) -> int:
         hidden_layers=resolve(args, "layers"),
         feature_slots=subset)
 
-    extraction = {key: resolve(args, key) for key in EXTRACTION_KEYS}
     mlp.save_model(run.best.network, args.model, seed=config.seed,
                    stop_reason=run.best.state.stop_reason,
                    extraction=extraction)

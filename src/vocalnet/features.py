@@ -81,12 +81,15 @@ def time_domain_features(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if frames.shape[1] == 0:
         raise ValueError("empty frame")
-    signs = np.sign(frames).astype(np.int8)
-    # forward-fill zeros with the previous sign; -1 marks "no sign yet"
-    idx = np.where(signs != 0, np.arange(frames.shape[1], dtype=np.int32), -1)
-    np.maximum.accumulate(idx, axis=1, out=idx)
-    filled = np.where(idx >= 0, np.take_along_axis(signs, np.maximum(idx, 0), 1), 0)
-    crossings = np.count_nonzero(np.abs(np.diff(filled, axis=1)) > 1, axis=1)
+    # forward-fill zeros with the previous sign: a signed sample in column c
+    # keys 2c + 1 if positive and 2c if negative, a zero keys -1 ("no sign
+    # yet"), and the running maximum carries the last sign in its parity
+    cols = np.arange(frames.shape[1], dtype=np.int32)
+    key = np.where(frames == 0, -1, 2 * cols + (frames > 0))
+    np.maximum.accumulate(key, axis=1, out=key)
+    earlier = key[:, :-1]
+    flipped = ((earlier ^ key[:, 1:]) & 1).astype(bool)
+    crossings = np.count_nonzero(flipped & (earlier >= 0), axis=1)
     rms = np.sqrt(np.mean(frames ** 2, axis=1))
     return crossings, rms
 
@@ -124,10 +127,21 @@ def spectral_shape_features(magnitudes: np.ndarray, bin_hz: float):
     spread = var > 0
     sigma = np.sqrt(var)
 
+    # `**` on an array may take a SIMD pow that is fast only for a positive
+    # base: a negative one falls back to a per-lane path ~40x slower, and d
+    # is negative below the centroid. So each power takes |d| ** p, and odd
+    # ones get their sign back from d. Products, or float_power(d, p), miss
+    # the 1e-12 reference gate on some constant (DC) clips.
+    abs_d = np.abs(d)
+
     def standardized(p):
         # float_power is libm pow, like `**` on a scalar sigma; `**` on an
         # array may use a SIMD pow that rounds the last bit differently
-        mean_power = np.sum(d ** p * m, axis=1) / np.where(spread, total, 1.0)
+        power = abs_d ** p
+        if p % 2:
+            np.copysign(power, d, out=power)
+        power *= m
+        mean_power = np.sum(power, axis=1) / np.where(spread, total, 1.0)
         return np.divide(mean_power, np.float_power(sigma, p),
                          out=np.zeros_like(total), where=spread)
 
@@ -316,6 +330,23 @@ def aggregate_clip(series: dict[str, np.ndarray]) -> FeatureVector:
         values[rows, 0] = stacked.mean(axis=1)
         values[rows, 1] = stacked.std(axis=1)
     return FeatureVector(values=values.ravel())
+
+
+def check_extraction(window: int, hop: int, rate: int) -> None:
+    """Raise what extracting any clip at these settings would raise, in the
+    order the clip path (resample, frame_clip, magnitude_spectrum, lpc) meets
+    them."""
+    if rate <= 0:
+        raise InvalidSetting(f"target_rate must be positive, got {rate}")
+    if window <= 0:
+        raise InvalidSetting(f"window_size must be positive, got {window}")
+    if not 0 < hop <= window:
+        raise InvalidSetting(f"hop_size must be in (0, {window}], got {hop}")
+    if window & (window - 1):
+        raise NonPowerOfTwoWindow(f"frame length {window}")
+    if window <= LPC_ORDER:
+        raise InvalidSetting(f"a {window}-sample frame is not longer than "
+                             f"LPC order {LPC_ORDER}")
 
 
 def extract_features(clip: AudioClip, window_size: int = DEFAULT_WINDOW,

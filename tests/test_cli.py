@@ -234,16 +234,25 @@ class TestTrain:
         lambda d: ["--config", write_text(d / "run.cfg", "max_epoch = 1\n")],
         lambda d: ["--config", write_text(d / "run.cfg", "bogus = 9\n")],
         lambda d: ["--config", write_text(d / "run.cfg", "seed 3\n")],
+        # extraction settings classify would reject in the model train writes
+        lambda d: ["--window", "500"],
+        lambda d: ["--window", "8"],
+        lambda d: ["--hop", "4096"],
+        lambda d: ["--rate", "-7"],
     ], ids=["hidden-0", "layers-0", "learning-rate-0", "momentum-1",
             "negative-seed", "missing-config", "uncastable-config",
             "missing-subset", "model-dir-missing", "negative-max-epochs",
             "patience-0", "misspelled-config-key", "unknown-config-key",
-            "config-line-without-equals"])
+            "config-line-without-equals", "window-not-power-of-two",
+            "window-not-longer-than-lpc-order", "hop-longer-than-window",
+            "negative-rate"])
     def test_bad_input_exits_2(self, cache_path, tmp_path, capsys, extra):
         assert main(["train", "--cache", str(cache_path),
                      "--model", str(tmp_path / "m.json"), "--seed", "0",
                      *extra(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("rows", ["abc,x\n", "40,x\n", "3,a\n3,a\n", ""],
                              ids=["non-integer", "out-of-range", "duplicate", "empty"])

@@ -1,12 +1,18 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from vocalnet.audio_io import AudioClip
+import feature_oracle
+from vocalnet.audio_io import AudioClip, resample
 from vocalnet import features as F
-from vocalnet.errors import (BankMismatch, NoFrames, NonPowerOfTwoWindow,
-                             SeriesTooShort)
+from vocalnet.errors import (BankMismatch, InvalidSetting, NoFrames,
+                             NonPowerOfTwoWindow, SeriesTooShort)
 
-from conftest import tone_clip
+from conftest import RATE, tone_clip
 
 
 def one_frame(samples):
@@ -83,6 +89,25 @@ class TestTimeDomain:
                                                  [0.0, 0.0, -1.0]]))
         assert zc.tolist() == [0, 1, 0]
 
+    @staticmethod
+    def forward_fill_crossings(row):
+        """Sign changes along one row, each zero taking the previous sign."""
+        count, last = 0, 0
+        for x in row.tolist():
+            sign = (x > 0) - (x < 0)
+            if sign:
+                count += last != 0 and sign != last
+                last = sign
+        return count
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                   max_side=40),
+                      elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5])))
+    def test_crossings_match_per_row_forward_fill(self, frames):
+        zc, _ = F.time_domain_features(frames)
+        assert zc.tolist() == [self.forward_fill_crossings(row) for row in frames]
+
 
 class TestSpectralShape:
     def test_point_mass_spectrum(self):
@@ -120,6 +145,15 @@ class TestSpectralShape:
         flat = np.concatenate([np.ravel(v) for v in out])
         assert np.all(np.isfinite(flat))
         assert out[4][0] == 0.0  # centroid convention
+
+    def test_mirrored_spectrum_flips_skew_and_keeps_kurtosis(self):
+        bins = np.arange(65)
+        right_tailed = bins ** 2 * np.exp(-bins / 6.0)  # a peak, then a long tail
+        moments = F.spectral_shape_features(
+            np.stack([right_tailed, right_tailed[::-1]]), 10.0)[3]
+        assert moments[0, 3] > 0.5
+        np.testing.assert_allclose(moments[1, 3], -moments[0, 3], rtol=1e-12)
+        np.testing.assert_allclose(moments[1, 4], moments[0, 4], rtol=1e-12)
 
     def test_centroid_invariant_under_scaling(self):
         rng = np.random.default_rng(3)
@@ -368,3 +402,34 @@ class TestExtractProperties:
                                                   bin_hz)
         assert isolated[0][1] == pipeline_vals[0][5]
         np.testing.assert_array_equal(isolated[3][1], pipeline_vals[3][5])
+
+    @settings(max_examples=100, deadline=None)
+    @given(level=st.floats(-1, 1), n=st.integers(1, 3 * RATE),
+           window=st.sampled_from([256, 512, 1024]))
+    def test_constant_dc_matches_per_frame_reference(self, level, n, window):
+        # a constant's frames have near-identical moments, so moments_std
+        # sits near 1e-12, the gate itself, and rounding alone can break it
+        clip = AudioClip(np.full(n, level), RATE)
+        got = F.extract_features(clip, window, window // 2).values
+        want = feature_oracle.extract_features(clip, window, window // 2).values
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+class TestCheckExtraction:
+    @pytest.mark.parametrize("window, hop, rate", [
+        (500, 250, RATE), (8, 4, RATE), (8, 256, RATE), (0, 256, RATE),
+        (512, 4096, RATE), (512, 0, RATE), (512, 256, -7), (512, 256, 0),
+    ])
+    def test_raises_what_the_clip_path_raises(self, window, hop, rate):
+        clip = tone_clip(440, np.random.default_rng(0))
+        with pytest.raises((InvalidSetting, NonPowerOfTwoWindow)) as clip_path:
+            F.extract_features(resample(clip, rate), window, hop)
+        with pytest.raises(clip_path.type, match=f"^{re.escape(str(clip_path.value))}$"):
+            F.check_extraction(window, hop, rate)
+
+    @pytest.mark.parametrize("window, hop, rate", [
+        (512, 256, RATE), (16, 16, 8000), (1024, 1024, 44100)])
+    def test_accepts_settings_the_clip_path_accepts(self, window, hop, rate):
+        F.check_extraction(window, hop, rate)
+        F.extract_features(resample(tone_clip(440, np.random.default_rng(0)), rate),
+                           window, hop)
