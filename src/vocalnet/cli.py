@@ -1,12 +1,16 @@
 """Command-line front end: extract, select, train, evaluate, classify.
 
-Configuration precedence is flags > config file (key = value lines) >
-defaults. A UserWarning, such as the small-class fold warning, prints as one
+Features are always extracted at the paper's one setting: 512-sample
+windows, a 256-sample hop, 22050 Hz (audio_io.DEFAULT_*); no flag or config
+key changes it, and the model records it. `select` and `train` resolve their
+training settings as flags > config file (key = value lines) > defaults.
+A UserWarning, such as the small-class fold warning, prints as one
 `warning: <message>` line on stderr. Commands raise; `main` alone turns a
 failure into an exit code:
   2  a missing or malformed corpus, cache, model, subset or config file
-     (a config line without `=` or whose key is no setting), a corpus with
-     no usable clip, or an out-of-range setting;
+     (a config line without `=` or whose key is no setting, a model that
+     records other extraction settings), a corpus with no usable clip, or
+     an out-of-range setting;
   3  a class too small to split, in select or train;
   4  a clip that cannot be opened or parsed, or that resamples to no
      samples, in classify;
@@ -31,11 +35,7 @@ EXIT_CODES = (  # the first entry a failure is an instance of decides its code
 )
 
 _TRAINING = mlp.TrainingConfig()
-EXTRACTION_KEYS = ("window", "hop", "rate")  # recorded in the model for classify
 DEFAULTS = {
-    "window": audio_io.DEFAULT_WINDOW,
-    "hop": audio_io.DEFAULT_HOP,
-    "rate": audio_io.DEFAULT_RATE,
     "hidden": None,   # the class count; see _hidden_width
     "layers": 1,
     "learning_rate": _TRAINING.learning_rate,
@@ -49,7 +49,7 @@ DEFAULTS = {
 def read_config_file(path) -> dict:
     """key = value lines; # comments and blank lines ignored, bad bytes read as
     U+FFFD. A line without `=`, or a key that is not in DEFAULTS, raises
-    InvalidSetting; any command's settings may share one file."""
+    InvalidSetting; select and train may share one file."""
     values = {}
     with open(path, errors="replace") as fh:
         for number, line in enumerate(fh, 1):
@@ -78,12 +78,6 @@ def resolve(args, key, cast=int):
     return DEFAULTS[key]
 
 
-def _add_extraction(parser):
-    parser.add_argument("--window", type=int, help="analysis window (samples)")
-    parser.add_argument("--hop", type=int, help="hop between windows (samples)")
-    parser.add_argument("--rate", type=int, help="common sample rate (Hz)")
-
-
 def _add_training(parser):
     parser.add_argument("--hidden", type=int, help="hidden layer width (default: class count)")
     parser.add_argument("--layers", type=int, help="hidden layer count")
@@ -92,15 +86,13 @@ def _add_training(parser):
     parser.add_argument("--max-epochs", dest="max_epochs", type=int)
     parser.add_argument("--patience", type=int)
     parser.add_argument("--seed", type=int, help="random seed")
-    parser.add_argument("--ci", action="store_true",
-                        help="CI mode: --seed must be given explicitly")
+    parser.add_argument("--config", help="key = value config file")
 
 
 def _add_extract(parser):
     parser.add_argument("--corpus", required=True,
                         help="class-per-directory root or path,label manifest CSV")
     parser.add_argument("--out", required=True, help="feature cache CSV")
-    _add_extraction(parser)
 
 
 def _add_select(parser):
@@ -116,7 +108,6 @@ def _add_train(parser):
     parser.add_argument("--report", help="report path prefix (.txt, .csv and "
                                          ".features.csv written)")
     parser.add_argument("--subset", help="selected-slots CSV from the select command")
-    _add_extraction(parser)
     _add_training(parser)
 
 
@@ -138,7 +129,6 @@ _SUBCOMMANDS = {  # name -> (help, adds the command's arguments)
     "evaluate": ("score a model against a feature cache", _add_evaluate),
     "classify": ("classify one WAV file", _add_classify),
 }
-_CONFIG_COMMANDS = ("extract", "select", "train")  # the commands that resolve settings
 
 
 def build_parser(argv=()) -> argparse.ArgumentParser:
@@ -154,18 +144,13 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar=every_name)
     for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
         if chosen in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            add_arguments(p)
-            if name in _CONFIG_COMMANDS:
-                p.add_argument("--config", help="key = value config file")
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def _prepare(args) -> None:
     config = getattr(args, "config", None)
     args._config = read_config_file(config) if config else {}
-    if getattr(args, "ci", False) and args.seed is None:
-        raise InvalidSetting("--seed is mandatory for train/select in CI mode")
 
 
 def _training_config(args) -> mlp.TrainingConfig:
@@ -190,7 +175,7 @@ def _write_report(report, prefix) -> None:
 
 
 def cmd_extract(args) -> int:
-    corpus = dataset.load_corpus(args.corpus, *(resolve(args, key) for key in EXTRACTION_KEYS))
+    corpus = dataset.load_corpus(args.corpus)
     for path, message in corpus.load_errors:
         print(f"warning: skipped {path}: {message}", file=sys.stderr)
     dataset.write_feature_cache(corpus, args.out)
@@ -213,9 +198,6 @@ def cmd_select(args) -> int:
 
 
 def cmd_train(args) -> int:
-    # train never extracts, so check the settings classify will extract with
-    extraction = {key: resolve(args, key) for key in EXTRACTION_KEYS}
-    features.check_extraction(**extraction)
     corpus = dataset.read_feature_cache(args.cache)
     subset = selection.read_subset(args.subset) if args.subset else None
     config = _training_config(args)
@@ -227,8 +209,7 @@ def cmd_train(args) -> int:
         feature_slots=subset)
 
     mlp.save_model(run.best.network, args.model, seed=config.seed,
-                   stop_reason=run.best.state.stop_reason,
-                   extraction=extraction)
+                   stop_reason=run.best.state.stop_reason)
 
     for result in run.results:
         print(f"fold {result.fold}: eval accuracy "
@@ -256,15 +237,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    net, doc = mlp.load_model(args.model)
+    net, _doc = mlp.load_model(args.model)
     try:
         clip = audio_io.read_wav(args.wav)
     except OSError as exc:  # an unopenable clip is a bad clip (4), not a bad file (2)
         raise MalformedRiff(f"cannot read clip: {exc}") from exc
 
-    extraction = doc.get("extraction") or {}
-    window, hop, rate = (extraction.get(key, DEFAULTS[key]) for key in EXTRACTION_KEYS)
-    vector = features.extract_features(audio_io.resample(clip, rate), window, hop)
+    vector = features.extract_features(audio_io.resample(clip, audio_io.DEFAULT_RATE))
     values = vector.values
     if net.feature_slots is not None:
         values = values[net.feature_slots]

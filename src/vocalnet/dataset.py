@@ -85,15 +85,13 @@ def _manifest_rows(manifest: Path) -> list[tuple[str, str]]:
     return rows
 
 
-def load_corpus(root, window_size: int = audio_io.DEFAULT_WINDOW,
-                hop_size: int = audio_io.DEFAULT_HOP,
-                rate: int = audio_io.DEFAULT_RATE) -> LabeledCorpus:
-    """Load a corpus from a class-per-directory tree or a path,label manifest.
+def load_corpus(root) -> LabeledCorpus:
+    """Load a corpus from a class-per-directory tree or a path,label manifest,
+    extracting every clip at the audio_io.DEFAULT_* window, hop and rate.
 
     A clip that cannot be opened or parsed, or that resamples to no samples,
     is recorded in corpus.load_errors and skipped; the corpus still loads as
-    long as at least one clip succeeds. Any other error, such as an
-    out-of-range window, hop or rate, is raised.
+    long as at least one clip succeeds. Any other error is raised.
     """
     root = Path(root)
     if root.is_file():
@@ -111,8 +109,8 @@ def load_corpus(root, window_size: int = audio_io.DEFAULT_WINDOW,
     for path, label in entries:
         try:
             clip = audio_io.read_wav(path)
-            clip = audio_io.resample(clip, rate)
-            vector = features.extract_features(clip, window_size, hop_size)
+            clip = audio_io.resample(clip, audio_io.DEFAULT_RATE)
+            vector = features.extract_features(clip)
         except (MalformedRiff, UnsupportedFormat, EmptyClip, OSError) as exc:
             load_errors.append((str(path), str(exc)))
             continue

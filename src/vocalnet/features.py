@@ -332,23 +332,6 @@ def aggregate_clip(series: dict[str, np.ndarray]) -> FeatureVector:
     return FeatureVector(values=values.ravel())
 
 
-def check_extraction(window: int, hop: int, rate: int) -> None:
-    """Raise what extracting any clip at these settings would raise, in the
-    order the clip path (resample, frame_clip, magnitude_spectrum, lpc) meets
-    them."""
-    if rate <= 0:
-        raise InvalidSetting(f"target_rate must be positive, got {rate}")
-    if window <= 0:
-        raise InvalidSetting(f"window_size must be positive, got {window}")
-    if not 0 < hop <= window:
-        raise InvalidSetting(f"hop_size must be in (0, {window}], got {hop}")
-    if window & (window - 1):
-        raise NonPowerOfTwoWindow(f"frame length {window}")
-    if window <= LPC_ORDER:
-        raise InvalidSetting(f"a {window}-sample frame is not longer than "
-                             f"LPC order {LPC_ORDER}")
-
-
 def extract_features(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
                      hop_size: int = DEFAULT_HOP) -> FeatureVector:
     """Full per-clip extraction: frame, analyze all windows at once, aggregate.

@@ -22,10 +22,13 @@ from itertools import pairwise
 
 import numpy as np
 
+from .audio_io import DEFAULT_HOP, DEFAULT_RATE, DEFAULT_WINDOW
 from .errors import DimensionMismatch, EmptySet, InvalidSetting, MalformedArtifact
 from .features import FEATURE_NAMES
 
 MODEL_FORMAT_VERSION = 1
+# the one setting every feature vector is extracted at, recorded in each model
+EXTRACTION = {"window": DEFAULT_WINDOW, "hop": DEFAULT_HOP, "rate": DEFAULT_RATE}
 STD_FLOOR = 1e-8
 TRAIN_MSE_TARGET = 0.01
 STALL_WINDOW = 100
@@ -337,8 +340,7 @@ def train(net: Network, train_inputs: np.ndarray, train_targets: np.ndarray,
 
 
 def save_model(net: Network, path, seed: int | None = None,
-               stop_reason: str | None = None,
-               extraction: dict | None = None) -> None:
+               stop_reason: str | None = None) -> None:
     """Persist a trained network as a versioned JSON document."""
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
@@ -351,7 +353,7 @@ def save_model(net: Network, path, seed: int | None = None,
         "weights": [w.tolist() for w in net.weights],
         "seed": seed,
         "stop_reason": stop_reason,
-        "extraction": extraction or {},
+        "extraction": EXTRACTION,
     }
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -359,8 +361,10 @@ def save_model(net: Network, path, seed: int | None = None,
 
 def load_model(path) -> tuple[Network, dict]:
     """Load a model JSON; returns (network, full document). Bad JSON, another
-    format version, missing keys, or arrays, labels, slots or extraction
-    settings that do not fit the spec raise MalformedArtifact."""
+    format version, missing keys, arrays, labels or slots that do not fit the
+    spec, non-finite arrays, an input_std below STD_FLOOR, a repeated label,
+    or extraction settings other than (a part of) EXTRACTION raise
+    MalformedArtifact."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -375,7 +379,7 @@ def load_model(path) -> tuple[Network, dict]:
                       feature_slots=doc.get("feature_slots"))
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise MalformedArtifact(f"{path}: {type(exc).__name__}: {exc}") from exc
-    slots, extraction = net.feature_slots, doc.get("extraction") or {}
+    slots, extraction = net.feature_slots, doc.get("extraction", {})
     misfits = [name for name, fits in {
         # the layer count goes first, as layer_sizes() builds m + 2 entries
         "weights": len(net.weights) == spec.m + 1 and [w.shape for w in net.weights]
@@ -384,10 +388,18 @@ def load_model(path) -> tuple[Network, dict]:
         "label_map": len(net.label_map) in (0, spec.n),
         "feature_slots": slots is None or isinstance(slots, list) and len(slots) == spec.j
         and all(type(i) is int and 0 <= i < len(FEATURE_NAMES) for i in slots),
-        "extraction": isinstance(extraction, dict)
-        and all(type(v) is int for v in extraction.values()),
     }.items() if not fits]
-    if misfits:
-        raise MalformedArtifact(f"{path}: {', '.join(misfits)} do not fit "
-                                f"({spec.j}, [{spec.k}, {spec.m}], {spec.n})")
+    arrays = (*net.weights, net.input_mean, net.input_std)
+    for problem, found in (
+            (f"{', '.join(misfits)} do not fit "
+             f"({spec.j}, [{spec.k}, {spec.m}], {spec.n})", misfits),
+            ("weights, input_mean or input_std are not all finite",
+             not all(np.isfinite(a).all() for a in arrays)),
+            (f"input_std below {STD_FLOOR}", (net.input_std < STD_FLOOR).any()),
+            ("label_map repeats a name", len(set(net.label_map)) < len(net.label_map)),
+            (f"extraction {extraction!r} is not the fixed settings {EXTRACTION}",
+             not (isinstance(extraction, dict)
+                  and extraction.items() <= EXTRACTION.items()))):
+        if found:
+            raise MalformedArtifact(f"{path}: {problem}")
     return net, doc

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import csv
@@ -106,19 +107,6 @@ class TestExtract:
         assert main(["extract", "--corpus", str(tmp_path),
                      "--out", str(tmp_path / "out.csv")]) == 2
 
-    @pytest.mark.parametrize("flags, error", [
-        (["--window", "500"], "NonPowerOfTwoWindow"),
-        (["--window", "8", "--hop", "4"], "InvalidSetting"),
-        (["--rate", "0"], "InvalidSetting"),
-    ], ids=["window-500", "window-8", "rate-0"])
-    def test_bad_setting_exits_2(self, small_corpus_dir, tmp_path, capsys,
-                                 flags, error):
-        # a setting that fails every clip is reported, not skipped clip by clip
-        assert main(["extract", "--corpus", str(small_corpus_dir),
-                     "--out", str(tmp_path / "out.csv"), *flags]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
-
     def test_one_column_manifest_row_exits_2(self, tmp_path, capsys):
         save_wav(noise_clip(np.random.default_rng(0), duration=0.1),
                  tmp_path / "a.wav")
@@ -214,11 +202,6 @@ class TestTrain:
                        "members across folds: class_0, class_1\n")
         assert "UserWarning" not in err and ".py:" not in err
 
-    def test_ci_mode_requires_seed(self, cache_path, tmp_path, capsys):
-        assert main(["train", "--cache", str(cache_path),
-                     "--model", str(tmp_path / "m.json"), "--ci"]) == 2
-        assert capsys.readouterr().err.startswith("error: InvalidSetting")
-
     @pytest.mark.parametrize("extra", [
         lambda d: ["--hidden", "0"],
         lambda d: ["--layers", "0"],
@@ -234,18 +217,13 @@ class TestTrain:
         lambda d: ["--config", write_text(d / "run.cfg", "max_epoch = 1\n")],
         lambda d: ["--config", write_text(d / "run.cfg", "bogus = 9\n")],
         lambda d: ["--config", write_text(d / "run.cfg", "seed 3\n")],
-        # extraction settings classify would reject in the model train writes
-        lambda d: ["--window", "500"],
-        lambda d: ["--window", "8"],
-        lambda d: ["--hop", "4096"],
-        lambda d: ["--rate", "-7"],
+        # the extraction settings are fixed, so no file may ask for others
+        lambda d: ["--config", write_text(d / "run.cfg", "window = 1024\n")],
     ], ids=["hidden-0", "layers-0", "learning-rate-0", "momentum-1",
             "negative-seed", "missing-config", "uncastable-config",
             "missing-subset", "model-dir-missing", "negative-max-epochs",
             "patience-0", "misspelled-config-key", "unknown-config-key",
-            "config-line-without-equals", "window-not-power-of-two",
-            "window-not-longer-than-lpc-order", "hop-longer-than-window",
-            "negative-rate"])
+            "config-line-without-equals", "config-window"])
     def test_bad_input_exits_2(self, cache_path, tmp_path, capsys, extra):
         assert main(["train", "--cache", str(cache_path),
                      "--model", str(tmp_path / "m.json"), "--seed", "0",
@@ -406,7 +384,9 @@ class TestEvaluate:
         lambda doc: doc["label_map"].pop(),
         lambda doc: doc.update(feature_slots=[0, 40]),
         lambda doc: doc.update(spec={**doc["spec"], "k": 2.0}),
-    ], ids=["weight-rows", "label-map", "feature-slots", "float-width"])
+        lambda doc: doc.update(extraction={"window": 1024, "hop": 512, "rate": 22050}),
+    ], ids=["weight-rows", "label-map", "feature-slots", "float-width",
+            "other-extraction"])
     def test_model_that_misfits_its_spec_exits_2(self, three_class_model,
                                                  tmp_path, capsys, corrupt):
         model, corpus = three_class_model
@@ -416,7 +396,8 @@ class TestEvaluate:
         cache = tmp_path / "cache.csv"
         write_feature_cache(corpus, cache)
         assert main(["evaluate", "--model", bad, "--cache", str(cache)]) == 2
-        assert capsys.readouterr().err.startswith("error: MalformedArtifact")
+        err = capsys.readouterr().err
+        assert err.startswith("error: MalformedArtifact: ") and err.count("\n") == 1
 
     def test_model_json_list_exits_2(self, cache_path, tmp_path, capsys):
         bad = write_text(tmp_path / "list.json", "[1, 2]")
@@ -459,6 +440,21 @@ class TestClassify:
                      str(tmp_path / "nope.wav")]) == 4
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(extraction={"window": 1024, "hop": 512, "rate": 22050}),
+        lambda doc: doc.update(input_std=[0.0] * len(doc["input_std"])),
+    ], ids=["other-extraction", "zero-input-std"])
+    def test_model_train_never_writes_exits_2(self, model_path, small_corpus_dir,
+                                              tmp_path, capsys, edit):
+        wav = sorted((small_corpus_dir / "tone880").glob("*.wav"))[0]
+        doc = json.loads(model_path.read_text())
+        edit(doc)
+        bad = write_text(tmp_path / "bad.json", json.dumps(doc))
+        assert main(["classify", "--model", bad, str(wav)]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err.startswith("error: MalformedArtifact: ") and err.count("\n") == 1
+
     def test_subset_model_slices_full_vector(self, cache_path, tmp_path,
                                              small_corpus_dir, capsys):
         # train a model restricted to 4 slots; classify must slice internally
@@ -474,13 +470,20 @@ class TestClassify:
 
 
 REQUIRED = {"extract": ["--corpus", "c", "--out", "o.csv"],
+            "select": ["--cache", "c.csv", "--trace", "t.csv", "--subset", "s.csv"],
+            "train": ["--cache", "c.csv", "--model", "m.json"],
             "evaluate": ["--model", "m.json", "--cache", "c.csv"],
             "classify": ["--model", "m.json", "x.wav"]}
+EXTRACTION_FLAGS = ("--window", "--hop", "--rate")
+IGNORED = {"extract": ("--seed", "--ci", "--config", *EXTRACTION_FLAGS),
+           "select": ("--ci",),
+           "train": ("--ci", *EXTRACTION_FLAGS),
+           "evaluate": ("--seed", "--ci", "--config"),
+           "classify": ("--seed", "--ci", "--config")}
 
 
 @pytest.mark.parametrize("command,flag", [
-    (command, flag) for command in REQUIRED for flag in ("--seed", "--ci", "--config")
-    if (command, flag) != ("extract", "--config")])
+    (command, flag) for command, flags in IGNORED.items() for flag in flags])
 def test_flag_the_command_ignores_exits_2(command, flag, capsys):
     value = [] if flag == "--ci" else ["0"]
     with pytest.raises(SystemExit) as exc:
@@ -537,17 +540,43 @@ def test_cli_imports_without_scipy():
 class TestConfigFile:
     def test_precedence_flags_over_file_over_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("window = 1024\nhop = 128  # inline comment\n")
+        cfg.write_text("max_epochs = 50\npatience = 7  # inline comment\n")
         parsed = read_config_file(cfg)
-        assert parsed == {"window": "1024", "hop": "128"}
+        assert parsed == {"max_epochs": "50", "patience": "7"}
 
-        import argparse
         from vocalnet.cli import resolve
-        args = argparse.Namespace(window=256, hop=None, rate=None,
+        args = argparse.Namespace(max_epochs=5, patience=None, seed=None,
                                   _config=parsed)
-        assert resolve(args, "window") == 256    # flag wins
-        assert resolve(args, "hop") == 128       # file beats default
-        assert resolve(args, "rate") == 22050    # default
+        assert resolve(args, "max_epochs") == 5   # flag wins
+        assert resolve(args, "patience") == 7     # file beats default
+        assert resolve(args, "seed") == 0         # default
+
+
+def readme() -> str:
+    return (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def accepted_flags(command) -> set[str]:
+    parser = build_parser([command])
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return set(commands.choices[command]._option_string_actions)
+
+
+def test_readme_cli_block_uses_only_accepted_flags():
+    block = readme().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split() for line in block.splitlines()
+             if line.startswith("vocalnet ")]
+    assert [words[1] for words in lines] == list(COMMANDS)
+    for words in lines:
+        flags = {word.strip("[]") for word in words if word.strip("[").startswith("--")}
+        assert flags <= accepted_flags(words[1]), words[1]
+
+
+def test_readme_lists_the_config_keys():
+    sentence = re.search(r"One file may hold the\s+settings (.*?)\.", readme(), re.S)
+    assert sentence, "README names no config keys"
+    assert re.findall(r"`(\w+)`", sentence.group(1)) == list(DEFAULTS)
 
 
 JSON_VALUES = st.recursive(

@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -415,21 +413,21 @@ class TestExtractProperties:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
-class TestCheckExtraction:
+class TestExtractionSettings:
+    # the commands extract at the DEFAULT_* settings only; the library
+    # functions still take any, and reject those no clip can be extracted at
     @pytest.mark.parametrize("window, hop, rate", [
         (500, 250, RATE), (8, 4, RATE), (8, 256, RATE), (0, 256, RATE),
         (512, 4096, RATE), (512, 0, RATE), (512, 256, -7), (512, 256, 0),
     ])
-    def test_raises_what_the_clip_path_raises(self, window, hop, rate):
+    def test_clip_path_rejects(self, window, hop, rate):
         clip = tone_clip(440, np.random.default_rng(0))
-        with pytest.raises((InvalidSetting, NonPowerOfTwoWindow)) as clip_path:
+        with pytest.raises((InvalidSetting, NonPowerOfTwoWindow)):
             F.extract_features(resample(clip, rate), window, hop)
-        with pytest.raises(clip_path.type, match=f"^{re.escape(str(clip_path.value))}$"):
-            F.check_extraction(window, hop, rate)
 
     @pytest.mark.parametrize("window, hop, rate", [
         (512, 256, RATE), (16, 16, 8000), (1024, 1024, 44100)])
-    def test_accepts_settings_the_clip_path_accepts(self, window, hop, rate):
-        F.check_extraction(window, hop, rate)
-        F.extract_features(resample(tone_clip(440, np.random.default_rng(0)), rate),
-                           window, hop)
+    def test_clip_path_accepts(self, window, hop, rate):
+        vector = F.extract_features(
+            resample(tone_clip(440, np.random.default_rng(0)), rate), window, hop)
+        assert np.isfinite(vector.values).all()

@@ -1,3 +1,5 @@
+import json
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vocalnet import mlp
-from vocalnet.errors import DimensionMismatch, EmptySet
+from vocalnet.errors import DimensionMismatch, EmptySet, MalformedArtifact
 from vocalnet.features import FEATURE_NAMES
 from vocalnet.mlp import (Network, NetworkSpec, TrainingConfig, classify,
                           forward, init_network, load_model, mse,
@@ -250,14 +252,16 @@ class TestModelFile:
         net.label_map = ["a", "b"]
         net.feature_slots = [0, 5, 9, 27]
         path = tmp_path / "model.json"
-        save_model(net, path, seed=1, stop_reason="TargetReached",
-                   extraction={"window": 512, "hop": 256, "rate": 22050})
+        save_model(net, path, seed=1, stop_reason="TargetReached")
         back, doc = load_model(path)
         assert back.spec == net.spec
         assert back.label_map == ["a", "b"]
         assert back.feature_slots == [0, 5, 9, 27]
         assert doc["format_version"] == 1
         assert doc["stop_reason"] == "TargetReached"
+        # the one setting every feature vector is extracted at, in this order
+        assert list(doc["extraction"].items()) == [
+            ("window", 512), ("hop", 256), ("rate", 22050)]
         for wa, wb in zip(net.weights, back.weights):
             np.testing.assert_array_equal(wa, wb)
 
@@ -271,17 +275,16 @@ class TestModelFile:
             weights=[data.draw(arrays(np.float64, (s + 1, t), elements=finite))
                      for s, t in zip(spec.layer_sizes(), spec.layer_sizes()[1:])],
             input_mean=data.draw(arrays(np.float64, spec.j, elements=finite)),
-            input_std=data.draw(arrays(np.float64, spec.j, elements=finite)),
+            input_std=data.draw(arrays(np.float64, spec.j, elements=st.floats(
+                mlp.STD_FLOOR, allow_infinity=False))),
             label_map=data.draw(st.one_of(
                 st.just([]), st.lists(st.text(max_size=8), min_size=spec.n,
-                                      max_size=spec.n))),
+                                      max_size=spec.n, unique=True))),
             feature_slots=data.draw(st.one_of(
                 st.none(), st.lists(st.integers(0, len(FEATURE_NAMES) - 1),
                                     min_size=spec.j, max_size=spec.j, unique=True))))
-        extraction = data.draw(st.dictionaries(
-            st.sampled_from(("window", "hop", "rate")), st.integers()))
         path = tmp_path_factory.mktemp("model") / "model.json"
-        save_model(net, path, extraction=extraction)
+        save_model(net, path)
         back, doc = load_model(path)
 
         assert back.spec == spec
@@ -291,11 +294,64 @@ class TestModelFile:
         assert np.array_equal(back.input_std, net.input_std)
         assert back.label_map == net.label_map
         assert back.feature_slots == net.feature_slots
-        assert doc["extraction"] == extraction
+        assert doc["extraction"] == mlp.EXTRACTION
 
     def test_unknown_version_rejected(self, tmp_path):
-        import json
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format_version": 99}))
         with pytest.raises(ValueError):
             load_model(path)
+
+    def test_every_model_train_writes_loads(self, tmp_path):
+        # a constant input column gets the floor as its std
+        inputs = np.column_stack([np.linspace(0, 1, 8), np.full(8, 3.0)])
+        targets = one_hot(np.arange(8) % 2, 2)
+        net, _ = train(init_network(NetworkSpec(2, 2, 1, 2), seed=0), inputs,
+                       targets, inputs, targets, TrainingConfig(max_epochs=3))
+        assert net.input_std[1] == mlp.STD_FLOOR
+        net.label_map = ["a", "b"]
+        save_model(net, tmp_path / "model.json")
+        back, _ = load_model(tmp_path / "model.json")
+        assert np.array_equal(back.input_std, net.input_std)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["weights"][0][0].__setitem__(0, float("nan")), "not all finite"),
+        (lambda doc: doc["weights"][-1][-1].__setitem__(-1, float("inf")), "not all finite"),
+        (lambda doc: doc["input_mean"].__setitem__(1, float("-inf")), "not all finite"),
+        (lambda doc: doc["input_std"].__setitem__(0, float("nan")), "not all finite"),
+        (lambda doc: doc.update(input_std=[0.0, 0.0]), "input_std below"),
+        (lambda doc: doc["input_std"].__setitem__(1, mlp.STD_FLOOR / 2), "input_std below"),
+        (lambda doc: doc.update(label_map=["a", "a"]), "label_map repeats"),
+        (lambda doc: doc.update(extraction={"window": 1024, "hop": 512, "rate": 22050}),
+         re.escape("{'window': 1024, 'hop': 512, 'rate': 22050} is not the fixed "
+                   "settings {'window': 512, 'hop': 256, 'rate': 22050}")),
+        (lambda doc: doc.update(extraction={"rate": 44100}), "fixed settings"),
+        (lambda doc: doc["extraction"].update(order=12), "fixed settings"),
+        (lambda doc: doc.update(extraction=None), "fixed settings"),
+    ], ids=["nan-weight", "inf-weight", "inf-mean", "nan-std", "zero-std",
+            "std-below-floor", "repeated-label", "other-window", "other-rate",
+            "extra-setting", "null-extraction"])
+    def test_rejects_what_train_never_writes(self, tmp_path, edit, message):
+        net = init_network(NetworkSpec(2, 3, 1, 2), seed=0)
+        net.label_map = ["a", "b"]
+        path = tmp_path / "model.json"
+        save_model(net, path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedArtifact, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.pop("extraction"),
+        lambda doc: doc.update(extraction={}),
+        lambda doc: doc.update(extraction={"rate": 22050}),
+        lambda doc: doc.update(extraction={"hop": 256, "window": 512}),
+    ], ids=["absent", "empty", "rate-only", "window-and-hop"])
+    def test_accepts_the_fixed_extraction_or_part_of_it(self, tmp_path, edit):
+        path = tmp_path / "model.json"
+        save_model(init_network(NetworkSpec(2, 3, 1, 2), seed=0), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        load_model(path)
