@@ -56,11 +56,12 @@ def parse_wav(data: bytes, source_path: str = "") -> AudioClip:
 
     fmt = None
     pcm_bytes = None
+    view = memoryview(data)  # chunk bodies are views, not copies
     pos = 12
     while pos + 8 <= len(data):
         chunk_id = data[pos:pos + 4]
         (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8:pos + 8 + chunk_size]
+        body = view[pos + 8:pos + 8 + chunk_size]
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise MalformedRiff("fmt chunk truncated")
@@ -89,17 +90,19 @@ def parse_wav(data: bytes, source_path: str = "") -> AudioClip:
         raise UnsupportedFormat(f"sample rate {sample_rate} Hz is below "
                                 f"{MIN_SAMPLE_RATE} Hz")
 
+    # the scales are powers of two, so multiplying by their reciprocals gives
+    # the bits of dividing; each decode is one ufunc pass over the raw view
     if bits == 16:
-        usable = len(pcm_bytes) - (len(pcm_bytes) % 2)
-        raw = np.frombuffer(pcm_bytes[:usable], dtype="<i2").astype(np.float64)
-        samples = raw / 32768.0
+        samples = np.multiply(np.frombuffer(pcm_bytes, dtype="<i2",
+                                            count=len(pcm_bytes) // 2), 1 / 32768)
     else:
-        raw = np.frombuffer(pcm_bytes, dtype=np.uint8).astype(np.float64)
-        samples = (raw - 128.0) / 128.0
+        samples = np.subtract(np.frombuffer(pcm_bytes, dtype=np.uint8), 128.0)
+        samples *= 1 / 128
 
     if channels == 2:
         usable = len(samples) - (len(samples) % 2)
-        samples = samples[:usable].reshape(-1, 2).mean(axis=1)
+        samples = samples[0:usable:2] + samples[1:usable:2]
+        samples *= 0.5  # the bits of the pair's mean
 
     if len(samples) == 0:
         raise MalformedRiff("empty data chunk")
@@ -161,7 +164,10 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     if target_rate == clip.sample_rate:
         return clip
     n_out = int(round(len(clip.samples) * target_rate / clip.sample_rate))
-    positions = np.arange(n_out) * (clip.sample_rate / target_rate)
-    resampled = np.interp(positions, np.arange(len(clip.samples)), clip.samples)
+    # float grids hold the same whole numbers as integer ones, but are not
+    # cast to float64 element by element in the product and again in interp
+    positions = np.arange(n_out, dtype=np.float64) * (clip.sample_rate / target_rate)
+    grid = np.arange(len(clip.samples), dtype=np.float64)
+    resampled = np.interp(positions, grid, clip.samples)
     return AudioClip(samples=resampled, sample_rate=target_rate,
                      source_path=clip.source_path)

@@ -89,6 +89,9 @@ def load_corpus(root) -> LabeledCorpus:
     """Load a corpus from a class-per-directory tree or a path,label manifest,
     extracting every clip at the audio_io.DEFAULT_* window, hop and rate.
 
+    In a tree, a clip is any file in a class directory whose name ends in
+    .wav in any case (field recorders write .WAV), taken in sorted order.
+
     A clip that cannot be opened or parsed, or that resamples to no samples,
     is recorded in corpus.load_errors and skipped; the corpus still loads as
     long as at least one clip succeeds. Any other error is raised.
@@ -100,7 +103,8 @@ def load_corpus(root) -> LabeledCorpus:
     elif root.is_dir():
         entries = [(wav, sub.name)
                    for sub in sorted(root.iterdir()) if sub.is_dir()
-                   for wav in sorted(sub.glob("*.wav"))]
+                   for wav in sorted(sub.iterdir())
+                   if wav.name.lower().endswith(".wav")]
     else:
         raise EmptyCorpus(f"{root} is neither a directory nor a manifest")
 

@@ -65,12 +65,20 @@ class FeatureVector:
                              f"got {self.values.shape}")
 
 
+@lru_cache(maxsize=8)
+def _hann(window_size: int) -> np.ndarray:
+    """np.hanning(window_size), read-only."""
+    window = np.hanning(window_size)
+    window.flags.writeable = False
+    return window
+
+
 def magnitude_spectrum(frames: np.ndarray) -> np.ndarray:
     """Magnitude of the real FFT of each Hann-tapered frame: (F, W/2 + 1)."""
     w = frames.shape[1]
     if w <= 0 or (w & (w - 1)) != 0:
         raise NonPowerOfTwoWindow(f"frame length {w}")
-    return np.abs(np.fft.rfft(frames * np.hanning(w), axis=1))
+    return np.abs(np.fft.rfft(frames * _hann(w), axis=1))
 
 
 def time_domain_features(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -81,15 +89,24 @@ def time_domain_features(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if frames.shape[1] == 0:
         raise ValueError("empty frame")
-    # forward-fill zeros with the previous sign: a signed sample in column c
-    # keys 2c + 1 if positive and 2c if negative, a zero keys -1 ("no sign
-    # yet"), and the running maximum carries the last sign in its parity
-    cols = np.arange(frames.shape[1], dtype=np.int32)
-    key = np.where(frames == 0, -1, 2 * cols + (frames > 0))
-    np.maximum.accumulate(key, axis=1, out=key)
-    earlier = key[:, :-1]
-    flipped = ((earlier ^ key[:, 1:]) & 1).astype(bool)
-    crossings = np.count_nonzero(flipped & (earlier >= 0), axis=1)
+    # with zeros taking the previous sign, a crossing is two signed samples
+    # of opposite sign with only zeros between them: neighbours, or the two
+    # sides of a zero run inside a row. Anything but 0 is signed (NaN too)
+    # and only > 0 is positive. `positive` changes between neighbours at each
+    # adjacent crossing, and also at each edge of a zero run whose signed
+    # side is positive, so those edges are subtracted and the runs added.
+    signed = frames != 0
+    positive = frames > 0
+    crossings = np.count_nonzero(positive[:, 1:] != positive[:, :-1], axis=1)
+    edges = np.flatnonzero(signed[:, 1:] != signed[:, :-1])  # on (F, W - 1)
+    if len(edges):
+        row, col = np.divmod(edges, frames.shape[1] - 1)
+        side_positive = positive[row, col] | positive[row, col + 1]
+        crossings -= np.bincount(row[side_positive], minlength=len(frames))
+        # a run that opens at one edge closes at the next one in its row
+        opens = np.flatnonzero(signed[row[:-1], col[:-1]] & (row[1:] == row[:-1]))
+        across = opens[side_positive[opens] != side_positive[opens + 1]]
+        crossings += np.bincount(row[across], minlength=len(frames))
     rms = np.sqrt(np.mean(frames ** 2, axis=1))
     return crossings, rms
 
@@ -162,7 +179,8 @@ def mel_to_hz(mel):
 
 @lru_cache(maxsize=32)
 def mel_filter_bank(sample_rate: int, window_size: int) -> np.ndarray:
-    """N_MEL_FILTERS triangular mel filters, 0 Hz to Nyquist, sampled at the FFT bins."""
+    """N_MEL_FILTERS triangular mel filters, 0 Hz to Nyquist, sampled at the
+    FFT bins, read-only."""
     n_bins = window_size // 2 + 1
     nyquist = sample_rate / 2.0
     mel_points = np.linspace(0.0, float(mel_scale(nyquist)), N_MEL_FILTERS + 2)
@@ -175,6 +193,7 @@ def mel_filter_bank(sample_rate: int, window_size: int) -> np.ndarray:
         rising = (bin_freqs - lo) / max(mid - lo, 1e-12)
         falling = (hi - bin_freqs) / max(hi - mid, 1e-12)
         bank[i] = np.maximum(0.0, np.minimum(rising, falling))
+    bank.flags.writeable = False  # shared by every caller of the cache
     return bank
 
 
@@ -238,15 +257,20 @@ def lpc(frames: np.ndarray, order: int = LPC_ORDER) -> tuple[np.ndarray, np.ndar
     r = np.stack([_row_dot(frames[:, :w - k], frames[:, k:])
                   for k in range(order + 1)], axis=1) / w
 
+    # _row_dot needs forward strides. Step i dots a[:, :i] with r[i], ...,
+    # r[1], which is the forward slice reversed_r[:, order - i:order] of the
+    # autocorrelation reversed once.
+    reversed_r = r[:, ::-1].copy()
     a = np.zeros((len(frames), order))  # predictor coefficients, positive convention
     err = r[:, 0].copy()
     live = np.ones(len(frames), dtype=bool)
     for i in range(order):
         live &= err > 0  # a frame whose error is spent keeps its coefficients
-        acc = r[:, i + 1] - _row_dot(a[:, :i], r[:, i:0:-1].copy())
+        acc = r[:, i + 1] - _row_dot(a[:, :i], reversed_r[:, order - i:order])
         k = np.divide(acc, err, out=np.zeros_like(acc), where=live)
-        reflected = a[:, :i] - k[:, None] * a[:, :i][:, ::-1]
-        a[:, :i] = np.where(live[:, None], reflected, a[:, :i])
+        # the reflection updates live rows in place and leaves the others be
+        np.subtract(a[:, :i], k[:, None] * a[:, :i][:, ::-1],
+                    out=a[:, :i], where=live[:, None])
         a[:, i] = k
         err *= 1.0 - k * k
     return a, r[:, 0] == 0.0

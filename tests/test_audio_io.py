@@ -2,7 +2,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vocalnet.audio_io import (MIN_SAMPLE_RATE, AudioClip, frame_clip,
@@ -109,6 +109,53 @@ class TestParseWavProperty:
             return
         assert clip.samples.ndim == 1 and len(clip.samples) > 0
         assert np.all(np.abs(clip.samples) <= 1.0)
+
+
+def decode_reference(body: bytes, channels: int, bits: int) -> np.ndarray:
+    """The samples of a PCM body by the textbook formulas: a float copy of
+    the raw integers, scaled, and stereo pairs averaged."""
+    if bits == 16:
+        raw = np.frombuffer(body[:len(body) - len(body) % 2], dtype="<i2")
+        samples = raw.astype(np.float64) / 32768.0
+    else:
+        raw = np.frombuffer(body, dtype=np.uint8)
+        samples = (raw.astype(np.float64) - 128.0) / 128.0
+    if channels == 2:
+        samples = samples[:len(samples) - len(samples) % 2]
+        samples = samples.reshape(-1, 2).mean(axis=1)
+    return samples
+
+
+class TestDecodeParity:
+    """parse_wav and resample give the reference formulas' bits exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=st.binary(max_size=301), channels=st.integers(1, 2),
+           bits=st.sampled_from((8, 16)), rate=st.integers(MIN_SAMPLE_RATE, 96000))
+    def test_parse_wav_bits(self, body, channels, bits, rate):
+        data = (riff_fmt_header(1, channels, rate, bits)
+                + b"data" + struct.pack("<I", len(body)) + body)
+        expected = decode_reference(body, channels, bits)
+        if len(expected) == 0:
+            with pytest.raises(MalformedRiff):
+                parse_wav(data)
+            return
+        clip = parse_wav(data)
+        assert clip.samples.dtype == np.float64
+        assert clip.samples.tobytes() == expected.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(samples=st.lists(st.floats(-1, 1), min_size=1, max_size=300),
+           rate=st.integers(MIN_SAMPLE_RATE, 96000),
+           target=st.integers(MIN_SAMPLE_RATE, 96000))
+    @example(samples=[0.5, -0.0, 0.25, -0.0], rate=8000, target=8000)
+    def test_resample_bits(self, samples, rate, target):
+        x = np.array(samples)
+        n_out = int(round(len(x) * target / rate))
+        expected = np.interp(np.arange(n_out) * (rate / target),
+                             np.arange(len(x)), x)
+        out = resample(AudioClip(x, rate), target).samples
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestRoundTrip:

@@ -73,6 +73,18 @@ class TestLoadCorpus:
         assert [path for path, _ in corpus.load_errors] == [
             str(tmp_path / "birdB" / "0.wav")]
 
+    def test_wav_suffix_in_any_case(self, tmp_path):
+        rng = np.random.default_rng(5)
+        d = tmp_path / "birdA"
+        d.mkdir()
+        names = ["a.WAV", "b.wav", "c.Wav", "d.wAv", "e.wav"]
+        for name in names:
+            save_wav(noise_clip(rng, duration=0.1), d / name)
+        (d / "notes.txt").write_text("not a clip")
+        corpus = load_corpus(tmp_path)
+        assert corpus.clip_paths == [str(d / name) for name in names]
+        assert corpus.load_errors == []
+
     def test_empty_corpus_raises(self, tmp_path):
         (tmp_path / "empty_class").mkdir()
         with pytest.raises(EmptyCorpus):

@@ -200,6 +200,23 @@ class TestMfcc:
         assert np.all(bank >= 0)
 
 
+class TestCachedArrays:
+    """Every later extraction in the process reads the cached arrays, so
+    none of them may be written through."""
+
+    @pytest.mark.parametrize("cached", [
+        lambda: F.mel_filter_bank(22050, 512),
+        lambda: F._hann(512),
+        lambda: F._dct_basis(F.N_MEL_FILTERS),
+    ], ids=["mel_filter_bank", "hann", "dct_basis"])
+    def test_write_raises(self, cached):
+        array = cached()
+        before = array.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+        np.testing.assert_array_equal(cached(), before)
+
+
 def levinson_oracle(r, order):
     """Textbook Levinson-Durbin on a given autocorrelation sequence."""
     a = np.zeros(order)
@@ -243,6 +260,33 @@ class TestLpc:
         rng = np.random.default_rng(6)
         a, _ = F.lpc(one_frame(rng.standard_normal(8192)))
         assert np.max(np.abs(a)) < 0.1
+
+    @staticmethod
+    def mixed_row(kind, level, rng, w):
+        """An all-zero, DC, tone or noise frame. An all-zero row has no
+        prediction error to spend, so it is finished from the first step
+        while the others recurse."""
+        if kind == "zero":
+            return np.zeros(w)
+        if kind == "dc":
+            return np.full(w, level)
+        if kind == "tone":
+            return level * np.sin(2 * np.pi * rng.uniform(0.01, 0.45) * np.arange(w))
+        return level * rng.standard_normal(w)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(["zero", "dc", "tone", "noise"]),
+                          min_size=1, max_size=12),
+           level=st.sampled_from([1e-4, 0.5, -1.0]),
+           w=st.sampled_from([16, 64, 512]), seed=st.integers(0, 2**16))
+    def test_rows_are_independent(self, kinds, level, w, seed):
+        rng = np.random.default_rng(seed)
+        stack = np.stack([self.mixed_row(kind, level, rng, w) for kind in kinds])
+        a, degenerate = F.lpc(stack)
+        for row, coeffs, flag in zip(stack, a, degenerate):
+            (alone,), (alone_flag,) = F.lpc(row[None])
+            assert coeffs.tobytes() == alone.tobytes()
+            assert flag == alone_flag
 
 
 class TestEnvelopeFeatures:
