@@ -3,6 +3,13 @@
 Fourteen feature families are measured (most per analysis window, a few per
 macro-window of the rms envelope) and each contributes its overall mean and
 population standard deviation, giving a fixed 28-slot vector per clip.
+
+extract_features runs the per-frame stages over BLOCK_FRAMES = 256 frames at
+a time and writes each family into its slice of one (F,) series, so however
+long a clip runs, its working memory is its decoded samples, one block and a
+few dozen values per frame. At 512-sample windows a block's windowed frames
+and its complex spectrum are about 1 MB each; 128-frame blocks were measured
+slower per frame.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ MAG_FLOOR = 1e-10
 MACRO_WINDOW_FRAMES = 100
 BPM_MIN = 40.0
 BPM_MAX = 200.0
+BLOCK_FRAMES = 256
 
 # the 14 families in canonical listing order; each yields a mean and a std slot
 FEATURE_FAMILIES = (
@@ -358,28 +366,48 @@ def aggregate_clip(series: dict[str, np.ndarray]) -> FeatureVector:
 
 def extract_features(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
                      hop_size: int = DEFAULT_HOP) -> FeatureVector:
-    """Full per-clip extraction: frame, analyze all windows at once, aggregate.
+    """Full per-clip extraction: frame, analyze block by block, aggregate.
+
+    The per-frame stages run on BLOCK_FRAMES (256) frames of the copy-free
+    frame view at a time and write into (F,) series, so working memory is one
+    block's stage arrays however long the clip: about 1 MB each for a block's
+    windowed frames and complex spectrum (128-frame blocks measured slower).
+    Each stage is row-independent and a block's first flux value is taken
+    against the previous block's last spectrum, so the series are those of
+    one pass over every frame, bit for bit; a clip of at most 256 frames is
+    one block. LPC keeps one pass over all frames: its arrays are (F, order).
 
     Vector families (mfcc, moments, lpc) are first collapsed to the mean of
     their coefficients per frame.
     """
     frames = frame_clip(clip, window_size, hop_size)
-    magnitudes = magnitude_spectrum(frames)
-    zero_crossings, rms = time_domain_features(frames)
-    flux, rolloff, compactness, moments, centroid, variability = \
-        spectral_shape_features(magnitudes, clip.sample_rate / window_size)
-    coeffs = mfcc(magnitudes, mel_filter_bank(clip.sample_rate, window_size))
+    bin_hz = clip.sample_rate / window_size
+    mel_bank = mel_filter_bank(clip.sample_rate, window_size)
+    (coeffs_mean, zero_crossings, rms, flux, rolloff, compactness, moments_mean,
+     centroid, variability) = np.empty((9, len(frames)))
+    for start in range(0, len(frames), BLOCK_FRAMES):
+        block = frames[start:start + BLOCK_FRAMES]
+        rows = slice(start, start + len(block))
+        magnitudes = magnitude_spectrum(block)
+        zero_crossings[rows], rms[rows] = time_domain_features(block)
+        (flux[rows], rolloff[rows], compactness[rows], moments, centroid[rows],
+         variability[rows]) = spectral_shape_features(magnitudes, bin_hz)
+        if start:
+            flux[start] = np.sum((magnitudes[0] - previous) ** 2)
+        previous = magnitudes[-1]
+        moments.mean(axis=1, out=moments_mean[rows])
+        mfcc(magnitudes, mel_bank).mean(axis=1, out=coeffs_mean[rows])
     predictor, _ = lpc(frames)
     clip_level = clip_level_features(rms, hop_size / clip.sample_rate)
 
     series = {
-        "mfcc": coeffs.mean(axis=1),
+        "mfcc": coeffs_mean,
         "zero_crossings": zero_crossings,
         "rms": rms,
         "spectral_flux": flux,
         "spectral_rolloff": rolloff,
         "compactness": compactness,
-        "moments": moments.mean(axis=1),
+        "moments": moments_mean,
         "lpc": predictor.mean(axis=1),
         "spectral_centroid": centroid,
         "spectral_variability": variability,

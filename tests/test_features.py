@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import feature_oracle
-from vocalnet.audio_io import AudioClip, resample
+from vocalnet.audio_io import (AudioClip, DEFAULT_HOP, DEFAULT_WINDOW,
+                               frame_clip, resample)
 from vocalnet import features as F
 from vocalnet.errors import (BankMismatch, InvalidSetting, NoFrames,
                              NonPowerOfTwoWindow, SeriesTooShort)
 
-from conftest import RATE, tone_clip
+from conftest import RATE, noise_clip, tone_clip
 
 
 def one_frame(samples):
@@ -105,6 +108,27 @@ class TestTimeDomain:
     def test_crossings_match_per_row_forward_fill(self, frames):
         zc, _ = F.time_domain_features(frames)
         assert zc.tolist() == [self.forward_fill_crossings(row) for row in frames]
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12),
+                                   st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5]),
+                                            max_size=12)),
+                         min_size=1, max_size=10),
+           cuts=st.lists(st.integers(0, 10), max_size=4))
+    def test_rows_are_independent(self, rows, cuts):
+        # zero runs at both ends of a row, and rows of nothing but zeros; the
+        # extractor calls the function once per block of frames
+        w = 25
+        stack = np.zeros((len(rows), w))
+        for row, (lead, trail, core) in zip(stack, rows):
+            core = core[:max(0, w - lead - trail)]
+            row[lead:lead + len(core)] = core
+        bounds = [0, *sorted(c % (len(stack) + 1) for c in cuts), len(stack)]
+        pieces = [F.time_domain_features(stack[a:b])
+                  for a, b in zip(bounds[:-1], bounds[1:])]
+        zc, rms = F.time_domain_features(stack)
+        assert np.concatenate([p[0] for p in pieces]).tobytes() == zc.tobytes()
+        assert np.concatenate([p[1] for p in pieces]).tobytes() == rms.tobytes()
 
 
 class TestSpectralShape:
@@ -455,6 +479,70 @@ class TestExtractProperties:
         got = F.extract_features(clip, window, window // 2).values
         want = feature_oracle.extract_features(clip, window, window // 2).values
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def whole_stack_vector(clip):
+    """The 28 values with each per-frame stage run once over every frame."""
+    frames = frame_clip(clip)
+    magnitudes = F.magnitude_spectrum(frames)
+    zero_crossings, rms = F.time_domain_features(frames)
+    flux, rolloff, compactness, moments, centroid, variability = \
+        F.spectral_shape_features(magnitudes, clip.sample_rate / DEFAULT_WINDOW)
+    coeffs = F.mfcc(magnitudes, F.mel_filter_bank(clip.sample_rate, DEFAULT_WINDOW))
+    predictor, _ = F.lpc(frames)
+    clip_level = F.clip_level_features(rms, DEFAULT_HOP / clip.sample_rate)
+    return F.aggregate_clip({
+        "mfcc": coeffs.mean(axis=1),
+        "zero_crossings": zero_crossings,
+        "rms": rms,
+        "spectral_flux": flux,
+        "spectral_rolloff": rolloff,
+        "compactness": compactness,
+        "moments": moments.mean(axis=1),
+        "lpc": predictor.mean(axis=1),
+        "spectral_centroid": centroid,
+        "spectral_variability": variability,
+        **dict(zip(F.CLIP_LEVEL_FAMILIES, clip_level.T)),
+    })
+
+
+class TestBlocks:
+    @staticmethod
+    def clip_of(n_frames, kind, rng):
+        """A clip cut into exactly n_frames default frames."""
+        n = DEFAULT_WINDOW + (n_frames - 1) * DEFAULT_HOP + int(rng.integers(DEFAULT_HOP))
+        if kind == "tone":
+            x = 0.6 * np.sin(2 * np.pi * 440 * np.arange(n) / RATE)
+        elif kind == "noise":
+            x = 0.3 * rng.standard_normal(n)
+        else:
+            # silence, and bursts over the first frame and every block edge:
+            # frames on both sides of an edge see the burst
+            x = np.zeros(n)
+            for edge in range(0, n_frames + 1, F.BLOCK_FRAMES):
+                burst = x[max(0, edge * DEFAULT_HOP - 700):edge * DEFAULT_HOP + 700]
+                burst[:] = 0.5 * rng.standard_normal(len(burst))
+        return AudioClip(np.clip(x, -1, 1), RATE)
+
+    @pytest.mark.parametrize("n_frames", [1, 255, 256, 257, 513, 851])
+    @pytest.mark.parametrize("kind", ["tone", "noise", "bursts"])
+    def test_blocks_match_one_pass_over_every_frame(self, n_frames, kind):
+        clip = self.clip_of(n_frames, kind, np.random.default_rng(n_frames))
+        assert len(frame_clip(clip)) == n_frames
+        got = F.extract_features(clip).values
+        assert got.tobytes() == whole_stack_vector(clip).values.tobytes()
+
+    def test_working_memory_is_below_the_samples(self):
+        # numpy reports its buffers to tracemalloc; a whole-clip pass holds
+        # several arrays of the frames' size, each larger than the samples
+        clip = noise_clip(np.random.default_rng(3), duration=60.0)
+        tracemalloc.start()
+        try:
+            F.extract_features(clip)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < clip.samples.nbytes
 
 
 class TestExtractionSettings:
