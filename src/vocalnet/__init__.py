@@ -5,7 +5,7 @@ trained by back-propagation under 10-fold cross-validation -> MDL-guided
 forward feature selection -> confusion-matrix evaluation.
 """
 
-from .audio_io import AudioClip, frame_clip, parse_wav, read_wav, resample, save_wav, write_wav
+from .audio_io import AudioClip, frame_clip, parse_wav, read_wav, resample
 from .dataset import (LabeledCorpus, SplitPlan, load_corpus, make_corpus,
                       plan_folds, read_feature_cache, write_feature_cache)
 from .evaluation import (ConfusionMatrix, EvalReport, confusion_matrix,

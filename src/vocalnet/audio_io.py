@@ -117,22 +117,6 @@ def read_wav(path) -> AudioClip:
         return parse_wav(fh.read(), source_path=str(path))
 
 
-def write_wav(clip: AudioClip) -> bytes:
-    """Encode a clip as canonical 44-byte-header mono 16-bit PCM."""
-    ints = np.clip(np.rint(clip.samples * 32768.0), -32768, 32767).astype("<i2")
-    pcm = ints.tobytes()
-    header = b"RIFF" + struct.pack("<I", 36 + len(pcm)) + b"WAVE"
-    header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, clip.sample_rate,
-                                    clip.sample_rate * 2, 2, 16)
-    header += b"data" + struct.pack("<I", len(pcm))
-    return header + pcm
-
-
-def save_wav(clip: AudioClip, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(write_wav(clip))
-
-
 def frame_clip(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
                hop_size: int = DEFAULT_HOP) -> np.ndarray:
     """Cut a clip into overlapping frames of window_size every hop_size samples.

@@ -1,16 +1,15 @@
 """Command-line front end: extract, select, train, evaluate, classify.
 
 Features are always extracted at the paper's one setting: 512-sample
-windows, a 256-sample hop, 22050 Hz (audio_io.DEFAULT_*); no flag or config
-key changes it, and the model records it. `select` and `train` resolve their
-training settings as flags > config file (key = value lines) > defaults.
-A UserWarning, such as the small-class fold warning, prints as one
-`warning: <message>` line on stderr. Commands raise; `main` alone turns a
-failure into an exit code:
-  2  a missing or malformed corpus, cache, model, subset or config file
-     (a config line without `=` or whose key is no setting, a model that
-     records other extraction settings), a corpus with no usable clip, or
-     an out-of-range setting;
+windows, a 256-sample hop, 22050 Hz (audio_io.DEFAULT_*); no flag changes
+it, and the model records it. `select` and `train` take their training
+settings from flags alone; an unset flag keeps mlp.TrainingConfig's default
+(one hidden layer, as wide as the class count). A UserWarning, such as the
+small-class fold warning, prints as one `warning: <message>` line on
+stderr. Commands raise; `main` alone turns a failure into an exit code:
+  2  a missing or malformed corpus, cache, model or subset file (a model
+     that records other extraction settings included), a corpus with no
+     usable clip, or an out-of-range setting;
   3  a class too small to split, in select or train;
   4  a clip that cannot be opened or parsed, or that resamples to no
      samples, in classify;
@@ -24,8 +23,8 @@ import sys
 import warnings
 
 from . import audio_io, dataset, evaluation, features, mlp, pipeline, selection
-from .errors import (ClassTooSmall, DimensionMismatch, EmptyClip, InvalidSetting,
-                     MalformedRiff, UnsupportedFormat, VocalnetError)
+from .errors import (ClassTooSmall, DimensionMismatch, EmptyClip, MalformedRiff,
+                     UnsupportedFormat, VocalnetError)
 
 EXIT_CODES = (  # the first entry a failure is an instance of decides its code
     (ClassTooSmall, 3),
@@ -35,58 +34,18 @@ EXIT_CODES = (  # the first entry a failure is an instance of decides its code
 )
 
 _TRAINING = mlp.TrainingConfig()
-DEFAULTS = {
-    "hidden": None,   # the class count; see _hidden_width
-    "layers": 1,
-    "learning_rate": _TRAINING.learning_rate,
-    "momentum": _TRAINING.momentum,
-    "max_epochs": _TRAINING.max_epochs,
-    "patience": _TRAINING.test_patience,
-    "seed": _TRAINING.seed,
-}
-
-
-def read_config_file(path) -> dict:
-    """key = value lines; # comments and blank lines ignored, bad bytes read as
-    U+FFFD. A line without `=`, or a key that is not in DEFAULTS, raises
-    InvalidSetting; select and train may share one file."""
-    values = {}
-    with open(path, errors="replace") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, equals, value = (part.strip() for part in line.partition("="))
-            if not equals or key not in DEFAULTS:
-                raise InvalidSetting(f"{path}: line {number}: {line!r} is not "
-                                     f"key = value with a key in {', '.join(DEFAULTS)}")
-            values[key] = value
-    return values
-
-
-def resolve(args, key, cast=int):
-    """flags > config file > defaults."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in args._config:
-        try:
-            return cast(args._config[key])
-        except ValueError:
-            raise InvalidSetting(f"config value {key} = {args._config[key]!r} "
-                                 f"is not {cast.__name__}") from None
-    return DEFAULTS[key]
 
 
 def _add_training(parser):
     parser.add_argument("--hidden", type=int, help="hidden layer width (default: class count)")
-    parser.add_argument("--layers", type=int, help="hidden layer count")
-    parser.add_argument("--learning-rate", dest="learning_rate", type=float)
-    parser.add_argument("--momentum", type=float)
-    parser.add_argument("--max-epochs", dest="max_epochs", type=int)
-    parser.add_argument("--patience", type=int)
-    parser.add_argument("--seed", type=int, help="random seed")
-    parser.add_argument("--config", help="key = value config file")
+    parser.add_argument("--layers", type=int, default=1, help="hidden layer count")
+    parser.add_argument("--learning-rate", dest="learning_rate", type=float,
+                        default=_TRAINING.learning_rate)
+    parser.add_argument("--momentum", type=float, default=_TRAINING.momentum)
+    parser.add_argument("--max-epochs", dest="max_epochs", type=int,
+                        default=_TRAINING.max_epochs)
+    parser.add_argument("--patience", type=int, default=_TRAINING.test_patience)
+    parser.add_argument("--seed", type=int, default=_TRAINING.seed, help="random seed")
 
 
 def _add_extract(parser):
@@ -148,23 +107,14 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     return parser
 
 
-def _prepare(args) -> None:
-    config = getattr(args, "config", None)
-    args._config = read_config_file(config) if config else {}
-
-
 def _training_config(args) -> mlp.TrainingConfig:
-    return mlp.TrainingConfig(
-        learning_rate=resolve(args, "learning_rate", float),
-        momentum=resolve(args, "momentum", float),
-        max_epochs=resolve(args, "max_epochs"),
-        test_patience=resolve(args, "patience"),
-        seed=resolve(args, "seed"))
+    return mlp.TrainingConfig(learning_rate=args.learning_rate, momentum=args.momentum,
+                              max_epochs=args.max_epochs, test_patience=args.patience,
+                              seed=args.seed)
 
 
 def _hidden_width(args, corpus) -> int:
-    hidden = resolve(args, "hidden")
-    return corpus.n_classes if hidden is None else hidden
+    return corpus.n_classes if args.hidden is None else args.hidden
 
 
 def _write_report(report, prefix) -> None:
@@ -189,7 +139,7 @@ def cmd_select(args) -> int:
     config = _training_config(args)
     folds = dataset.plan_folds(corpus, config.seed)
     trace = selection.forward_select(corpus, folds, _hidden_width(args, corpus),
-                                     resolve(args, "layers"), config)
+                                     args.layers, config)
     selection.export_trace(trace, args.trace)
     selection.write_subset(trace, args.subset)
     print(f"selected {len(trace.final_subset)} slots: "
@@ -205,7 +155,7 @@ def cmd_train(args) -> int:
     run = pipeline.train_all_folds(
         corpus, folds, config,
         hidden_width=_hidden_width(args, corpus),
-        hidden_layers=resolve(args, "layers"),
+        hidden_layers=args.layers,
         feature_slots=subset)
 
     mlp.save_model(run.best.network, args.model, seed=config.seed,
@@ -280,7 +230,6 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():  # restores showwarning on the way out
         warnings.showwarning = _warning_lines(warnings.showwarning)
         try:
-            _prepare(args)
             return COMMANDS[args.command](args)
         except (VocalnetError, OSError) as exc:
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -246,17 +246,16 @@ def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
-def lpc(frames: np.ndarray, order: int = LPC_ORDER) -> tuple[np.ndarray, np.ndarray]:
+def lpc(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forward linear predictor coefficients of each frame via Levinson-Durbin.
 
-    Returns (a, degenerate): a is (F, order) with the convention
+    Returns (a, degenerate): a is (F, LPC_ORDER) with the convention
     x_hat[n] = sum_i a[:, i-1]*x[n-i]; an all-zero frame yields all-zero
     coefficients and degenerate True. The recursion runs across all frames
     at once and stops per frame once its prediction error is no longer
     positive.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    order = LPC_ORDER
     w = frames.shape[1]
     if w <= order:
         raise InvalidSetting(f"a {w}-sample frame is not longer than LPC order {order}")

@@ -247,20 +247,6 @@ def _layer_views(flat: np.ndarray, shapes: list[tuple[int, int]]) -> list[np.nda
             for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
 
 
-def mse_gradients(net: Network, inputs: np.ndarray,
-                  targets: np.ndarray) -> list[np.ndarray]:
-    """Analytic gradient of the full-batch MSE with respect to every weight:
-    the mean of the per-sample gradients of the kernel that train runs."""
-    kernel = _Backprop(net, _check_input(net, inputs), targets)
-    total = np.zeros_like(kernel.grad)
-    with np.errstate(over="ignore"):
-        for idx in range(len(kernel.rows)):
-            kernel.backprop(idx)
-            total += kernel.grad
-    total /= len(kernel.rows)
-    return _layer_views(total, [w.shape for w in net.weights])
-
-
 def train_epoch(net: Network, inputs: np.ndarray, targets: np.ndarray,
                 config: TrainingConfig, rng: np.random.Generator,
                 kernel: _Backprop) -> float:
@@ -362,9 +348,9 @@ def save_model(net: Network, path, seed: int | None = None,
 def load_model(path) -> tuple[Network, dict]:
     """Load a model JSON; returns (network, full document). Bad JSON, another
     format version, missing keys, arrays, labels or slots that do not fit the
-    spec, non-finite arrays, an input_std below STD_FLOOR, a repeated label,
-    or extraction settings other than (a part of) EXTRACTION raise
-    MalformedArtifact."""
+    spec, non-finite arrays, an input_std below STD_FLOOR, a repeated label or
+    feature slot, or extraction settings other than (a part of) EXTRACTION
+    raise MalformedArtifact."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -397,6 +383,9 @@ def load_model(path) -> tuple[Network, dict]:
              not all(np.isfinite(a).all() for a in arrays)),
             (f"input_std below {STD_FLOOR}", (net.input_std < STD_FLOOR).any()),
             ("label_map repeats a name", len(set(net.label_map)) < len(net.label_map)),
+            # misfitting slots may be unhashable, and raise above in any case
+            ("feature_slots repeats a slot", not misfits and slots is not None
+             and len(set(slots)) < len(slots)),
             (f"extraction {extraction!r} is not the fixed settings {EXTRACTION}",
              not (isinstance(extraction, dict)
                   and extraction.items() <= EXTRACTION.items()))):

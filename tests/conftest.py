@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from vocalnet.audio_io import AudioClip, save_wav
+from vocalnet.audio_io import AudioClip
 from vocalnet.dataset import make_corpus
 
 RATE = 22050
@@ -22,6 +22,17 @@ def wav_bytes(samples_i16, sample_rate=8000, channels=1, bits=16, format_tag=1):
                                     block_align, bits)
     header += b"data" + struct.pack("<I", len(pcm))
     return header + pcm
+
+
+def write_wav(clip: AudioClip) -> bytes:
+    """Encode a clip as canonical 44-byte-header mono 16-bit PCM."""
+    ints = np.clip(np.rint(clip.samples * 32768.0), -32768, 32767).astype("<i2")
+    return wav_bytes(ints, sample_rate=clip.sample_rate)
+
+
+def save_wav(clip: AudioClip, path) -> None:
+    with open(path, "wb") as fh:
+        fh.write(write_wav(clip))
 
 
 def tone_clip(freq, rng, rate=RATE, duration=0.6, noise=0.05):

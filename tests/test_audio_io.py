@@ -6,11 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vocalnet.audio_io import (MIN_SAMPLE_RATE, AudioClip, frame_clip,
-                               parse_wav, resample, write_wav)
+                               parse_wav, resample)
 from vocalnet.errors import (EmptyClip, MalformedRiff, UnsupportedFormat,
                              VocalnetError)
 
-from conftest import wav_bytes
+from conftest import wav_bytes, write_wav
 
 
 class TestParseWav:

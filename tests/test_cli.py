@@ -15,16 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vocalnet.audio_io import save_wav
-from vocalnet.cli import COMMANDS, DEFAULTS, build_parser, main, read_config_file
+from vocalnet.cli import COMMANDS, build_parser, main
 from vocalnet.dataset import (make_corpus, plan_folds, read_feature_cache,
                               write_feature_cache)
 from vocalnet.evaluation import _quartiles
 from vocalnet.features import FEATURE_NAMES
 from vocalnet.mlp import classify, load_model
 
-from conftest import (build_tone_corpus_dir, noise_clip, synthetic_feature_corpus,
-                      wav_bytes)
+from conftest import (build_tone_corpus_dir, noise_clip, save_wav,
+                      synthetic_feature_corpus, wav_bytes)
 
 
 def write_text(path, text) -> str:
@@ -151,6 +150,20 @@ class TestTrain:
         assert doc["spec"]["k"] == 9
         assert doc["spec"]["m"] == 1
 
+    def test_unset_flags_take_the_training_defaults(self, tmp_path, capsys):
+        # overlapping classes stop on TestWorsening, so the patience shows
+        cache, model = tmp_path / "cache.csv", tmp_path / "m.json"
+        write_feature_cache(synthetic_feature_corpus([(0, 0), (1, 0), (0, 1)],
+                                                     samples_per_class=10, noise=1.0), cache)
+        runs = []
+        for flags in ([], ["--hidden", "3", "--layers", "1", "--learning-rate", "0.1",
+                           "--momentum", "0.9", "--patience", "20", "--seed", "0"]):
+            assert main(["train", "--cache", str(cache), "--model", str(model),
+                         "--max-epochs", "100", *flags]) == 0
+            runs.append((capsys.readouterr().out, model.read_bytes()))
+        assert runs[0] == runs[1]
+        assert "stop: TestWorsening" in runs[0][0]
+
     def test_report_files(self, cache_path, tmp_path):
         out = tmp_path / "m.json"
         prefix = str(tmp_path / "report")
@@ -208,22 +221,13 @@ class TestTrain:
         lambda d: ["--learning-rate", "0"],
         lambda d: ["--momentum", "1"],
         lambda d: ["--seed", "-1"],
-        lambda d: ["--config", str(d / "missing.cfg")],
-        lambda d: ["--config", write_text(d / "run.cfg", "max_epochs = lots\n")],
         lambda d: ["--subset", str(d / "missing.csv")],
         lambda d: ["--model", str(d / "missing" / "m.json"), "--max-epochs", "5"],
         lambda d: ["--max-epochs", "-5"],
         lambda d: ["--patience", "0"],
-        lambda d: ["--config", write_text(d / "run.cfg", "max_epoch = 1\n")],
-        lambda d: ["--config", write_text(d / "run.cfg", "bogus = 9\n")],
-        lambda d: ["--config", write_text(d / "run.cfg", "seed 3\n")],
-        # the extraction settings are fixed, so no file may ask for others
-        lambda d: ["--config", write_text(d / "run.cfg", "window = 1024\n")],
     ], ids=["hidden-0", "layers-0", "learning-rate-0", "momentum-1",
-            "negative-seed", "missing-config", "uncastable-config",
-            "missing-subset", "model-dir-missing", "negative-max-epochs",
-            "patience-0", "misspelled-config-key", "unknown-config-key",
-            "config-line-without-equals", "config-window"])
+            "negative-seed", "missing-subset", "model-dir-missing",
+            "negative-max-epochs", "patience-0"])
     def test_bad_input_exits_2(self, cache_path, tmp_path, capsys, extra):
         assert main(["train", "--cache", str(cache_path),
                      "--model", str(tmp_path / "m.json"), "--seed", "0",
@@ -476,8 +480,8 @@ REQUIRED = {"extract": ["--corpus", "c", "--out", "o.csv"],
             "classify": ["--model", "m.json", "x.wav"]}
 EXTRACTION_FLAGS = ("--window", "--hop", "--rate")
 IGNORED = {"extract": ("--seed", "--ci", "--config", *EXTRACTION_FLAGS),
-           "select": ("--ci",),
-           "train": ("--ci", *EXTRACTION_FLAGS),
+           "select": ("--ci", "--config"),
+           "train": ("--ci", "--config", *EXTRACTION_FLAGS),
            "evaluate": ("--seed", "--ci", "--config"),
            "classify": ("--seed", "--ci", "--config")}
 
@@ -537,21 +541,6 @@ def test_cli_imports_without_scipy():
     assert done.returncode == 0, done.stderr
 
 
-class TestConfigFile:
-    def test_precedence_flags_over_file_over_defaults(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("max_epochs = 50\npatience = 7  # inline comment\n")
-        parsed = read_config_file(cfg)
-        assert parsed == {"max_epochs": "50", "patience": "7"}
-
-        from vocalnet.cli import resolve
-        args = argparse.Namespace(max_epochs=5, patience=None, seed=None,
-                                  _config=parsed)
-        assert resolve(args, "max_epochs") == 5   # flag wins
-        assert resolve(args, "patience") == 7     # file beats default
-        assert resolve(args, "seed") == 0         # default
-
-
 def readme() -> str:
     return (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -573,12 +562,6 @@ def test_readme_cli_block_uses_only_accepted_flags():
         assert flags <= accepted_flags(words[1]), words[1]
 
 
-def test_readme_lists_the_config_keys():
-    sentence = re.search(r"One file may hold the\s+settings (.*?)\.", readme(), re.S)
-    assert sentence, "README names no config keys"
-    assert re.findall(r"`(\w+)`", sentence.group(1)) == list(DEFAULTS)
-
-
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: (st.lists(inner, max_size=4)
@@ -587,10 +570,6 @@ JSON_VALUES = st.recursive(
 MODEL_FIELDS = ["format_version", "spec", "spec.j", "spec.k", "spec.m", "spec.n",
                 "weights", "weights.0", "input_mean", "input_std", "label_map",
                 "feature_slots", "extraction", "extraction.rate"]
-CONFIG_LINES = st.tuples(
-    st.sampled_from(sorted(DEFAULTS)),
-    st.text(max_size=6) | st.integers(-3, 10 ** 6).map(str) | st.floats().map(str),
-).map(" = ".join)
 
 
 @st.composite
@@ -604,8 +583,6 @@ def near_valid(draw, role, model_doc):
             target = target[key]
         target[int(last) if isinstance(target, list) else last] = draw(JSON_VALUES)
         return json.dumps(doc)
-    if role == "config":
-        return "\n".join(draw(st.lists(CONFIG_LINES, max_size=4)))
     header = {"cache": ",".join(["clip_path", "label", *FEATURE_NAMES]),
               "subset": "slot,slot_name"}[role]
     return header + "\n" + draw(st.text(max_size=80))
@@ -623,10 +600,10 @@ def fuzz_inputs(three_class_model, tmp_path_factory):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_main_never_raises(fuzz_inputs, data):
-    """Any bytes as the cache, model, subset or config file end in a
+    """Any bytes as the cache, model or subset file end in a
     documented exit code with an error line, never an exception."""
     root, cache, model_doc = fuzz_inputs
-    role = data.draw(st.sampled_from(["cache", "model", "subset", "config"]))
+    role = data.draw(st.sampled_from(["cache", "model", "subset"]))
     content = data.draw(st.binary(max_size=200)
                         | st.text(max_size=200).map(str.encode)
                         | near_valid(role, model_doc).map(str.encode))
@@ -636,8 +613,7 @@ def test_main_never_raises(fuzz_inputs, data):
              "--max-epochs", "1", "--hidden", "2", "--layers", "1"]
     argv = {"cache": train + ["--cache", str(path)],
             "model": ["evaluate", "--model", str(path), "--cache", str(cache)],
-            "subset": train + ["--cache", str(cache), "--subset", str(path)],
-            "config": train + ["--cache", str(cache), "--config", str(path)]}[role]
+            "subset": train + ["--cache", str(cache), "--subset", str(path)]}[role]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)

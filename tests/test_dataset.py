@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vocalnet.audio_io import save_wav
 from vocalnet.dataset import (PSEUDO_CLASS, largest_remainder_counts,
                               load_corpus, make_corpus, plan_folds,
                               read_feature_cache, write_feature_cache)
 from vocalnet.errors import ClassTooSmall, EmptyCorpus
 from vocalnet.features import FEATURE_NAMES
 
-from conftest import noise_clip
+from conftest import noise_clip, save_wav
 
 
 def label_corpus(class_sizes):

@@ -263,7 +263,7 @@ class TestLpc:
         x = np.zeros(8192)
         for n in range(1, len(x)):
             x[n] = 0.9 * x[n - 1] + 0.01 * rng.standard_normal()
-        (a,), (degenerate,) = F.lpc(one_frame(x), order=10)
+        (a,), (degenerate,) = F.lpc(one_frame(x))
         assert not degenerate
         assert abs(a[0] - 0.9) < 0.05
         assert np.max(np.abs(a[1:])) < 0.05

@@ -12,8 +12,10 @@ from vocalnet import mlp
 from vocalnet.errors import DimensionMismatch, EmptySet, MalformedArtifact
 from vocalnet.features import FEATURE_NAMES
 from vocalnet.mlp import (Network, NetworkSpec, TrainingConfig, classify,
-                          forward, init_network, load_model, mse,
-                          mse_gradients, one_hot, save_model, train)
+                          forward, init_network, load_model, mse, one_hot,
+                          save_model, train)
+
+from mlp_oracle import mse_gradients
 
 XOR_INPUTS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
 XOR_TARGETS = np.array([[0], [1], [1], [0]], dtype=float)
@@ -322,6 +324,7 @@ class TestModelFile:
         (lambda doc: doc.update(input_std=[0.0, 0.0]), "input_std below"),
         (lambda doc: doc["input_std"].__setitem__(1, mlp.STD_FLOOR / 2), "input_std below"),
         (lambda doc: doc.update(label_map=["a", "a"]), "label_map repeats"),
+        (lambda doc: doc.update(feature_slots=[4, 4]), "feature_slots repeats"),
         (lambda doc: doc.update(extraction={"window": 1024, "hop": 512, "rate": 22050}),
          re.escape("{'window': 1024, 'hop': 512, 'rate': 22050} is not the fixed "
                    "settings {'window': 512, 'hop': 256, 'rate': 22050}")),
@@ -329,8 +332,8 @@ class TestModelFile:
         (lambda doc: doc["extraction"].update(order=12), "fixed settings"),
         (lambda doc: doc.update(extraction=None), "fixed settings"),
     ], ids=["nan-weight", "inf-weight", "inf-mean", "nan-std", "zero-std",
-            "std-below-floor", "repeated-label", "other-window", "other-rate",
-            "extra-setting", "null-extraction"])
+            "std-below-floor", "repeated-label", "repeated-slot", "other-window",
+            "other-rate", "extra-setting", "null-extraction"])
     def test_rejects_what_train_never_writes(self, tmp_path, edit, message):
         net = init_network(NetworkSpec(2, 3, 1, 2), seed=0)
         net.label_map = ["a", "b"]

