@@ -8,8 +8,9 @@ extract_features runs the per-frame stages over BLOCK_FRAMES = 256 frames at
 a time and writes each family into its slice of one (F,) series, so however
 long a clip runs, its working memory is its decoded samples, one block and a
 few dozen values per frame. At 512-sample windows a block's windowed frames
-and its complex spectrum are about 1 MB each; 128-frame blocks were measured
-slower per frame.
+and its complex spectrum are about 1 MB each, and spectral shape's two
+per-call buffers 0.5 MB each, as big as the block's magnitudes; 128-frame
+blocks were measured slower per frame.
 """
 
 from __future__ import annotations
@@ -124,56 +125,83 @@ def spectral_shape_features(magnitudes: np.ndarray, bin_hz: float):
 
     One value per frame (row of magnitudes); moments is (F, 5). Flux is the
     squared change from the previous row, 0 for the first.
+
+    Every (F, W) step writes into one of two buffers made per call, so a
+    call's working memory is about twice the magnitudes whatever the step
+    count. `scratch` takes each step's temporary in turn, viewed C-contiguous
+    at the step's shape as a fresh array would be, so each sum adds the same
+    values in the same order; the other holds `logm`, then `d`, the bin
+    offsets from the centroid. No returned array is a view of either.
     """
     m = magnitudes
-    flux = np.zeros(len(m))
-    flux[1:] = np.sum((m[1:] - m[:-1]) ** 2, axis=1)
+    n_frames, n_bins = m.shape
+    flat = np.empty(m.size)
+
+    def scratch(rows, cols):
+        return flat[:rows * cols].reshape(rows, cols)
+
+    flux = np.zeros(n_frames)
+    step = np.subtract(m[1:], m[:-1], out=scratch(n_frames - 1, n_bins))
+    np.sum(np.square(step, out=step), axis=1, out=flux[1:])
 
     total = np.sum(m, axis=1)
     nonzero = total > 0
-    bins = np.arange(m.shape[1])
-    centroid_bins = np.divide(np.sum(bins * m, axis=1), total,
+    bins = np.arange(n_bins)
+    step = np.multiply(bins, m, out=scratch(n_frames, n_bins))
+    centroid_bins = np.divide(np.sum(step, axis=1), total,
                               out=np.zeros_like(total), where=nonzero)
     centroid_hz = centroid_bins * bin_hz
 
-    cum = np.cumsum(m ** 2, axis=1)
+    cum = np.square(m, out=scratch(n_frames, n_bins))
+    np.cumsum(cum, axis=1, out=cum)
     target = ROLLOFF_FRACTION * cum[:, -1]
-    rolloff_hz = np.sum(cum < target[:, None], axis=1) * bin_hz
+    rolloff_hz = np.count_nonzero(cum < target[:, None], axis=1) * bin_hz
 
-    logm = np.log(np.maximum(m, MAG_FLOOR))
-    neighborhood = (logm[:, :-2] + logm[:, 1:-1] + logm[:, 2:]) / 3.0
-    compactness = np.sum(np.abs(logm[:, 1:-1] - neighborhood), axis=1)
+    logm = np.maximum(m, MAG_FLOOR)
+    np.log(logm, out=logm)
+    neighborhood = np.add(logm[:, :-2], logm[:, 1:-1],
+                          out=scratch(n_frames, max(n_bins - 2, 0)))
+    neighborhood += logm[:, 2:]
+    neighborhood /= 3.0
+    np.subtract(logm[:, 1:-1], neighborhood, out=neighborhood)
+    compactness = np.sum(np.abs(neighborhood, out=neighborhood), axis=1)
 
     # first five moments of the magnitude distribution over bin index; an
     # all-zero row gets all-zero moments, a point mass zero skew and kurtosis
-    d = bins - centroid_bins[:, None]
-    var = np.divide(np.sum(d ** 2 * m, axis=1), total,
+    d = np.subtract(bins, centroid_bins[:, None], out=logm)
+    step = np.square(d, out=scratch(n_frames, n_bins))
+    step *= m
+    var = np.divide(np.sum(step, axis=1), total,
                     out=np.zeros_like(total), where=nonzero)
     spread = var > 0
     sigma = np.sqrt(var)
+    spread_total = np.where(spread, total, 1.0)
 
     # `**` on an array may take a SIMD pow that is fast only for a positive
     # base: a negative one falls back to a per-lane path ~40x slower, and d
     # is negative below the centroid. So each power takes |d| ** p, and odd
     # ones get their sign back from d. Products, or float_power(d, p), miss
     # the 1e-12 reference gate on some constant (DC) clips.
-    abs_d = np.abs(d)
-
     def standardized(p):
-        # float_power is libm pow, like `**` on a scalar sigma; `**` on an
-        # array may use a SIMD pow that rounds the last bit differently
-        power = abs_d ** p
+        # float_power is libm pow, like `**` on a scalar sigma; np.power on
+        # an array may use a SIMD pow that rounds the last bit differently
+        power = np.abs(d, out=scratch(n_frames, n_bins))
+        np.power(power, p, out=power)
         if p % 2:
             np.copysign(power, d, out=power)
         power *= m
-        mean_power = np.sum(power, axis=1) / np.where(spread, total, 1.0)
+        mean_power = np.sum(power, axis=1) / spread_total
         return np.divide(mean_power, np.float_power(sigma, p),
                          out=np.zeros_like(total), where=spread)
 
     moments = np.stack([total, centroid_bins, var, standardized(3),
                         standardized(4)], axis=1)
 
-    variability = np.std(m, axis=1)
+    # np.std(m, axis=1) as numpy's _var takes it, with the row sums reused
+    deviation = np.subtract(m, (total / n_bins)[:, None],
+                            out=scratch(n_frames, n_bins))
+    np.square(deviation, out=deviation)
+    variability = np.sqrt(np.sum(deviation, axis=1) / n_bins)
     return flux, rolloff_hz, compactness, moments, centroid_hz, variability
 
 

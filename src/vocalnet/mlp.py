@@ -83,8 +83,9 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise InvalidSetting(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < float("inf"):
+            raise InvalidSetting(f"learning_rate must be positive and finite, "
+                                 f"got {self.learning_rate}")
         if not 0 <= self.momentum < 1:
             raise InvalidSetting(f"momentum must be in [0, 1), got {self.momentum}")
         if self.max_epochs < 0:

@@ -219,13 +219,17 @@ class TestTrain:
         lambda d: ["--hidden", "0"],
         lambda d: ["--layers", "0"],
         lambda d: ["--learning-rate", "0"],
+        lambda d: ["--learning-rate", "nan"],
+        lambda d: ["--learning-rate", "inf"],
+        lambda d: ["--learning-rate=-inf"],
         lambda d: ["--momentum", "1"],
         lambda d: ["--seed", "-1"],
         lambda d: ["--subset", str(d / "missing.csv")],
         lambda d: ["--model", str(d / "missing" / "m.json"), "--max-epochs", "5"],
         lambda d: ["--max-epochs", "-5"],
         lambda d: ["--patience", "0"],
-    ], ids=["hidden-0", "layers-0", "learning-rate-0", "momentum-1",
+    ], ids=["hidden-0", "layers-0", "learning-rate-0", "learning-rate-nan",
+            "learning-rate-inf", "learning-rate-minus-inf", "momentum-1",
             "negative-seed", "missing-subset", "model-dir-missing",
             "negative-max-epochs", "patience-0"])
     def test_bad_input_exits_2(self, cache_path, tmp_path, capsys, extra):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import feature_oracle
+import spectral_shape_oracle
 from vocalnet.audio_io import (AudioClip, DEFAULT_HOP, DEFAULT_WINDOW,
                                frame_clip, resample)
 from vocalnet import features as F
@@ -183,6 +184,66 @@ class TestSpectralShape:
         one = F.spectral_shape_features(one_frame(m), 10.0)
         two = F.spectral_shape_features(one_frame(2 * m), 10.0)
         assert one[4][0] == pytest.approx(two[4][0])
+
+    ROW_KINDS = ("noise", "zero", "dc", "single-bin", "repeat")
+
+    @staticmethod
+    def block_of(rows, seed):
+        """A (len(rows), 257) magnitude block, one (kind, scale) per row."""
+        rng = np.random.default_rng(seed)
+        m = np.zeros((len(rows), 257))
+        for i, (kind, scale) in enumerate(rows):
+            if kind == "noise":
+                m[i] = np.abs(rng.standard_normal(257))
+            elif kind == "dc":
+                m[i, 0] = rng.uniform(0.1, 5.0)
+            elif kind == "single-bin":
+                m[i, rng.integers(257)] = rng.uniform(0.1, 5.0)
+            elif kind == "repeat" and i:
+                m[i] = m[i - 1]  # flux 0 against the row before
+                continue
+            m[i] *= scale
+        return m
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.tuples(st.sampled_from(ROW_KINDS),
+                                   st.sampled_from([1e-8, 1.0, 1e4])),
+                         min_size=1, max_size=300),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_allocating_reference_bit_for_bit(self, rows, seed):
+        m = self.block_of(rows, seed)
+        got = F.spectral_shape_features(m, RATE / DEFAULT_WINDOW)
+        want = spectral_shape_oracle.spectral_shape_features(m, RATE / DEFAULT_WINDOW)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert g.tobytes() == w.tobytes()
+
+    def test_working_memory_is_a_few_blocks(self):
+        # numpy reports its buffers to tracemalloc; a fresh (F, W) temporary
+        # per step peaked at 6.2 blocks
+        m = np.abs(np.random.default_rng(5).standard_normal((256, 257)))
+        tracemalloc.start()
+        try:
+            F.spectral_shape_features(m, RATE / DEFAULT_WINDOW)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * m.nbytes
+
+    def test_results_share_no_memory(self):
+        rng = np.random.default_rng(6)
+        m = np.abs(rng.standard_normal((256, 257)))
+        first = F.spectral_shape_features(m, RATE / DEFAULT_WINDOW)
+        kept = [a.copy() for a in first]
+        for i, a in enumerate(first):
+            assert not np.shares_memory(a, m)
+            for b in first[i + 1:]:
+                assert not np.shares_memory(a, b)
+        F.spectral_shape_features(np.abs(rng.standard_normal((256, 257))),
+                                  RATE / DEFAULT_WINDOW)
+        for a, b in zip(first, kept):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestMfcc:
