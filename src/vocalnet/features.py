@@ -11,6 +11,12 @@ few dozen values per frame. At 512-sample windows a block's windowed frames
 and its complex spectrum are about 1 MB each, and spectral shape's two
 per-call buffers 0.5 MB each, as big as the block's magnitudes; 128-frame
 blocks were measured slower per frame.
+
+A short clip's cost is mostly per call, so the stages skip numpy's Python
+wrappers (np.mean, np.std, np.sum, np.count_nonzero) for the reductions they
+run, and LPC's recursion reuses a few buffers; every float operation and its
+order stay those of the reference stages in the tests, bit for bit. LPC's
+dots stay one BLAS ddot per frame, for the reason lpc gives.
 """
 
 from __future__ import annotations
@@ -82,6 +88,14 @@ def _hann(window_size: int) -> np.ndarray:
     return window
 
 
+@lru_cache(maxsize=8)
+def _bin_indices(n_bins: int) -> np.ndarray:
+    """np.arange(n_bins), read-only."""
+    bins = np.arange(n_bins)
+    bins.flags.writeable = False
+    return bins
+
+
 def magnitude_spectrum(frames: np.ndarray) -> np.ndarray:
     """Magnitude of the real FFT of each Hann-tapered frame: (F, W/2 + 1)."""
     w = frames.shape[1]
@@ -104,19 +118,22 @@ def time_domain_features(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # and only > 0 is positive. `positive` changes between neighbours at each
     # adjacent crossing, and also at each edge of a zero run whose signed
     # side is positive, so those edges are subtracted and the runs added.
+    # np.count_nonzero(axis=1) and np.flatnonzero, without their Python
+    # wrappers, are the integer sum and nonzero() below
     signed = frames != 0
     positive = frames > 0
-    crossings = np.count_nonzero(positive[:, 1:] != positive[:, :-1], axis=1)
-    edges = np.flatnonzero(signed[:, 1:] != signed[:, :-1])  # on (F, W - 1)
+    crossings = np.add.reduce(positive[:, 1:] != positive[:, :-1], axis=1,
+                              dtype=np.intp)
+    edges = (signed[:, 1:] != signed[:, :-1]).ravel().nonzero()[0]  # on (F, W - 1)
     if len(edges):
         row, col = np.divmod(edges, frames.shape[1] - 1)
         side_positive = positive[row, col] | positive[row, col + 1]
         crossings -= np.bincount(row[side_positive], minlength=len(frames))
         # a run that opens at one edge closes at the next one in its row
-        opens = np.flatnonzero(signed[row[:-1], col[:-1]] & (row[1:] == row[:-1]))
+        opens = (signed[row[:-1], col[:-1]] & (row[1:] == row[:-1])).nonzero()[0]
         across = opens[side_positive[opens] != side_positive[opens + 1]]
         crossings += np.bincount(row[across], minlength=len(frames))
-    rms = np.sqrt(np.mean(frames ** 2, axis=1))
+    rms = np.sqrt(np.add.reduce(frames ** 2, axis=1) / frames.shape[1])
     return crossings, rms
 
 
@@ -142,20 +159,25 @@ def spectral_shape_features(magnitudes: np.ndarray, bin_hz: float):
 
     flux = np.zeros(n_frames)
     step = np.subtract(m[1:], m[:-1], out=scratch(n_frames - 1, n_bins))
-    np.sum(np.square(step, out=step), axis=1, out=flux[1:])
+    np.add.reduce(np.square(step, out=step), axis=1, out=flux[1:])
 
-    total = np.sum(m, axis=1)
+    # first five moments of the magnitude distribution over bin index, one
+    # column each, filled as they come; an all-zero row gets all-zero moments,
+    # a point mass zero skew and kurtosis
+    moments = np.zeros((n_frames, 5))
+    total = np.add.reduce(m, axis=1)
+    moments[:, 0] = total
     nonzero = total > 0
-    bins = np.arange(n_bins)
+    bins = _bin_indices(n_bins)
     step = np.multiply(bins, m, out=scratch(n_frames, n_bins))
-    centroid_bins = np.divide(np.sum(step, axis=1), total,
-                              out=np.zeros_like(total), where=nonzero)
+    centroid_bins = np.divide(np.add.reduce(step, axis=1), total,
+                              out=moments[:, 1], where=nonzero)
     centroid_hz = centroid_bins * bin_hz
 
     cum = np.square(m, out=scratch(n_frames, n_bins))
     np.cumsum(cum, axis=1, out=cum)
     target = ROLLOFF_FRACTION * cum[:, -1]
-    rolloff_hz = np.count_nonzero(cum < target[:, None], axis=1) * bin_hz
+    rolloff_hz = np.add.reduce(cum < target[:, None], axis=1, dtype=np.intp) * bin_hz
 
     logm = np.maximum(m, MAG_FLOOR)
     np.log(logm, out=logm)
@@ -164,15 +186,13 @@ def spectral_shape_features(magnitudes: np.ndarray, bin_hz: float):
     neighborhood += logm[:, 2:]
     neighborhood /= 3.0
     np.subtract(logm[:, 1:-1], neighborhood, out=neighborhood)
-    compactness = np.sum(np.abs(neighborhood, out=neighborhood), axis=1)
+    compactness = np.add.reduce(np.abs(neighborhood, out=neighborhood), axis=1)
 
-    # first five moments of the magnitude distribution over bin index; an
-    # all-zero row gets all-zero moments, a point mass zero skew and kurtosis
     d = np.subtract(bins, centroid_bins[:, None], out=logm)
     step = np.square(d, out=scratch(n_frames, n_bins))
     step *= m
-    var = np.divide(np.sum(step, axis=1), total,
-                    out=np.zeros_like(total), where=nonzero)
+    var = np.divide(np.add.reduce(step, axis=1), total,
+                    out=moments[:, 2], where=nonzero)
     spread = var > 0
     sigma = np.sqrt(var)
     spread_total = np.where(spread, total, 1.0)
@@ -181,27 +201,25 @@ def spectral_shape_features(magnitudes: np.ndarray, bin_hz: float):
     # base: a negative one falls back to a per-lane path ~40x slower, and d
     # is negative below the centroid. So each power takes |d| ** p, and odd
     # ones get their sign back from d. Products, or float_power(d, p), miss
-    # the 1e-12 reference gate on some constant (DC) clips.
-    def standardized(p):
-        # float_power is libm pow, like `**` on a scalar sigma; np.power on
-        # an array may use a SIMD pow that rounds the last bit differently
+    # the 1e-12 reference gate on some constant (DC) clips. Skew and kurtosis
+    # are the moments of order p = 3 and 4, in the columns of those numbers.
+    for p in (3, 4):
         power = np.abs(d, out=scratch(n_frames, n_bins))
         np.power(power, p, out=power)
         if p % 2:
             np.copysign(power, d, out=power)
         power *= m
-        mean_power = np.sum(power, axis=1) / spread_total
-        return np.divide(mean_power, np.float_power(sigma, p),
-                         out=np.zeros_like(total), where=spread)
-
-    moments = np.stack([total, centroid_bins, var, standardized(3),
-                        standardized(4)], axis=1)
+        mean_power = np.add.reduce(power, axis=1) / spread_total
+        # float_power is libm pow, like `**` on a scalar sigma; np.power on
+        # an array may use a SIMD pow that rounds the last bit differently
+        np.divide(mean_power, np.float_power(sigma, p), out=moments[:, p],
+                  where=spread)
 
     # np.std(m, axis=1) as numpy's _var takes it, with the row sums reused
     deviation = np.subtract(m, (total / n_bins)[:, None],
                             out=scratch(n_frames, n_bins))
     np.square(deviation, out=deviation)
-    variability = np.sqrt(np.sum(deviation, axis=1) / n_bins)
+    variability = np.sqrt(np.add.reduce(deviation, axis=1) / n_bins)
     return flux, rolloff_hz, compactness, moments, centroid_hz, variability
 
 
@@ -282,32 +300,55 @@ def lpc(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     coefficients and degenerate True. The recursion runs across all frames
     at once and stops per frame once its prediction error is no longer
     positive.
+
+    The steps share buffers made once per call. Every dot stays one BLAS
+    ddot per frame (_row_dot), since no elementwise numpy form rounds as it
+    does: on the at most 9 values of a step's dot, OpenBLAS's ddot is one
+    sequential fused multiply-add chain (on x86-64 it matched an exact FMA
+    emulation in 300 of 300 random trials for each length 1-9, where a numpy
+    multiply then add matched in 146-231), and Python before 3.13 has no
+    math.fma.
     """
     order = LPC_ORDER
-    w = frames.shape[1]
+    n_frames, w = frames.shape
     if w <= order:
         raise InvalidSetting(f"a {w}-sample frame is not longer than LPC order {order}")
 
     # biased autocorrelation, (F, order + 1)
-    r = np.stack([_row_dot(frames[:, :w - k], frames[:, k:])
-                  for k in range(order + 1)], axis=1) / w
+    r = np.empty((n_frames, order + 1))
+    for lag in range(order + 1):
+        r[:, lag] = _row_dot(frames[:, :w - lag], frames[:, lag:])
+    r /= w
 
     # _row_dot needs forward strides. Step i dots a[:, :i] with r[i], ...,
     # r[1], which is the forward slice reversed_r[:, order - i:order] of the
     # autocorrelation reversed once.
     reversed_r = r[:, ::-1].copy()
-    a = np.zeros((len(frames), order))  # predictor coefficients, positive convention
+    a = np.zeros((n_frames, order))  # predictor coefficients, positive convention
     err = r[:, 0].copy()
-    live = np.ones(len(frames), dtype=bool)
+    acc = np.empty(n_frames)
+    shrink = np.empty(n_frames)  # 1 - k * k
+    reflected = np.empty((n_frames, order))  # k * a reversed
+    live = np.empty(n_frames, dtype=bool)  # error not yet spent
     for i in range(order):
-        live &= err > 0  # a frame whose error is spent keeps its coefficients
-        acc = r[:, i + 1] - _row_dot(a[:, :i], reversed_r[:, order - i:order])
-        k = np.divide(acc, err, out=np.zeros_like(acc), where=live)
-        # the reflection updates live rows in place and leaves the others be
-        np.subtract(a[:, :i], k[:, None] * a[:, :i][:, ::-1],
-                    out=a[:, :i], where=live[:, None])
-        a[:, i] = k
-        err *= 1.0 - k * k
+        # a spent frame gets k = 0, so its err never changes again and
+        # `err > 0` stays false for it (NaN included): this is live &= err > 0
+        np.greater(err, 0.0, out=live)
+        # column i is still all zero, so a spent frame's k is 0
+        k = a[:, i]
+        if i:
+            np.subtract(r[:, i + 1], _row_dot(a[:, :i], reversed_r[:, order - i:order]),
+                        out=acc)
+            np.divide(acc, err, out=k, where=live)
+            # the reflection updates live rows in place and leaves the others be
+            np.multiply(k[:, None], a[:, i - 1::-1], out=reflected[:, :i])
+            np.subtract(a[:, :i], reflected[:, :i], out=a[:, :i], where=live[:, None])
+        else:
+            # with no coefficients yet the dot is 0.0, and r - 0.0 is r, -0.0 too
+            np.divide(r[:, 1], err, out=k, where=live)
+        np.multiply(k, k, out=shrink)
+        np.subtract(1.0, shrink, out=shrink)
+        err *= shrink
     return a, r[:, 0] == 0.0
 
 
@@ -316,7 +357,10 @@ def fraction_low_energy(frame_rms_series: np.ndarray) -> float:
     series = np.asarray(frame_rms_series, dtype=np.float64)
     if len(series) == 0:
         raise ValueError("empty rms series")
-    return float(np.mean(series < series.mean()))
+    # np.mean twice without its wrapper: a sum over the length, and a count
+    # of bools, which np.mean sums exactly as floats
+    mean = np.add.reduce(series) / len(series)
+    return np.count_nonzero(series < mean) / len(series)
 
 
 def beat_features(frame_rms_series: np.ndarray,
@@ -329,7 +373,7 @@ def beat_features(frame_rms_series: np.ndarray,
     series = np.asarray(frame_rms_series, dtype=np.float64)
     if len(series) < 4:
         raise SeriesTooShort(f"{len(series)} frames")
-    e = series - series.mean()
+    e = series - np.add.reduce(series) / len(series)  # series.mean()
 
     lag_min = max(1, int(np.ceil(60.0 / (BPM_MAX * hop_seconds))))
     lag_max = min(len(e) - 1, int(np.floor(60.0 / (BPM_MIN * hop_seconds))))
@@ -341,7 +385,7 @@ def beat_features(frame_rms_series: np.ndarray,
     # e[lag:] per lag, so each bin sums as np.dot on that pair alone does
     autocorrelation = np.correlate(e, e, "full")[len(e) - 1 + lags]
     hist = np.maximum(autocorrelation, 0.0)
-    beat_sum = float(np.sum(hist))
+    beat_sum = float(np.add.reduce(hist))
     if beat_sum == 0.0:
         return 0.0, 0.0, 0.0
     best = int(np.argmax(hist))
@@ -383,11 +427,15 @@ def aggregate_clip(series: dict[str, np.ndarray]) -> FeatureVector:
             raise NoFrames(f"no values to aggregate for {family}")
         by_length.setdefault(n, []).append(i)
     values = np.empty((len(FEATURE_FAMILIES), 2))  # (mean, std) per family
-    for rows in by_length.values():
+    for n, rows in by_length.items():
         stacked = np.array([series[FEATURE_FAMILIES[i]] for i in rows],
                            dtype=np.float64)
-        values[rows, 0] = stacked.mean(axis=1)
-        values[rows, 1] = stacked.std(axis=1)
+        # np.mean and np.std's own steps, without their Python wrappers
+        mean = np.add.reduce(stacked, axis=1) / n
+        values[rows, 0] = mean
+        np.subtract(stacked, mean[:, None], out=stacked)
+        np.square(stacked, out=stacked)
+        values[rows, 1] = np.sqrt(np.add.reduce(stacked, axis=1) / n)
     return FeatureVector(values=values.ravel())
 
 
@@ -420,10 +468,13 @@ def extract_features(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
         (flux[rows], rolloff[rows], compactness[rows], moments, centroid[rows],
          variability[rows]) = spectral_shape_features(magnitudes, bin_hz)
         if start:
-            flux[start] = np.sum((magnitudes[0] - previous) ** 2)
+            flux[start] = np.add.reduce((magnitudes[0] - previous) ** 2)
         previous = magnitudes[-1]
-        moments.mean(axis=1, out=moments_mean[rows])
-        mfcc(magnitudes, mel_bank).mean(axis=1, out=coeffs_mean[rows])
+        # np.mean(axis=1, out=...) as numpy's _mean takes it: sum, then divide
+        for coefficients, means in ((moments, moments_mean[rows]),
+                                    (mfcc(magnitudes, mel_bank), coeffs_mean[rows])):
+            np.add.reduce(coefficients, axis=1, out=means)
+            means /= coefficients.shape[1]
     predictor, _ = lpc(frames)
     clip_level = clip_level_features(rms, hop_size / clip.sample_rate)
 
@@ -435,7 +486,7 @@ def extract_features(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
         "spectral_rolloff": rolloff,
         "compactness": compactness,
         "moments": moments_mean,
-        "lpc": predictor.mean(axis=1),
+        "lpc": np.add.reduce(predictor, axis=1) / LPC_ORDER,
         "spectral_centroid": centroid,
         "spectral_variability": variability,
         **dict(zip(CLIP_LEVEL_FAMILIES, clip_level.T)),

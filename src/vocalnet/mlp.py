@@ -43,8 +43,9 @@ class NetworkSpec:
     n: int  # outputs
 
     def __post_init__(self):
-        if not all(isinstance(v, (int, np.integer)) and v >= 1
-                   for v in (self.j, self.k, self.m, self.n)):
+        # bool is an int subclass, and a JSON `true` would pass as 1
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   and v >= 1 for v in (self.j, self.k, self.m, self.n)):
             raise InvalidSetting(
                 f"invalid topology ({self.j}, [{self.k}, {self.m}], {self.n})")
 
@@ -146,7 +147,9 @@ def _outputs(net: Network, a: np.ndarray) -> np.ndarray:
 
 
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
-    """Output activations for one input vector, all in (0, 1)."""
+    """Output activations for one input vector, all in (0, 1). A stack of
+    vectors, each alone on its second-to-last axis as (N, 1, j), gets each
+    vector's own activations bit for bit."""
     return _outputs(net, _zscore(net, _check_input(net, x)))
 
 

@@ -197,8 +197,11 @@ class TestFrameClip:
            data=st.data())
     def test_frames_tile_the_clip(self, n, window, data):
         hop = data.draw(st.integers(1, window), label="hop")
-        x = np.random.default_rng(n).uniform(-1, 1, n)
-        frames = frame_clip(AudioClip(x, 8000), window, hop)
+        # samples may be a strided view, as a slice of a longer array is
+        step = data.draw(st.sampled_from([1, 3]), label="step")
+        x = np.random.default_rng(n).uniform(-1, 1, n * step)[::step]
+        clip = AudioClip(x, 8000)
+        frames = frame_clip(clip, window, hop)
         rows = 1 if n < window else (n - window) // hop + 1
         assert frames.shape == (rows, window)
         if n < window:
@@ -207,6 +210,9 @@ class TestFrameClip:
         else:
             starts = np.arange(rows)[:, None] * hop
             np.testing.assert_array_equal(frames, x[starts + np.arange(window)])
+            # the docstring's read-only view of the clip, not a copy
+            assert not frames.flags.writeable
+            assert np.shares_memory(frames, clip.samples)
 
 
 class TestResample:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import feature_oracle
+import lpc_oracle
 import spectral_shape_oracle
 from vocalnet.audio_io import (AudioClip, DEFAULT_HOP, DEFAULT_WINDOW,
                                frame_clip, resample)
@@ -293,7 +294,8 @@ class TestCachedArrays:
         lambda: F.mel_filter_bank(22050, 512),
         lambda: F._hann(512),
         lambda: F._dct_basis(F.N_MEL_FILTERS),
-    ], ids=["mel_filter_bank", "hann", "dct_basis"])
+        lambda: F._bin_indices(DEFAULT_WINDOW // 2 + 1),
+    ], ids=["mel_filter_bank", "hann", "dct_basis", "bin_indices"])
     def test_write_raises(self, cached):
         array = cached()
         before = array.copy()
@@ -372,6 +374,47 @@ class TestLpc:
             (alone,), (alone_flag,) = F.lpc(row[None])
             assert coeffs.tobytes() == alone.tobytes()
             assert flag == alone_flag
+
+    PARITY_KINDS = ("noise", "zero", "dc", "tone", "spent")
+    SPENT_SCALE = 3e-161
+
+    @classmethod
+    def parity_row(cls, kind, scale, rng):
+        """A 512-sample frame of the given kind. A "spent" tone ignores the
+        scale: at SPENT_SCALE its autocorrelation is subnormal, and rounding
+        spends its prediction error at a middle step of the recursion."""
+        if kind == "zero":
+            return np.zeros(DEFAULT_WINDOW)
+        if kind == "dc":
+            return np.full(DEFAULT_WINDOW, scale * rng.uniform(-1.0, 1.0))
+        if kind == "noise":
+            return scale * rng.standard_normal(DEFAULT_WINDOW)
+        phase = 2 * np.pi * rng.uniform(0.001, 0.5) * np.arange(DEFAULT_WINDOW)
+        tone = np.sin(phase + rng.uniform(0.0, 2 * np.pi))
+        return tone * (cls.SPENT_SCALE if kind == "spent" else scale)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.tuples(st.sampled_from(PARITY_KINDS),
+                                   st.sampled_from([1e-8, 1.0, 1e4])),
+                         min_size=1, max_size=300),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_allocating_reference_bit_for_bit(self, rows, seed):
+        rng = np.random.default_rng(seed)
+        frames = np.stack([self.parity_row(kind, scale, rng) for kind, scale in rows])
+        a, degenerate = F.lpc(frames)
+        want, want_degenerate = lpc_oracle.lpc(frames)
+        assert (a.dtype, a.shape) == (want.dtype, want.shape)
+        assert a.tobytes() == want.tobytes()
+        assert degenerate.tolist() == want_degenerate.tolist()
+
+    def test_spent_tones_stop_mid_recursion(self):
+        # what the parity test's "spent" rows are for: a frame that stops
+        # with a nonzero first coefficient keeps 0 in its last one
+        rng = np.random.default_rng(0)
+        frames = np.stack([self.parity_row("spent", 1.0, rng) for _ in range(50)])
+        a, degenerate = lpc_oracle.lpc(frames)
+        assert not degenerate.any()
+        assert np.count_nonzero((a[:, 0] != 0) & (a[:, -1] == 0)) >= 25
 
 
 class TestEnvelopeFeatures:

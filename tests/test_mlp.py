@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vocalnet import mlp
+from vocalnet.dataset import make_corpus
 from vocalnet.errors import DimensionMismatch, EmptySet, MalformedArtifact
 from vocalnet.features import FEATURE_NAMES
 from vocalnet.mlp import (Network, NetworkSpec, TrainingConfig, classify,
                           forward, init_network, load_model, mse, one_hot,
                           save_model, train)
+from vocalnet.pipeline import evaluate
 
 from mlp_oracle import mse_gradients
 
@@ -247,6 +249,35 @@ class TestClassify:
             np.testing.assert_array_equal(acts, forward(net, x))
             assert idx == int(np.argmax(acts))
 
+    @settings(max_examples=100, deadline=None)
+    @given(j=st.integers(1, 28), k=st.integers(1, 14), m=st.integers(1, 2),
+           n=st.integers(2, 13), rows=st.integers(1, 60),
+           seed=st.integers(0, 2**32 - 1))
+    def test_evaluate_matches_a_classify_loop(self, j, k, m, n, rows, seed):
+        # evaluate scores every row in one stacked forward pass
+        rng = np.random.default_rng(seed)
+        net = init_network(NetworkSpec(j, k, m, n), seed=seed)
+        net.input_mean = rng.normal(0, 2, j)
+        net.input_std = rng.uniform(0.1, 3, j)
+        net.weights = [w * rng.uniform(1, 8) for w in net.weights]
+        net.label_map = [f"class{i}" for i in range(n)]
+        net.feature_slots = sorted(rng.choice(len(FEATURE_NAMES), j, replace=False).tolist())
+        labels = rng.integers(0, n, rows)
+        corpus = make_corpus([f"{i}.wav" for i in range(rows)],
+                             [net.label_map[i] for i in labels],
+                             rng.normal(0, 3, (rows, len(FEATURE_NAMES))))
+        inputs = corpus.samples[:, net.feature_slots]  # strided rows
+        # the stacked pass evaluate makes gives each row's activations
+        stacked = forward(net, np.ascontiguousarray(inputs)[:, None, :])[:, 0]
+        for x, acts in zip(inputs, stacked):
+            assert acts.tobytes() == forward(net, x).tobytes()
+        counts = np.zeros((n, n), dtype=int)
+        for label, x in zip(corpus.labels, inputs):
+            truth = net.label_map.index(corpus.class_names[label])
+            counts[truth, classify(net, x)[0]] += 1
+        report = evaluate(net, corpus)
+        np.testing.assert_array_equal(report.matrix.counts, counts)
+
 
 class TestModelFile:
     def test_save_load_round_trip(self, tmp_path):
@@ -331,9 +362,15 @@ class TestModelFile:
         (lambda doc: doc.update(extraction={"rate": 44100}), "fixed settings"),
         (lambda doc: doc["extraction"].update(order=12), "fixed settings"),
         (lambda doc: doc.update(extraction=None), "fixed settings"),
+        # JSON true equals 1: cut to one input, every array fits the spec
+        (lambda doc: doc.update(spec={**doc["spec"], "j": True, "m": True},
+                                input_mean=doc["input_mean"][:1],
+                                input_std=doc["input_std"][:1],
+                                weights=[doc["weights"][0][:2], *doc["weights"][1:]]),
+         "invalid topology"),
     ], ids=["nan-weight", "inf-weight", "inf-mean", "nan-std", "zero-std",
             "std-below-floor", "repeated-label", "repeated-slot", "other-window",
-            "other-rate", "extra-setting", "null-extraction"])
+            "other-rate", "extra-setting", "null-extraction", "bool-spec"])
     def test_rejects_what_train_never_writes(self, tmp_path, edit, message):
         net = init_network(NetworkSpec(2, 3, 1, 2), seed=0)
         net.label_map = ["a", "b"]
