@@ -7,11 +7,14 @@ held-out (test) MSE worsening for a patience window, train MSE stalling over
 100 epochs, train MSE dropping below 0.01, or the epoch cap.
 
 Each layer's weights are a (source + 1, target) matrix, bias row first. While
-training, all of them lie back to back, in layer order and row-major, in one
-flat `theta` array; the network's weight matrices are views into it, and the
-momentum `velocity` and the per-sample `grad` have the same layout. One
-momentum step is thus four in-place operations over whole buffers, and a
-per-sample update allocates no array.
+training, all of them lie in layer order and row-major in one flat `theta`
+array, each starting at an even index; the network's weight matrices are
+views into it, and the momentum `velocity` and the per-sample `grad` have the
+same layout. One momentum step is thus four in-place operations over whole
+buffers. Every other numpy call of a per-sample update is bound to its
+buffers once per training, and the sigmoid's negation is folded into the
+signs the kernel stores (see `_Backprop`), so an update allocates no array
+and makes no call but its float operations.
 """
 
 from __future__ import annotations
@@ -123,9 +126,19 @@ def init_network(spec: NetworkSpec, seed: int) -> Network:
 
 
 def fit_input_norm(net: Network, inputs: np.ndarray) -> None:
-    """Z-scoring statistics from the training inputs; stds floored to stay positive."""
-    net.input_mean = inputs.mean(axis=0)
-    net.input_std = np.maximum(inputs.std(axis=0), STD_FLOOR)
+    """Z-scoring statistics from the training inputs; stds floored to stay
+    positive. Finite inputs can still overflow them (a column holding 1e308
+    and -1e308 has an infinite std); that raises MalformedArtifact naming the
+    columns by feature slot, as no model with such statistics loads."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = inputs.mean(axis=0), inputs.std(axis=0)
+    overflowed = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if overflowed.size:
+        slots = net.feature_slots or range(net.spec.j)
+        raise MalformedArtifact(f"feature slots {[slots[i] for i in overflowed]} of "
+                                f"the training inputs have a mean or std that is not finite")
+    net.input_mean = mean
+    net.input_std = np.maximum(std, STD_FLOOR)
 
 
 def _check_input(net: Network, x: np.ndarray) -> np.ndarray:
@@ -160,7 +173,20 @@ def classify(net: Network, x: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def _zscored_mse(net: Network, z: np.ndarray, targets: np.ndarray) -> float:
-    return float(np.mean((_outputs(net, z) - targets) ** 2))
+    """`_outputs` and np.mean's own steps, with the sigmoid in place: the
+    bits of float(np.mean((_outputs(net, z) - targets) ** 2))."""
+    a = z
+    with np.errstate(over="ignore"):  # see sigmoid
+        for w in net.weights:
+            a = a @ w[1:]
+            a += w[0]
+            np.negative(a, a)
+            np.exp(a, a)
+            a += 1.0
+            np.divide(1.0, a, a)
+    a -= targets
+    np.square(a, a)
+    return float(np.add.reduce(a, axis=None) / a.size)
 
 
 def mse(net: Network, inputs: np.ndarray, targets: np.ndarray) -> float:
@@ -172,69 +198,100 @@ class _Backprop:
     """Per-sample back-propagation over one flat parameter buffer.
 
     Built once per training run from a network and its z-scored inputs; every
-    buffer an update touches is allocated here, so a step allocates nothing.
+    buffer an update touches is allocated here, and every numpy call of an
+    update is bound to its buffers here as (function, args), so a step allocates
+    nothing and looks nothing up. `rows` holds, per sample, the arguments of
+    the three calls that read the sample: layer 0's dot, the target
+    subtraction and layer 0's outer product. `forward` and `backward` hold
+    the calls between them, shared by every sample.
+
     Each step applies the float operations of the per-layer textbook update
-    in the same order, so its results are bit-identical to that update.
+    in the same order, with one change of sign: every activation vector,
+    its leading bias 1 included, and every delta is stored negated, so the
+    sigmoid's negation 1 / (1 + exp(-(a.W + b))) needs no call of its own.
+    Layer 0 reads the negated z-scored rows; each layer computes
+    dot(-a, W) - b = -(a.W + b), exponentiates it and stores
+    -1 / (1 + exp(...)); the output delta is (-t - (-o)) * scale * (-o) *
+    (1 + (-o)), and each hidden delta (W.-d) * (-h) * (-1 - (-h)). Each
+    gradient is the outer product of two negated vectors, so it carries the
+    textbook sign; it is taken as a (s + 1, 1) @ (1, t) BLAS product, whose
+    entries are single correctly rounded products as np.outer's are, at
+    about half the cost of a broadcast multiply.
+
+    Negating an operand negates a correctly rounded result exactly, as
+    round-to-nearest is symmetric about zero, so every nonzero value is the
+    textbook value or its exact negation. Only a zero can differ, in sign: a
+    sum that cancels exactly is +0 whatever the signs of its terms, and BLAS
+    may add a product of -0 to +0. In the forward pass such a zero reaches
+    only exp, and exp(-0) = exp(+0) = 1. In the backward pass it can flip
+    the sign of a zero gradient entry and, through `velocity -= grad`, of a
+    zero velocity entry. Adding a zero of either sign leaves theta as it is
+    unless theta is -0 (-0 + +0 = +0). The first step's velocity,
+    +0 - lr * grad as velocity starts at +0, has the textbook bits and no
+    -0, and x + v is -0 only where x is -0; so from then on theta holds no
+    -0. Thus theta, and every MSE, keeps the textbook bits, and `grad`
+    equals the textbook gradient in value.
     """
 
     def __init__(self, net: Network, inputs: np.ndarray, targets: np.ndarray):
         shapes = [w.shape for w in net.weights]
-        self.theta = np.concatenate([w.ravel() for w in net.weights])
+        self.theta = np.zeros(sum(r * c + 1 for r, c in shapes))  # room to align
         self.velocity = np.zeros_like(self.theta)
-        self.grad = np.empty_like(self.theta)
+        self.grad = np.zeros_like(self.theta)
         self.weights = _layer_views(self.theta, shapes)
+        for view, w in zip(self.weights, net.weights):
+            view[...] = w
         grads = _layer_views(self.grad, shapes)
         self.z = _zscore(net, inputs)  # for the batch MSE after each epoch
-        # Every activation vector starts with a 1, so one outer product with
-        # a layer's delta fills its gradient's bias row (1.0 * d == d) and body.
-        rows = np.ones((len(inputs), net.spec.j + 1))
-        rows[:, 1:] = self.z
-        self.rows = [(row[:, None], row[1:]) for row in rows]
-        self.targets = list(np.asarray(targets, dtype=np.float64))
-        outs = [np.ones(t + 1) for _, t in shapes]
+        # each activation vector, negated, starts with a -1, so one outer
+        # product with a layer's negated delta fills its gradient's bias row
+        # (-1.0 * -d == d) and body
+        rows = np.full((len(inputs), net.spec.j + 1), -1.0)
+        np.negative(self.z, rows[:, 1:])
+        outs = [np.full(t + 1, -1.0) for _, t in shapes]
         deltas = [np.empty(t) for _, t in shapes]
-        scratch = [np.empty(t) for _, t in shapes]  # for 1 - activation
+        scratch = [np.empty(t) for _, t in shapes]  # for +-(1 - activation)
         # 0-d arrays: numpy converts a Python float operand on every call
-        self.one = np.array(1.0)
-        self.output_scale = np.array(2.0 / net.spec.n)
-        self.forward_layers = [(w[1:], w[0], out[1:])
-                               for w, out in zip(self.weights, outs)]
-        self.output = (outs[-1][1:], deltas[-1], scratch[-1])
-        # layers above the first, last first: the gradient, the input
-        # activation as a column and the delta; then the weights, delta,
-        # activation and scratch that carry the delta to the layer below
-        self.backward_layers = [
-            (grads[i], outs[i - 1][:, None], deltas[i],
-             self.weights[i][1:], deltas[i - 1], outs[i - 1][1:], scratch[i - 1])
-            for i in range(len(shapes) - 1, 0, -1)]
-        self.first_layer = (grads[0], deltas[0])
+        one, minus_one = np.array(1.0), np.array(-1.0)
+        out, d = outs[-1][1:], deltas[-1]
+        negated_targets = -np.asarray(targets, dtype=np.float64)
+        self.rows = [((row[1:], self.weights[0][1:], outs[0][1:]),
+                      (target, out, d),
+                      (row[:, None], deltas[0][None], grads[0]))
+                     for row, target in zip(rows, negated_targets)]
+        self.forward = []
+        for i, (w, a) in enumerate(zip(self.weights, outs)):
+            a = a[1:]
+            if i:
+                self.forward.append((np.dot, (outs[i - 1][1:], w[1:], a)))
+            self.forward += [(np.subtract, (a, w[0], a)), (np.exp, (a, a)),
+                             (np.add, (a, one, a)), (np.divide, (minus_one, a, a))]
+        # the output delta's factors past the target subtraction; then, for
+        # each layer above the first, last first, its gradient and the delta
+        # it carries to the layer below
+        self.backward = [(np.multiply, (d, np.array(2.0 / net.spec.n), d)),
+                         (np.multiply, (d, out, d)),
+                         (np.add, (one, out, scratch[-1])),
+                         (np.multiply, (d, scratch[-1], d))]
+        for i in range(len(shapes) - 1, 0, -1):
+            below, h, s = deltas[i - 1], outs[i - 1][1:], scratch[i - 1]
+            self.backward += [
+                (np.dot, (outs[i - 1][:, None], deltas[i][None], grads[i])),
+                (np.dot, (self.weights[i][1:], deltas[i], below)),
+                (np.multiply, (below, h, below)),
+                (np.subtract, (minus_one, h, s)),
+                (np.multiply, (below, s, below))]
 
     def backprop(self, idx: int) -> None:
         """Gradient of sample idx's loss mean_outputs((o - t)^2) into grad."""
-        one = self.one
-        x_column, a = self.rows[idx]
-        for w_body, w_bias, z in self.forward_layers:
-            np.dot(a, w_body, z)
-            z += w_bias
-            np.negative(z, z)  # sigmoid: 1 / (1 + exp(-z))
-            np.exp(z, z)
-            z += one
-            np.divide(one, z, z)
-            a = z
-        out, d, s = self.output
-        np.subtract(out, self.targets[idx], d)
-        d *= self.output_scale
-        d *= out
-        np.subtract(one, out, s)
-        d *= s
-        for grad, prev_column, d, w_body, below, prev, s in self.backward_layers:
-            np.multiply(prev_column, d, grad)
-            np.dot(w_body, d, below)
-            below *= prev
-            np.subtract(one, prev, s)
-            below *= s
-        grad, d = self.first_layer
-        np.multiply(x_column, d, grad)
+        first_dot, error, first_outer = self.rows[idx]
+        np.dot(*first_dot)
+        for call, args in self.forward:
+            call(*args)
+        np.subtract(*error)
+        for call, args in self.backward:
+            call(*args)
+        np.dot(*first_outer)
 
     def step(self, idx: int, learning_rate: np.ndarray, momentum: np.ndarray) -> None:
         """One momentum update of theta on sample idx."""
@@ -246,9 +303,15 @@ class _Backprop:
 
 
 def _layer_views(flat: np.ndarray, shapes: list[tuple[int, int]]) -> list[np.ndarray]:
-    ends = np.cumsum([r * c for r, c in shapes])
-    return [part.reshape(shape)
-            for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
+    """Views of flat as matrices of the given shapes, in order. Each starts at
+    an even index, so on a 16-byte boundary as a matrix of its own would be:
+    OpenBLAS's Prescott dgemv rounds x @ W differently where W is not."""
+    views, start = [], 0
+    for r, c in shapes:
+        start += start % 2
+        views.append(flat[start:start + r * c].reshape(r, c))
+        start += r * c
+    return views
 
 
 def train_epoch(net: Network, inputs: np.ndarray, targets: np.ndarray,
@@ -258,9 +321,10 @@ def train_epoch(net: Network, inputs: np.ndarray, targets: np.ndarray,
     after the pass. kernel holds these inputs z-scored and the buffers net's
     weights view; the pass updates them in place."""
     learning_rate, momentum = np.array(config.learning_rate), np.array(config.momentum)
+    step = kernel.step
     with np.errstate(over="ignore"):
-        for idx in rng.permutation(len(inputs)):
-            kernel.step(idx, learning_rate, momentum)
+        for idx in rng.permutation(len(inputs)).tolist():
+            step(idx, learning_rate, momentum)
     return _zscored_mse(net, kernel.z, targets)
 
 

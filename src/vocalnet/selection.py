@@ -81,6 +81,7 @@ def forward_select(corpus: LabeledCorpus, folds: list[SplitPlan], hidden_width: 
             spec = NetworkSpec(j=len(cols), k=hidden_width,
                                m=hidden_layers, n=n_out)
             net = init_network(spec, config.seed)
+            net.feature_slots = cols
             trained, _ = train(net, train_x_full[:, cols], train_t,
                                test_x_full[:, cols], test_t, config)
             score = mdl_score(trained, train_x_full[:, cols], train_t)

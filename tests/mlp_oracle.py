@@ -6,7 +6,9 @@ applies momentum layer by layer. `_forward_layers`, `_sample_gradients`,
 `train_epoch` and `train` are kept as the oracle that
 tests/test_train_equivalence.py requires vocalnet.mlp.train to match bit for
 bit. Their logic is unchanged; the stall window (100 epochs) and the train MSE
-target (0.01) are the paper's, written here as literals.
+target (0.01) are the paper's, written here as literals. They score with a
+copy of the allocating `mse`, which tests/test_mlp.py checks vocalnet.mlp's
+against bit for bit.
 
 `mse_gradients` runs the other way: it drives vocalnet.mlp's own kernel, so
 the gradchecks test the gradient that vocalnet.mlp.train applies.
@@ -19,7 +21,19 @@ import numpy as np
 from vocalnet.errors import EmptySet
 from vocalnet.mlp import (STALL_THRESHOLD, Network, TrainingConfig,
                           TrainingState, _Backprop, _check_input, _layer_views,
-                          fit_input_norm, mse, sigmoid)
+                          _outputs, _zscore, fit_input_norm, sigmoid)
+
+
+# `_zscored_mse` and `mse` as vocalnet.mlp had them before its MSE ran the
+# sigmoid in place, so the MSEs that train reports are checked against code
+# that does not share them.
+def _zscored_mse(net: Network, z: np.ndarray, targets: np.ndarray) -> float:
+    return float(np.mean((_outputs(net, z) - targets) ** 2))
+
+
+def mse(net: Network, inputs: np.ndarray, targets: np.ndarray) -> float:
+    """Mean over samples and outputs of the squared output error."""
+    return _zscored_mse(net, _zscore(net, _check_input(net, inputs)), targets)
 
 
 def _forward_layers(net: Network, x: np.ndarray) -> list[np.ndarray]:

@@ -204,6 +204,22 @@ class TestTrain:
         assert err.startswith("error: ClassTooSmall") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["train", "select"])
+    def test_overflowing_input_statistics_exit_2(self, tmp_path, command, capsys):
+        # every value is finite, but slot 5's std overflows to inf, and no
+        # model with an infinite input_std loads
+        corpus = synthetic_feature_corpus([(0,), (5,)], samples_per_class=10)
+        corpus.samples[:, 5] = np.where(np.arange(20) % 2, -1e308, 1e308)
+        cache = tmp_path / "huge.csv"
+        write_feature_cache(corpus, cache)
+        assert read_feature_cache(cache).samples[1, 5] == -1e308
+        assert main([command, "--cache", str(cache), *output_flags(command, tmp_path),
+                     "--seed", "0", "--max-epochs", "20"]) == 2
+        err = capsys.readouterr().err  # no numpy RuntimeWarning lines
+        assert err == ("error: MalformedArtifact: feature slots [5] of the training "
+                       "inputs have a mean or std that is not finite\n")
+        assert not any((tmp_path / name).exists() for name in ("m.json", "t.csv", "s.csv"))
+
+    @pytest.mark.parametrize("command", ["train", "select"])
     def test_small_class_warning_is_one_line(self, tmp_path, command, capsys):
         corpus = synthetic_feature_corpus([(0,), (5,)], samples_per_class=8)
         cache = tmp_path / "small.csv"

@@ -17,6 +17,7 @@ from vocalnet.mlp import (Network, NetworkSpec, TrainingConfig, classify,
                           save_model, train)
 from vocalnet.pipeline import evaluate
 
+import mlp_oracle
 from mlp_oracle import mse_gradients
 
 XOR_INPUTS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
@@ -139,6 +140,25 @@ class TestGradients:
     def test_zero_learning_rate_rejected(self):
         with pytest.raises(ValueError):
             TrainingConfig(learning_rate=0.0)
+
+
+class TestMse:
+    @settings(max_examples=150, deadline=None)
+    @given(j=st.integers(1, 28), k=st.integers(1, 14), m=st.integers(1, 3),
+           n=st.integers(2, 13), rows=st.integers(1, 40),
+           scale=st.sampled_from([1.0, 8.0, 1e3, 1e5]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_allocating_copy_bit_for_bit(self, j, k, m, n, rows, scale, seed):
+        # mse runs its sigmoid in place; the oracle keeps the allocating form.
+        # Large weights saturate the sigmoids to exactly 0 and 1
+        rng = np.random.default_rng(seed)
+        full = rng.standard_normal((rows, len(FEATURE_NAMES))) * 10.0 ** rng.uniform(-3, 3)
+        inputs = full[:, rng.permutation(len(FEATURE_NAMES))[:j]]  # strided columns
+        targets = one_hot(rng.integers(0, n, rows), n)
+        net = init_network(NetworkSpec(j, k, m, n), seed=seed)
+        net.weights = [w * scale for w in net.weights]
+        mlp.fit_input_norm(net, inputs)
+        got, want = mse(net, inputs, targets), mlp_oracle.mse(net, inputs, targets)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestTrain:

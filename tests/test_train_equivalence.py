@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mlp_oracle
-from vocalnet.mlp import NetworkSpec, TrainingConfig, init_network, one_hot, train
+from vocalnet.mlp import (NetworkSpec, TrainingConfig, _Backprop, _layer_views,
+                          fit_input_norm, init_network, one_hot, train)
 
 WIDE = 28  # columns of the full matrix the inputs are cut from, as in selection
 
@@ -100,3 +101,46 @@ def test_matches_reference_on_small_topologies(j, k, m, n, rows, test_rows, subs
     config = TrainingConfig(learning_rate=learning_rate, momentum=momentum,
                             max_epochs=max_epochs, test_patience=patience, seed=seed)
     assert_trains_identically(NetworkSpec(j, k, m, n), split, config, init_seed=seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(j=st.integers(1, 6), k=st.integers(1, 5), m=st.integers(1, 3),
+       n=st.integers(1, 4), rows=st.integers(2, 14), test_rows=st.integers(1, 4),
+       zero_columns=st.integers(0, 2), zero_first_layer=st.booleans(),
+       rounded=st.booleans(), saturated=st.booleans(),
+       learning_rate=st.sampled_from([1e-3, 0.05, 1.0, 10.0]),
+       momentum=st.sampled_from([0.0, 0.5, 0.9]), max_epochs=st.integers(0, 12),
+       seed=st.integers(0, 2**16))
+def test_matches_reference_where_zeros_and_saturation_meet(
+        j, k, m, n, rows, test_rows, zero_columns, zero_first_layer, rounded,
+        saturated, learning_rate, momentum, max_epochs, seed):
+    # The kernel stores activations and deltas negated, where a zero can take
+    # the other sign. So the draws make zeros: all-zero input columns (z = 0
+    # exactly), zero first-layer weights, rounded inputs, and weights x1000
+    # that saturate the outputs to exactly the targets
+    x, t, test_x, test_t = make_split(seed, rows, test_rows, j, n)
+    x[:, :zero_columns] = 0.0
+    if rounded:
+        x, test_x = np.round(x), np.round(test_x)
+    net = init_network(NetworkSpec(j, k, m, n), seed)
+    if zero_first_layer:
+        net.weights[0][1:] = 0.0
+    if saturated:
+        net.weights = [w * 1000.0 for w in net.weights]
+    config = TrainingConfig(learning_rate=learning_rate, momentum=momentum,
+                            max_epochs=max_epochs, test_patience=4, seed=seed)
+    want_net, want = mlp_oracle.train(net, x, t, test_x, test_t, config)
+    got_net, got = train(net, x, t, test_x, test_t, config)
+    assert got == want
+    assert [w.tobytes() for w in got_net.weights] == [w.tobytes() for w in want_net.weights]
+
+    # a per-sample gradient equals the reference's in value; where both are
+    # zero its sign may differ (see the _Backprop docstring)
+    fit_input_norm(net, x)
+    kernel = _Backprop(net, x, t)
+    for idx in range(rows):
+        with np.errstate(over="ignore"):
+            kernel.backprop(idx)
+        got_grad = _layer_views(kernel.grad, [w.shape for w in net.weights])
+        want_grad = mlp_oracle._sample_gradients(net, x[idx], t[idx])
+        assert all(np.array_equal(g, w) for g, w in zip(got_grad, want_grad))
