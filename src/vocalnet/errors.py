@@ -19,24 +19,6 @@ class EmptyClip(VocalnetError):
     """A clip with zero samples cannot be framed."""
 
 
-# feature extraction
-
-class NonPowerOfTwoWindow(VocalnetError):
-    """FFT frames must have power-of-two length."""
-
-
-class BankMismatch(VocalnetError):
-    """The mel filter bank was built for a different spectrum size."""
-
-
-class SeriesTooShort(VocalnetError):
-    """The rms envelope is too short for beat analysis."""
-
-
-class NoFrames(VocalnetError):
-    """Aggregation requires at least one frame."""
-
-
 # dataset
 
 class EmptyCorpus(VocalnetError):
@@ -52,7 +34,7 @@ class MalformedArtifact(VocalnetError, ValueError):
 
 
 class InvalidSetting(VocalnetError, ValueError):
-    """A setting is out of range or a config-file value will not cast."""
+    """A command-line flag or library argument is out of range."""
 
 
 # networks

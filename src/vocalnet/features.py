@@ -12,6 +12,10 @@ and its complex spectrum are about 1 MB each, and spectral shape's two
 per-call buffers 0.5 MB each, as big as the block's magnitudes; 128-frame
 blocks were measured slower per frame.
 
+extract_features takes a power-of-two window above LPC_ORDER (10) samples and
+a hop in (0, window]; any other setting raises InvalidSetting before any
+stage runs. The stages take their inputs from it and do not check them again.
+
 A short clip's cost is mostly per call, so the stages skip numpy's Python
 wrappers (np.mean, np.std, np.sum, np.count_nonzero) for the reductions they
 run, and LPC's recursion reuses a few buffers; every float operation and its
@@ -27,8 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .audio_io import AudioClip, DEFAULT_HOP, DEFAULT_WINDOW, frame_clip
-from .errors import (BankMismatch, InvalidSetting, NoFrames, NonPowerOfTwoWindow,
-                     SeriesTooShort)
+from .errors import InvalidSetting
 
 N_MFCC = 13
 N_MEL_FILTERS = 26
@@ -98,10 +101,7 @@ def _bin_indices(n_bins: int) -> np.ndarray:
 
 def magnitude_spectrum(frames: np.ndarray) -> np.ndarray:
     """Magnitude of the real FFT of each Hann-tapered frame: (F, W/2 + 1)."""
-    w = frames.shape[1]
-    if w <= 0 or (w & (w - 1)) != 0:
-        raise NonPowerOfTwoWindow(f"frame length {w}")
-    return np.abs(np.fft.rfft(frames * _hann(w), axis=1))
+    return np.abs(np.fft.rfft(frames * _hann(frames.shape[1]), axis=1))
 
 
 def time_domain_features(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -110,8 +110,6 @@ def time_domain_features(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A zero sample adopts the previous sign in its frame, so 0 never counts as
     a crossing by itself.
     """
-    if frames.shape[1] == 0:
-        raise ValueError("empty frame")
     # with zeros taking the previous sign, a crossing is two signed samples
     # of opposite sign with only zeros between them: neighbours, or the two
     # sides of a zero run inside a row. Anything but 0 is signed (NaN too)
@@ -270,9 +268,6 @@ def mfcc(magnitudes: np.ndarray, mel_bank: np.ndarray) -> np.ndarray:
     The DCT is a product with the cached orthonormal basis of _dct_basis (its
     first N_MFCC rows), applied frame by frame like the mel bank.
     """
-    if mel_bank.shape[1] != magnitudes.shape[1]:
-        raise BankMismatch(f"bank has {mel_bank.shape[1]} bins, "
-                           f"spectrum has {magnitudes.shape[1]}")
     # a stacked matrix @ vector runs one gemv per frame, which sums each frame
     # as the single-spectrum product does and, unlike one gemm over all
     # frames, never wakes BLAS worker threads for so small a product
@@ -311,8 +306,6 @@ def lpc(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     order = LPC_ORDER
     n_frames, w = frames.shape
-    if w <= order:
-        raise InvalidSetting(f"a {w}-sample frame is not longer than LPC order {order}")
 
     # biased autocorrelation, (F, order + 1)
     r = np.empty((n_frames, order + 1))
@@ -355,8 +348,6 @@ def lpc(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def fraction_low_energy(frame_rms_series: np.ndarray) -> float:
     """Fraction of frames whose rms is strictly below the series mean."""
     series = np.asarray(frame_rms_series, dtype=np.float64)
-    if len(series) == 0:
-        raise ValueError("empty rms series")
     # np.mean twice without its wrapper: a sum over the length, and a count
     # of bools, which np.mean sums exactly as floats
     mean = np.add.reduce(series) / len(series)
@@ -368,11 +359,12 @@ def beat_features(frame_rms_series: np.ndarray,
     """Beat histogram over 40-200 BPM from the rms envelope autocorrelation.
 
     Returns (beat_sum, strongest_beat_bpm, strongest_beat_strength); when the
-    envelope is flat all three are 0 by convention.
+    envelope is flat, or has fewer than 4 values and so is too short to carry
+    a beat, all three are 0 by convention.
     """
     series = np.asarray(frame_rms_series, dtype=np.float64)
     if len(series) < 4:
-        raise SeriesTooShort(f"{len(series)} frames")
+        return 0.0, 0.0, 0.0
     e = series - np.add.reduce(series) / len(series)  # series.mean()
 
     lag_min = max(1, int(np.ceil(60.0 / (BPM_MAX * hop_seconds))))
@@ -403,11 +395,7 @@ def clip_level_features(frame_rms_series: np.ndarray, hop_seconds: float) -> np.
     rows = []
     for start in range(0, len(series), MACRO_WINDOW_FRAMES):
         chunk = series[start:start + MACRO_WINDOW_FRAMES]
-        if len(chunk) >= 4:
-            beats = beat_features(chunk, hop_seconds)
-        else:
-            beats = (0.0, 0.0, 0.0)  # too short to carry a beat
-        rows.append((fraction_low_energy(chunk), *beats))
+        rows.append((fraction_low_energy(chunk), *beat_features(chunk, hop_seconds)))
     return np.array(rows).reshape(-1, len(CLIP_LEVEL_FAMILIES))
 
 
@@ -415,17 +403,15 @@ def aggregate_clip(series: dict[str, np.ndarray]) -> FeatureVector:
     """Pack each family's series into the 28-slot vector.
 
     `series` maps every name in FEATURE_FAMILIES to one value per frame (or
-    per macro-window for the clip-level families). Stds are population stds,
+    per macro-window for the clip-level families); frame_clip yields at least
+    one frame, so every series has a value. Stds are population stds,
     so a single frame or macro-window gives 0 in every std slot. Series of
     one length are stacked and reduced together, a row at a time in the order
     np.mean and np.std take one series alone.
     """
     by_length: dict[int, list[int]] = {}  # series length -> family indices
     for i, family in enumerate(FEATURE_FAMILIES):
-        n = len(series[family])
-        if n == 0:
-            raise NoFrames(f"no values to aggregate for {family}")
-        by_length.setdefault(n, []).append(i)
+        by_length.setdefault(len(series[family]), []).append(i)
     values = np.empty((len(FEATURE_FAMILIES), 2))  # (mean, std) per family
     for n, rows in by_length.items():
         stacked = np.array([series[FEATURE_FAMILIES[i]] for i in rows],
@@ -455,6 +441,11 @@ def extract_features(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
     Vector families (mfcc, moments, lpc) are first collapsed to the mean of
     their coefficients per frame.
     """
+    # the FFT needs a power of two, the predictor more than LPC_ORDER samples;
+    # frame_clip checks the hop
+    if window_size <= LPC_ORDER or window_size & (window_size - 1):
+        raise InvalidSetting(f"window_size must be a power of two above {LPC_ORDER}, "
+                             f"got {window_size}")
     frames = frame_clip(clip, window_size, hop_size)
     bin_hz = clip.sample_rate / window_size
     mel_bank = mel_filter_bank(clip.sample_rate, window_size)

@@ -11,7 +11,7 @@ from .dataset import LabeledCorpus, SplitPlan
 from .errors import LabelOutOfRange
 from .evaluation import EvalReport, FoldSummary, confusion_matrix, cross_fold_report, summarize
 from .mlp import (Network, NetworkSpec, TrainingConfig, TrainingState,
-                  forward, init_network, one_hot, train)
+                  fit_input_norm, forward, init_network, one_hot, train)
 # evaluate no longer calls it, but perfbench's tracer test wraps this binding
 from .mlp import classify  # noqa: F401
 
@@ -86,9 +86,18 @@ def train_all_folds(corpus: LabeledCorpus, fold_plan: list[SplitPlan],
                     config: TrainingConfig, hidden_width: int | None = None,
                     hidden_layers: int = 1,
                     feature_slots: list[int] | None = None) -> TrainingRun:
-    """Train every fold; default hidden width equals the class count."""
+    """Train every fold; default hidden width equals the class count. Input
+    statistics that overflow in any fold's train rows raise before fold 0."""
     if hidden_width is None:
         hidden_width = corpus.n_classes
+    matrix = corpus.samples
+    if feature_slots is not None:
+        matrix = matrix[:, feature_slots]
+    probe = init_network(NetworkSpec(j=matrix.shape[1], k=hidden_width, m=hidden_layers,
+                                     n=corpus.n_classes), config.seed)
+    probe.feature_slots = feature_slots
+    for split in fold_plan:
+        fit_input_norm(probe, matrix[split.train_ids])
     results = [train_fold(corpus, fold_plan, f, config, hidden_width,
                           hidden_layers, feature_slots)
                for f in range(len(fold_plan))]

@@ -2,7 +2,8 @@
 
 It builds a Frame, a Spectrum and a FrameFeatures object for every analysis
 window and aggregates them family by family. It is kept unchanged, apart
-from raising ValueError for mismatched spectra, as the oracle that
+from raising ValueError for mismatched spectra and in place of the error
+classes vocalnet no longer has, as the oracle that
 tests/test_feature_equivalence.py compares vocalnet.features against.
 """
 
@@ -14,8 +15,7 @@ import numpy as np
 from scipy.fft import dct
 
 from vocalnet.audio_io import DEFAULT_HOP, DEFAULT_WINDOW, AudioClip
-from vocalnet.errors import (BankMismatch, EmptyClip, NoFrames,
-                             NonPowerOfTwoWindow)
+from vocalnet.errors import EmptyClip
 from vocalnet.features import (FEATURE_FAMILIES, LPC_ORDER, MACRO_WINDOW_FRAMES,
                                MAG_FLOOR, N_MFCC, ROLLOFF_FRACTION,
                                FeatureVector, beat_features,
@@ -100,7 +100,7 @@ def magnitude_spectrum(frame: Frame, sample_rate: int,
     """
     w = len(frame.samples)
     if w <= 0 or (w & (w - 1)) != 0:
-        raise NonPowerOfTwoWindow(f"frame length {w}")
+        raise ValueError(f"frame length {w}")
     if window == "hann":
         tapered = frame.samples * np.hanning(w)
     elif window == "rect":
@@ -184,8 +184,8 @@ def mfcc(spectrum: Spectrum, mel_bank: np.ndarray,
          n_coefficients: int = N_MFCC) -> np.ndarray:
     """Type-II DCT (orthonormal) of the log mel filter energies."""
     if mel_bank.shape[1] != len(spectrum.magnitudes):
-        raise BankMismatch(f"bank has {mel_bank.shape[1]} bins, "
-                           f"spectrum has {len(spectrum.magnitudes)}")
+        raise ValueError(f"bank has {mel_bank.shape[1]} bins, "
+                         f"spectrum has {len(spectrum.magnitudes)}")
     energies = mel_bank @ (spectrum.magnitudes ** 2)
     log_energies = np.log(np.maximum(energies, MAG_FLOOR))
     return dct(log_energies, type=2, norm="ortho")[:n_coefficients]
@@ -253,9 +253,9 @@ def aggregate_clip(frames: list[FrameFeatures],
     single frame or macro-window gives 0 in every std slot.
     """
     if not frames:
-        raise NoFrames("no frames to aggregate")
+        raise ValueError("no frames to aggregate")
     if not clip_level:
-        raise NoFrames("no macro-windows to aggregate")
+        raise ValueError("no macro-windows to aggregate")
 
     per_family = {
         "mfcc": np.array([f.mfcc.mean() for f in frames]),

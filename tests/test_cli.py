@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vocalnet import pipeline, selection
 from vocalnet.cli import COMMANDS, build_parser, main
 from vocalnet.dataset import (make_corpus, plan_folds, read_feature_cache,
                               write_feature_cache)
@@ -203,21 +204,52 @@ class TestTrain:
         err = capsys.readouterr().err  # the error alone, with no fold warning
         assert err.startswith("error: ClassTooSmall") and err.count("\n") == 1
 
+    @staticmethod
+    def count_trainings(monkeypatch) -> list:
+        """The calls select and train make to mlp.train, from now on."""
+        calls = []
+        for module in (selection, pipeline):
+            def counted(*args, train=module.train):
+                calls.append(args)
+                return train(*args)
+            monkeypatch.setattr(module, "train", counted)
+        return calls
+
     @pytest.mark.parametrize("command", ["train", "select"])
-    def test_overflowing_input_statistics_exit_2(self, tmp_path, command, capsys):
+    def test_overflowing_input_statistics_exit_2(self, tmp_path, command, capsys,
+                                                 monkeypatch):
         # every value is finite, but slot 5's std overflows to inf, and no
-        # model with an infinite input_std loads
+        # model with an infinite input_std loads; select's round 0 trains
+        # slots 0-4 first, but the check comes before any training
         corpus = synthetic_feature_corpus([(0,), (5,)], samples_per_class=10)
         corpus.samples[:, 5] = np.where(np.arange(20) % 2, -1e308, 1e308)
         cache = tmp_path / "huge.csv"
         write_feature_cache(corpus, cache)
         assert read_feature_cache(cache).samples[1, 5] == -1e308
+        trainings = self.count_trainings(monkeypatch)
         assert main([command, "--cache", str(cache), *output_flags(command, tmp_path),
                      "--seed", "0", "--max-epochs", "20"]) == 2
         err = capsys.readouterr().err  # no numpy RuntimeWarning lines
         assert err == ("error: MalformedArtifact: feature slots [5] of the training "
                        "inputs have a mean or std that is not finite\n")
+        assert trainings == []
         assert not any((tmp_path / name).exists() for name in ("m.json", "t.csv", "s.csv"))
+
+    def test_overflow_in_a_later_fold_exits_before_fold_0(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # one 1e308 among small values overflows the std of each train set
+        # that holds it; this row is in no train set of fold 0's
+        corpus = synthetic_feature_corpus([(0,), (5,)], samples_per_class=10)
+        row = np.setdiff1d(np.arange(20), plan_folds(corpus, seed=0)[0].train_ids)[0]
+        corpus.samples[row, 5] = 1e308
+        cache = tmp_path / "huge.csv"
+        write_feature_cache(corpus, cache)
+        trainings = self.count_trainings(monkeypatch)
+        assert main(["train", "--cache", str(cache), "--model", str(tmp_path / "m.json"),
+                     "--seed", "0", "--max-epochs", "20"]) == 2
+        assert capsys.readouterr().err.startswith("error: MalformedArtifact: feature slots [5]")
+        assert trainings == []
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("command", ["train", "select"])
     def test_small_class_warning_is_one_line(self, tmp_path, command, capsys):

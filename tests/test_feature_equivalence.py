@@ -31,7 +31,9 @@ def assert_matches_reference(clip, window=512, hop=256):
 @st.composite
 def clips(draw):
     """(clip, window, hop): edge-case lengths and degenerate signals."""
-    window = draw(st.sampled_from([256, 512, 1024]))
+    # at 8192 a hop of 4096 or 8192 lets a lag fit an envelope of 2 or 3
+    # values, which the fewer-than-4 rule gives no beat
+    window = draw(st.sampled_from([256, 512, 1024, 8192]))
     hop = draw(st.sampled_from([window // 4, window // 2, window]))
     n = draw(st.one_of(
         st.sampled_from([1, window - 1, window, window + hop - 1,
@@ -68,3 +70,12 @@ def test_matches_per_frame_reference(case):
 ], ids=["tone440", "clean_tone1760", "noise", "short_noise", "constant_dc"])
 def test_matches_reference_on_fixture_clips(make):
     assert_matches_reference(make(np.random.default_rng(0)))
+
+
+def test_three_frame_envelope_carries_no_beat():
+    # at window 8192 and hop 4096 (0.19 s) lag 2 fits a 3-frame envelope, and
+    # a quiet, loud, quiet one would give it a positive bin; like the
+    # reference, the extractor gives fewer than 4 values no beat
+    x = np.random.default_rng(0).uniform(-1, 1, 16384)
+    x *= np.repeat([0.1, 1.0, 1.0, 0.1], 4096)
+    assert_matches_reference(AudioClip(x, RATE), 8192, 4096)
