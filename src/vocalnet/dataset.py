@@ -141,8 +141,8 @@ def write_feature_cache(corpus: LabeledCorpus, path) -> None:
 
 def read_feature_cache(path) -> LabeledCorpus:
     """Rebuild a corpus from a feature cache CSV. A header other than
-    clip_path,label and the 28 slot names, or a row that is not a path, a
-    label and 28 finite numbers, raises MalformedArtifact."""
+    clip_path,label and the 28 slot names, or a row that is not a non-empty
+    path, a non-empty label and 28 finite numbers, raises MalformedArtifact."""
     lines = read_csv_rows(path)
     number, header = lines[0] if lines else (1, [])
     if header != ["clip_path", "label", *FEATURE_NAMES]:
@@ -154,6 +154,8 @@ def read_feature_cache(path) -> LabeledCorpus:
             values = FeatureVector([float(v) for v in row[2:]]).values
             if not np.isfinite(values).all():
                 raise ValueError("non-finite value")
+            if not (row[0] and row[1]):
+                raise ValueError("empty clip path or label")
         except ValueError as exc:
             raise MalformedArtifact(f"{path}: row {number}: {exc}") from None
         paths.append(row[0])

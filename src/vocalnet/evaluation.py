@@ -159,11 +159,14 @@ def render_report_text(report: EvalReport) -> str:
     Correct column and overall error/accuracy footer rows."""
     names = report.matrix.class_names
     counts = report.matrix.counts
-    label_width = max(len(n) for n in names) + 2
-    cell = max(6, max(len(str(int(c))) for c in counts.flat) + 2)
+    false_positives = [c.false_positives for c in report.per_class]
+    label_width = max(len(n) for n in [*names, "False positives"]) + 2
+    # wide enough for every count and every whole class name, a space apart
+    cell = max(6, max(len(str(int(c))) for c in [*counts.flat, *false_positives]) + 2,
+               max(len(n) for n in names) + 1)
 
     lines = []
-    header = " " * label_width + "".join(f"{n[:cell-1]:>{cell}}" for n in names)
+    header = " " * label_width + "".join(f"{n:>{cell}}" for n in names)
     header += f"{'Correct':>{cell + 4}}"
     lines.append(header)
     for i, name in enumerate(names):
@@ -173,7 +176,7 @@ def render_report_text(report: EvalReport) -> str:
         row += f"{counts[i, i]:>{cell + 4}}"
         lines.append(row)
     fp_row = f"{'False positives':<{label_width}}"
-    fp_row += "".join(f"{c.false_positives:>{cell}}" for c in report.per_class)
+    fp_row += "".join(f"{fp:>{cell}}" for fp in false_positives)
     fp_row += f"{int(np.trace(counts)):>{cell + 4}}"
     lines.append(fp_row)
     lines.append(f"Overall error rate (%): {report.overall_error_rate:.2f}")

@@ -277,16 +277,6 @@ def mfcc(magnitudes: np.ndarray, mel_bank: np.ndarray) -> np.ndarray:
     return np.matmul(basis, log_energies[:, :, None])[:, :, 0]
 
 
-def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dot product of each row of u with the same row of v.
-
-    A stacked (1, n) @ (n, 1) matmul runs one BLAS dot per row, so every row
-    sums in the same order as np.dot on that row alone. Rows must have a
-    positive stride; a reversed view takes another path and must be copied.
-    """
-    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
-
-
 def lpc(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forward linear predictor coefficients of each frame via Levinson-Durbin.
 
@@ -297,12 +287,13 @@ def lpc(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     positive.
 
     The steps share buffers made once per call. Every dot stays one BLAS
-    ddot per frame (_row_dot), since no elementwise numpy form rounds as it
-    does: on the at most 9 values of a step's dot, OpenBLAS's ddot is one
-    sequential fused multiply-add chain (on x86-64 it matched an exact FMA
-    emulation in 300 of 300 random trials for each length 1-9, where a numpy
-    multiply then add matched in 146-231), and Python before 3.13 has no
-    math.fma.
+    ddot per frame (np.vecdot runs ddot on each row, as np.dot on that row
+    alone does, where the rows have a positive stride), since no elementwise
+    numpy form rounds as it does: on the at most 9 values of a step's dot,
+    OpenBLAS's ddot is one sequential fused multiply-add chain (on x86-64 it
+    matched an exact FMA emulation in 300 of 300 random trials for each
+    length 1-9, where a numpy multiply then add matched in 146-231), and
+    Python before 3.13 has no math.fma.
     """
     order = LPC_ORDER
     n_frames, w = frames.shape
@@ -310,10 +301,10 @@ def lpc(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # biased autocorrelation, (F, order + 1)
     r = np.empty((n_frames, order + 1))
     for lag in range(order + 1):
-        r[:, lag] = _row_dot(frames[:, :w - lag], frames[:, lag:])
+        np.vecdot(frames[:, :w - lag], frames[:, lag:], out=r[:, lag])
     r /= w
 
-    # _row_dot needs forward strides. Step i dots a[:, :i] with r[i], ...,
+    # np.vecdot needs forward strides. Step i dots a[:, :i] with r[i], ...,
     # r[1], which is the forward slice reversed_r[:, order - i:order] of the
     # autocorrelation reversed once.
     reversed_r = r[:, ::-1].copy()
@@ -330,8 +321,8 @@ def lpc(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # column i is still all zero, so a spent frame's k is 0
         k = a[:, i]
         if i:
-            np.subtract(r[:, i + 1], _row_dot(a[:, :i], reversed_r[:, order - i:order]),
-                        out=acc)
+            np.vecdot(a[:, :i], reversed_r[:, order - i:order], out=acc)
+            np.subtract(r[:, i + 1], acc, out=acc)
             np.divide(acc, err, out=k, where=live)
             # the reflection updates live rows in place and leaves the others be
             np.multiply(k[:, None], a[:, i - 1::-1], out=reflected[:, :i])

@@ -11,10 +11,12 @@ training, all of them lie in layer order and row-major in one flat `theta`
 array, each starting at an even index; the network's weight matrices are
 views into it, and the momentum `velocity` and the per-sample `grad` have the
 same layout. One momentum step is thus four in-place operations over whole
-buffers. Every other numpy call of a per-sample update is bound to its
-buffers once per training, and the sigmoid's negation is folded into the
-signs the kernel stores (see `_Backprop`), so an update allocates no array
-and makes no call but its float operations.
+buffers. Every numpy call of a per-sample update is bound to its buffers once
+per training, the BLAS products as bound `ndarray.dot` methods, which skip
+`np.dot`'s `__array_function__` dispatcher, and the sigmoid's negation is
+folded into the signs the kernel stores (see `_Backprop`). So an update is
+one loop over one list of calls; it allocates no array and makes no call but
+its float operations. `train` holds one `np.errstate` for the whole training.
 """
 
 from __future__ import annotations
@@ -174,16 +176,17 @@ def classify(net: Network, x: np.ndarray) -> tuple[int, np.ndarray]:
 
 def _zscored_mse(net: Network, z: np.ndarray, targets: np.ndarray) -> float:
     """`_outputs` and np.mean's own steps, with the sigmoid in place: the
-    bits of float(np.mean((_outputs(net, z) - targets) ** 2))."""
+    bits of float(np.mean((_outputs(net, z) - targets) ** 2)). exp may
+    overflow (see sigmoid); the caller holds the errstate that mutes it,
+    `train` one for the whole training and `mse` its own."""
     a = z
-    with np.errstate(over="ignore"):  # see sigmoid
-        for w in net.weights:
-            a = a @ w[1:]
-            a += w[0]
-            np.negative(a, a)
-            np.exp(a, a)
-            a += 1.0
-            np.divide(1.0, a, a)
+    for w in net.weights:
+        a = a @ w[1:]
+        a += w[0]
+        np.negative(a, a)
+        np.exp(a, a)
+        a += 1.0
+        np.divide(1.0, a, a)
     a -= targets
     np.square(a, a)
     return float(np.add.reduce(a, axis=None) / a.size)
@@ -191,7 +194,8 @@ def _zscored_mse(net: Network, z: np.ndarray, targets: np.ndarray) -> float:
 
 def mse(net: Network, inputs: np.ndarray, targets: np.ndarray) -> float:
     """Mean over samples and outputs of the squared output error."""
-    return _zscored_mse(net, _zscore(net, _check_input(net, inputs)), targets)
+    with np.errstate(over="ignore"):  # see sigmoid
+        return _zscored_mse(net, _zscore(net, _check_input(net, inputs)), targets)
 
 
 class _Backprop:
@@ -200,10 +204,16 @@ class _Backprop:
     Built once per training run from a network and its z-scored inputs; every
     buffer an update touches is allocated here, and every numpy call of an
     update is bound to its buffers here as (function, args), so a step allocates
-    nothing and looks nothing up. `rows` holds, per sample, the arguments of
-    the three calls that read the sample: layer 0's dot, the target
-    subtraction and layer 0's outer product. `forward` and `backward` hold
-    the calls between them, shared by every sample.
+    nothing and looks nothing up. `rows` holds, per sample, the whole update
+    as one list of calls: the three that read the sample (layer 0's dot, the
+    target subtraction and layer 0's outer product) in their places among
+    the forward and backward calls every sample shares, then the four
+    momentum operations, whose 0-d operands `learning_rate` and `momentum`
+    the caller fills. The lists share the (function, args) tuples; they do
+    not copy them. Each BLAS product is bound as (left.dot, (right, out)):
+    ndarray.dot runs the C routine np.dot runs, without np.dot's Python-level
+    `__array_function__` dispatcher, so it has np.dot's bits at about half
+    the cost of a call on these small operands.
 
     Each step applies the float operations of the per-layer textbook update
     in the same order, with one change of sign: every activation vector,
@@ -253,53 +263,46 @@ class _Backprop:
         scratch = [np.empty(t) for _, t in shapes]  # for +-(1 - activation)
         # 0-d arrays: numpy converts a Python float operand on every call
         one, minus_one = np.array(1.0), np.array(-1.0)
+        self.learning_rate, self.momentum = np.zeros(()), np.zeros(())
         out, d = outs[-1][1:], deltas[-1]
         negated_targets = -np.asarray(targets, dtype=np.float64)
-        self.rows = [((row[1:], self.weights[0][1:], outs[0][1:]),
-                      (target, out, d),
-                      (row[:, None], deltas[0][None], grads[0]))
-                     for row, target in zip(rows, negated_targets)]
-        self.forward = []
+        forward = []
         for i, (w, a) in enumerate(zip(self.weights, outs)):
             a = a[1:]
             if i:
-                self.forward.append((np.dot, (outs[i - 1][1:], w[1:], a)))
-            self.forward += [(np.subtract, (a, w[0], a)), (np.exp, (a, a)),
-                             (np.add, (a, one, a)), (np.divide, (minus_one, a, a))]
+                forward.append((outs[i - 1][1:].dot, (w[1:], a)))
+            forward += [(np.subtract, (a, w[0], a)), (np.exp, (a, a)),
+                        (np.add, (a, one, a)), (np.divide, (minus_one, a, a))]
         # the output delta's factors past the target subtraction; then, for
         # each layer above the first, last first, its gradient and the delta
         # it carries to the layer below
-        self.backward = [(np.multiply, (d, np.array(2.0 / net.spec.n), d)),
-                         (np.multiply, (d, out, d)),
-                         (np.add, (one, out, scratch[-1])),
-                         (np.multiply, (d, scratch[-1], d))]
+        backward = [(np.multiply, (d, np.array(2.0 / net.spec.n), d)),
+                    (np.multiply, (d, out, d)),
+                    (np.add, (one, out, scratch[-1])),
+                    (np.multiply, (d, scratch[-1], d))]
         for i in range(len(shapes) - 1, 0, -1):
             below, h, s = deltas[i - 1], outs[i - 1][1:], scratch[i - 1]
-            self.backward += [
-                (np.dot, (outs[i - 1][:, None], deltas[i][None], grads[i])),
-                (np.dot, (self.weights[i][1:], deltas[i], below)),
-                (np.multiply, (below, h, below)),
-                (np.subtract, (minus_one, h, s)),
-                (np.multiply, (below, s, below))]
+            backward += [(outs[i - 1][:, None].dot, (deltas[i][None], grads[i])),
+                         (self.weights[i][1:].dot, (deltas[i], below)),
+                         (np.multiply, (below, h, below)),
+                         (np.subtract, (minus_one, h, s)),
+                         (np.multiply, (below, s, below))]
+        v, g, theta = self.velocity, self.grad, self.theta
+        self.momentum_step = [(np.multiply, (v, self.momentum, v)),
+                              (np.multiply, (g, self.learning_rate, g)),
+                              (np.subtract, (v, g, v)), (np.add, (theta, v, theta))]
+        self.rows = [[(row[1:].dot, (self.weights[0][1:], outs[0][1:])), *forward,
+                      (np.subtract, (target, out, d)), *backward,
+                      (row[:, None].dot, (deltas[0][None], grads[0])),
+                      *self.momentum_step]
+                     for row, target in zip(rows, negated_targets)]
 
     def backprop(self, idx: int) -> None:
-        """Gradient of sample idx's loss mean_outputs((o - t)^2) into grad."""
-        first_dot, error, first_outer = self.rows[idx]
-        np.dot(*first_dot)
-        for call, args in self.forward:
+        """Gradient of sample idx's loss mean_outputs((o - t)^2) into grad:
+        sample idx's update without its momentum step. exp may overflow
+        (see sigmoid); the caller holds the errstate that mutes it."""
+        for call, args in self.rows[idx][:-len(self.momentum_step)]:
             call(*args)
-        np.subtract(*error)
-        for call, args in self.backward:
-            call(*args)
-        np.dot(*first_outer)
-
-    def step(self, idx: int, learning_rate: np.ndarray, momentum: np.ndarray) -> None:
-        """One momentum update of theta on sample idx."""
-        self.backprop(idx)
-        self.velocity *= momentum
-        self.grad *= learning_rate
-        self.velocity -= self.grad
-        self.theta += self.velocity
 
 
 def _layer_views(flat: np.ndarray, shapes: list[tuple[int, int]]) -> list[np.ndarray]:
@@ -319,12 +322,13 @@ def train_epoch(net: Network, inputs: np.ndarray, targets: np.ndarray,
                 kernel: _Backprop) -> float:
     """One shuffled pass of per-sample updates with momentum; returns train MSE
     after the pass. kernel holds these inputs z-scored and the buffers net's
-    weights view; the pass updates them in place."""
-    learning_rate, momentum = np.array(config.learning_rate), np.array(config.momentum)
-    step = kernel.step
-    with np.errstate(over="ignore"):
-        for idx in rng.permutation(len(inputs)).tolist():
-            step(idx, learning_rate, momentum)
+    weights view; the pass updates them in place. exp may overflow (see
+    sigmoid); the caller holds the errstate that mutes it, as `train` does."""
+    kernel.learning_rate[()], kernel.momentum[()] = config.learning_rate, config.momentum
+    rows = kernel.rows
+    for idx in rng.permutation(len(inputs)).tolist():
+        for call, args in rows[idx]:
+            call(*args)
     return _zscored_mse(net, kernel.z, targets)
 
 
@@ -340,7 +344,9 @@ def train(net: Network, train_inputs: np.ndarray, train_targets: np.ndarray,
     """Back-propagation training with the three stopping rules plus an epoch cap.
 
     When stopping on test-set worsening, the snapshot taken at the best test
-    MSE is returned instead of the final weights.
+    MSE is returned instead of the final weights. One errstate, held around
+    the whole training, mutes exp's overflow (see sigmoid) in every update
+    and every MSE.
     """
     if len(train_inputs) == 0 or len(test_inputs) == 0:
         raise EmptySet("train and test sets must be non-empty")
@@ -357,37 +363,38 @@ def train(net: Network, train_inputs: np.ndarray, train_targets: np.ndarray,
     best_theta = kernel.theta.copy()
     worsening = 0
     train_history: list[float] = []
-    train_mse = _zscored_mse(net, kernel.z, train_targets)
-    test_mse = _zscored_mse(net, test_z, test_targets)
-
-    epoch = 0
-    stop_reason = "EpochCap"
-    for epoch in range(1, config.max_epochs + 1):
-        train_mse = train_epoch(net, train_inputs, train_targets, config,
-                                rng, kernel)
+    with np.errstate(over="ignore"):  # every exp of the training; see sigmoid
+        train_mse = _zscored_mse(net, kernel.z, train_targets)
         test_mse = _zscored_mse(net, test_z, test_targets)
-        train_history.append(train_mse)
 
-        if test_mse < best_test:
-            best_test = test_mse
-            np.copyto(best_theta, kernel.theta)
-            worsening = 0
-        else:
-            worsening += 1
+        epoch = 0
+        stop_reason = "EpochCap"
+        for epoch in range(1, config.max_epochs + 1):
+            train_mse = train_epoch(net, train_inputs, train_targets, config,
+                                    rng, kernel)
+            test_mse = _zscored_mse(net, test_z, test_targets)
+            train_history.append(train_mse)
 
-        if train_mse < TRAIN_MSE_TARGET:
-            stop_reason = "TargetReached"
-            break
-        if (len(train_history) >= STALL_WINDOW + 1
-                and train_history[-STALL_WINDOW - 1] - train_mse < STALL_THRESHOLD):
-            stop_reason = "TrainStalled"
-            break
-        if worsening >= config.test_patience:
-            stop_reason = "TestWorsening"
-            np.copyto(kernel.theta, best_theta)
-            test_mse = best_test
-            train_mse = _zscored_mse(net, kernel.z, train_targets)
-            break
+            if test_mse < best_test:
+                best_test = test_mse
+                np.copyto(best_theta, kernel.theta)
+                worsening = 0
+            else:
+                worsening += 1
+
+            if train_mse < TRAIN_MSE_TARGET:
+                stop_reason = "TargetReached"
+                break
+            if (len(train_history) >= STALL_WINDOW + 1
+                    and train_history[-STALL_WINDOW - 1] - train_mse < STALL_THRESHOLD):
+                stop_reason = "TrainStalled"
+                break
+            if worsening >= config.test_patience:
+                stop_reason = "TestWorsening"
+                np.copyto(kernel.theta, best_theta)
+                test_mse = best_test
+                train_mse = _zscored_mse(net, kernel.z, train_targets)
+                break
 
     return net, TrainingState(epoch=epoch, train_mse=train_mse,
                               test_mse=test_mse, stop_reason=stop_reason)

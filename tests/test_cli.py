@@ -301,7 +301,9 @@ class TestTrain:
         (2, lambda cells: cells[:5] + ["nan"] + cells[6:]),
         (3, lambda cells: cells[:-1] + ["inf"]),
         (1, lambda cells: cells[:2] + ["slot_x"] + cells[3:]),
-    ], ids=["nan", "inf", "renamed-slot"])
+        (2, lambda cells: cells[:1] + [""] + cells[2:]),
+        (3, lambda cells: [""] + cells[1:]),
+    ], ids=["nan", "inf", "renamed-slot", "empty-label", "empty-path"])
     def test_bad_cache_exits_2(self, cache_path, tmp_path, capsys, line, edit):
         lines = cache_path.read_text().splitlines()
         lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,24 @@ class TestRendering:
         assert "Overall error rate (%): 5.56" in text
         assert "Correct" in text
         assert "PASS" in text
+
+    def test_text_report_keeps_whole_names_in_aligned_columns(self):
+        # names longer than a count's cell; tone_high and tone_low share
+        # their first five letters, the width of a cell for small counts
+        names = ["chirp", "pulsed", "tone_high", "tone_low", "_pseudo"]
+        counts = np.diag([3, 2, 12, 1, 0])
+        counts[4, 2], counts[1, 3] = 2, 1
+        text = render_report_text(summarize(ConfusionMatrix(counts=counts,
+                                                            class_names=names)))
+        header, *rows = text.splitlines()[:len(names) + 2]
+        assert header.split() == [*names, "Correct"]
+        label_width = len(header) - len(header.lstrip())
+
+        def cell_ends(line):
+            return [m.end() for m in re.finditer(r"\S+", line[label_width:])]
+
+        assert [row[:label_width].strip() for row in rows] == [*names, "False positives"]
+        assert all(cell_ends(row) == cell_ends(header) for row in rows)
 
     def test_csv_report(self):
         csv_text = render_report_csv(summarize(dog_table_matrix()))

@@ -196,6 +196,27 @@ class TestTrain:
             assert state.test_mse == pytest.approx(
                 mse(trained, test_inputs, shuffled))
 
+    def test_one_errstate_mutes_every_exp_of_the_training(self):
+        # weights x1000 saturate every sigmoid, so exp overflows in the
+        # updates, in each epoch's MSEs and in the train MSE after the
+        # TestWorsening restore; train's own errstate must cover them all,
+        # and hand the caller's setting back
+        rng = np.random.default_rng(8)
+        inputs, test_inputs = rng.standard_normal((12, 4)), rng.standard_normal((6, 4))
+        targets = one_hot(rng.integers(0, 3, 12), 3)
+        test_targets = one_hot(rng.integers(0, 3, 6), 3)
+        net = init_network(NetworkSpec(4, 5, 2, 3), seed=8)
+        net.weights = [w * 1000.0 for w in net.weights]
+        probe = net.copy()
+        mlp.fit_input_norm(probe, inputs)
+        first = probe.weights[0][0] + mlp._zscore(probe, inputs) @ probe.weights[0][1:]
+        assert (-first > np.log(np.finfo(np.float64).max)).any()  # exp(-first) overflows
+        config = TrainingConfig(max_epochs=50, test_patience=2, seed=8)
+        with np.errstate(over="raise"):
+            _, state = train(net, inputs, targets, test_inputs, test_targets, config)
+            assert np.geterr()["over"] == "raise"
+        assert state.stop_reason == "TestWorsening"
+
     def test_zero_epochs_returns_initial(self):
         net = init_network(NetworkSpec(2, 2, 1, 2), seed=0)
         config = TrainingConfig(max_epochs=0, seed=0)
