@@ -173,6 +173,7 @@ def cmd_train(args) -> int:
     if args.report:
         _write_report(evaluation.summarize(run.summary.summed_matrix), args.report)
         evaluation.write_feature_summary(evaluation.feature_summary(corpus),
+                                         corpus.class_names,
                                          args.report + ".features.csv")
     return 0
 

@@ -30,10 +30,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    @property
-    def n(self) -> int:
-        return len(self.class_names)
-
 
 @dataclass
 class ClassReport:
@@ -113,44 +109,34 @@ def cross_fold_report(reports: list[EvalReport]) -> FoldSummary:
                        summed_matrix=summed)
 
 
-def _quartiles(values: np.ndarray) -> tuple[float, float, float, float, float]:
-    """Five-number summary with median-exclusive quartiles."""
-    v = np.sort(np.asarray(values, dtype=np.float64))
+def _quartiles(rows: np.ndarray) -> np.ndarray:
+    """Five-number summary of each column, with median-exclusive quartiles:
+    (5, columns) rows of min, q1, median, q3 and max."""
+    v = np.sort(rows, axis=0)
     n = len(v)
 
     def median(a):
-        k = len(a)
-        mid = k // 2
-        return float(a[mid]) if k % 2 else float((a[mid - 1] + a[mid]) / 2)
+        mid = len(a) // 2
+        return a[mid] if len(a) % 2 else (a[mid - 1] + a[mid]) / 2
 
-    med = median(v)
-    if n == 1:
-        return float(v[0]), float(v[0]), med, float(v[0]), float(v[0])
-    half = n // 2
-    lower, upper = v[:half], v[n - half:]
-    return float(v[0]), median(lower), med, median(upper), float(v[-1])
+    half = n // 2 or 1  # one value is its own lower and upper half
+    return np.array([v[0], median(v[:half]), median(v), median(v[n - half:]), v[-1]])
 
 
-def feature_summary(corpus: LabeledCorpus) -> dict[str, dict[str, tuple]]:
-    """Per class, the five-number summary of every feature slot.
-
-    Returned as {class_name: {slot_name: (min, q1, median, q3, max)}}; feeds
-    the CSV emitter below.
-    """
-    out: dict[str, dict[str, tuple]] = {}
-    for cls, name in enumerate(corpus.class_names):
-        rows = corpus.samples[corpus.labels == cls]
-        out[name] = {slot_name: _quartiles(rows[:, i])
-                     for i, slot_name in enumerate(FEATURE_NAMES)}
-    return out
+def feature_summary(corpus: LabeledCorpus) -> np.ndarray:
+    """Per class, the five-number summary of every feature slot: a (classes,
+    28, 5) array of (min, q1, median, q3, max), classes in corpus order; feeds
+    the CSV emitter below."""
+    return np.stack([_quartiles(corpus.samples[corpus.labels == cls]).T
+                     for cls in range(corpus.n_classes)])
 
 
-def write_feature_summary(summary: dict[str, dict[str, tuple]], path) -> None:
+def write_feature_summary(summary: np.ndarray, class_names: list[str], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["class", "slot", "min", "q1", "median", "q3", "max"])
-        for cls, slots in summary.items():
-            for slot, stats in slots.items():
+        for cls, slots in zip(class_names, summary):
+            for slot, stats in zip(FEATURE_NAMES, slots):
                 writer.writerow([cls, slot, *(repr(float(s)) for s in stats)])
 
 

@@ -1,11 +1,14 @@
 """The 28 quantified spectral properties of a vocalization clip.
 
-Fourteen feature families are measured (most per analysis window, a few per
-macro-window of the rms envelope) and each contributes its overall mean and
-population standard deviation, giving a fixed 28-slot vector per clip.
+Fourteen feature families are measured and each contributes its overall
+mean and population standard deviation, giving a fixed 28-slot vector per
+clip. The ten FRAME_FAMILIES take one value per analysis window, as the rows
+of one (10, F) table; the four CLIP_LEVEL_FAMILIES take one per macro-window
+of the rms envelope, as the rows of a (4, M) table. aggregate_clip reduces
+both tables row by row into the slots.
 
 extract_features runs the per-frame stages over BLOCK_FRAMES = 256 frames at
-a time and writes each family into its slice of one (F,) series, so however
+a time and writes each family into its slice of its table row, so however
 long a clip runs, its working memory is its decoded samples, one block and a
 few dozen values per frame. At 512-sample windows a block's windowed frames
 and its complex spectrum are about 1 MB each, and spectral shape's two
@@ -61,9 +64,14 @@ FEATURE_FAMILIES = (
     "spectral_variability",
 )
 
-# the columns of clip_level_features, one row per macro-window of the envelope
+# the rows of clip_level_features' table, one value per macro-window of the
+# envelope; the other families are the rows of extract_features' per-frame table
 CLIP_LEVEL_FAMILIES = ("low_energy_fraction", "beat_sum", "strongest_beat",
                        "strongest_beat_strength")
+FRAME_FAMILIES = tuple(f for f in FEATURE_FAMILIES if f not in CLIP_LEVEL_FAMILIES)
+# each table row's family index in FEATURE_FAMILIES, its pair of slots
+_FRAME_SLOTS = [FEATURE_FAMILIES.index(f) for f in FRAME_FAMILIES]
+_CLIP_SLOTS = [FEATURE_FAMILIES.index(f) for f in CLIP_LEVEL_FAMILIES]
 
 FEATURE_NAMES = tuple(f"{family}_{stat}"
                       for family in FEATURE_FAMILIES
@@ -336,24 +344,21 @@ def lpc(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, r[:, 0] == 0.0
 
 
-def fraction_low_energy(frame_rms_series: np.ndarray) -> float:
+def fraction_low_energy(series: np.ndarray) -> float:
     """Fraction of frames whose rms is strictly below the series mean."""
-    series = np.asarray(frame_rms_series, dtype=np.float64)
     # np.mean twice without its wrapper: a sum over the length, and a count
     # of bools, which np.mean sums exactly as floats
     mean = np.add.reduce(series) / len(series)
     return np.count_nonzero(series < mean) / len(series)
 
 
-def beat_features(frame_rms_series: np.ndarray,
-                  hop_seconds: float) -> tuple[float, float, float]:
+def beat_features(series: np.ndarray, hop_seconds: float) -> tuple[float, float, float]:
     """Beat histogram over 40-200 BPM from the rms envelope autocorrelation.
 
     Returns (beat_sum, strongest_beat_bpm, strongest_beat_strength); when the
     envelope is flat, or has fewer than 4 values and so is too short to carry
     a beat, all three are 0 by convention.
     """
-    series = np.asarray(frame_rms_series, dtype=np.float64)
     if len(series) < 4:
         return 0.0, 0.0, 0.0
     e = series - np.add.reduce(series) / len(series)  # series.mean()
@@ -377,42 +382,39 @@ def beat_features(frame_rms_series: np.ndarray,
     return beat_sum, bpm, strength
 
 
-def clip_level_features(frame_rms_series: np.ndarray, hop_seconds: float) -> np.ndarray:
+def clip_level_features(rms: np.ndarray, hop_seconds: float) -> np.ndarray:
     """Envelope features per MACRO_WINDOW_FRAMES-frame window of the rms series.
 
-    One row per macro-window, one column per CLIP_LEVEL_FAMILIES entry.
+    A C-contiguous (4, M) table: one row per CLIP_LEVEL_FAMILIES entry, one
+    column per macro-window.
     """
-    series = np.asarray(frame_rms_series, dtype=np.float64)
-    rows = []
-    for start in range(0, len(series), MACRO_WINDOW_FRAMES):
-        chunk = series[start:start + MACRO_WINDOW_FRAMES]
-        rows.append((fraction_low_energy(chunk), *beat_features(chunk, hop_seconds)))
-    return np.array(rows).reshape(-1, len(CLIP_LEVEL_FAMILIES))
+    table = np.empty((len(CLIP_LEVEL_FAMILIES), -(-len(rms) // MACRO_WINDOW_FRAMES)))
+    for column, start in enumerate(range(0, len(rms), MACRO_WINDOW_FRAMES)):
+        chunk = rms[start:start + MACRO_WINDOW_FRAMES]
+        table[:, column] = (fraction_low_energy(chunk), *beat_features(chunk, hop_seconds))
+    return table
 
 
-def aggregate_clip(series: dict[str, np.ndarray]) -> FeatureVector:
-    """Pack each family's series into the 28-slot vector.
+def aggregate_clip(frame_table: np.ndarray, clip_table: np.ndarray) -> FeatureVector:
+    """Reduce both tables to the 28-slot vector.
 
-    `series` maps every name in FEATURE_FAMILIES to one value per frame (or
-    per macro-window for the clip-level families); frame_clip yields at least
-    one frame, so every series has a value. Stds are population stds,
-    so a single frame or macro-window gives 0 in every std slot. Series of
-    one length are stacked and reduced together, a row at a time in the order
-    np.mean and np.std take one series alone.
+    frame_table is (10, F), one row per FRAME_FAMILIES entry, and clip_table
+    (4, M), one row per CLIP_LEVEL_FAMILIES entry; frame_clip yields at least
+    one frame, so both have a column. Stds are population stds, so a single
+    frame or macro-window gives 0 in every std slot. Each row is reduced as
+    np.mean and np.std take it alone, which holds bit for bit only where the
+    table is C-contiguous (rows reduced through a strided view, such as an
+    (M, 4) array's transpose, sum in another order).
     """
-    by_length: dict[int, list[int]] = {}  # series length -> family indices
-    for i, family in enumerate(FEATURE_FAMILIES):
-        by_length.setdefault(len(series[family]), []).append(i)
     values = np.empty((len(FEATURE_FAMILIES), 2))  # (mean, std) per family
-    for n, rows in by_length.items():
-        stacked = np.array([series[FEATURE_FAMILIES[i]] for i in rows],
-                           dtype=np.float64)
+    for slots, table in ((_FRAME_SLOTS, frame_table), (_CLIP_SLOTS, clip_table)):
         # np.mean and np.std's own steps, without their Python wrappers
-        mean = np.add.reduce(stacked, axis=1) / n
-        values[rows, 0] = mean
-        np.subtract(stacked, mean[:, None], out=stacked)
-        np.square(stacked, out=stacked)
-        values[rows, 1] = np.sqrt(np.add.reduce(stacked, axis=1) / n)
+        n = table.shape[1]
+        mean = np.add.reduce(table, axis=1) / n
+        values[slots, 0] = mean
+        deviation = np.subtract(table, mean[:, None])
+        np.square(deviation, out=deviation)
+        values[slots, 1] = np.sqrt(np.add.reduce(deviation, axis=1) / n)
     return FeatureVector(values=values.ravel())
 
 
@@ -421,13 +423,14 @@ def extract_features(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
     """Full per-clip extraction: frame, analyze block by block, aggregate.
 
     The per-frame stages run on BLOCK_FRAMES (256) frames of the copy-free
-    frame view at a time and write into (F,) series, so working memory is one
-    block's stage arrays however long the clip: about 1 MB each for a block's
-    windowed frames and complex spectrum (128-frame blocks measured slower).
-    Each stage is row-independent and a block's first flux value is taken
-    against the previous block's last spectrum, so the series are those of
-    one pass over every frame, bit for bit; a clip of at most 256 frames is
-    one block. LPC keeps one pass over all frames: its arrays are (F, order).
+    frame view at a time and write into the rows of one (10, F) table, so
+    working memory is one block's stage arrays however long the clip: about
+    1 MB each for a block's windowed frames and complex spectrum (128-frame
+    blocks measured slower). Each stage is row-independent and a block's
+    first flux value is taken against the previous block's last spectrum, so
+    the rows are those of one pass over every frame, bit for bit; a clip of
+    at most 256 frames is one block. LPC keeps one pass over all frames: its
+    arrays are (F, order).
 
     Vector families (mfcc, moments, lpc) are first collapsed to the mean of
     their coefficients per frame.
@@ -440,8 +443,9 @@ def extract_features(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
     frames = frame_clip(clip, window_size, hop_size)
     bin_hz = clip.sample_rate / window_size
     mel_bank = mel_filter_bank(clip.sample_rate, window_size)
+    frame_table = np.empty((len(FRAME_FAMILIES), len(frames)))  # rows in that order
     (coeffs_mean, zero_crossings, rms, flux, rolloff, compactness, moments_mean,
-     centroid, variability) = np.empty((9, len(frames)))
+     lpc_mean, centroid, variability) = frame_table
     for start in range(0, len(frames), BLOCK_FRAMES):
         block = frames[start:start + BLOCK_FRAMES]
         rows = slice(start, start + len(block))
@@ -458,19 +462,7 @@ def extract_features(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
             np.add.reduce(coefficients, axis=1, out=means)
             means /= coefficients.shape[1]
     predictor, _ = lpc(frames)
-    clip_level = clip_level_features(rms, hop_size / clip.sample_rate)
-
-    series = {
-        "mfcc": coeffs_mean,
-        "zero_crossings": zero_crossings,
-        "rms": rms,
-        "spectral_flux": flux,
-        "spectral_rolloff": rolloff,
-        "compactness": compactness,
-        "moments": moments_mean,
-        "lpc": np.add.reduce(predictor, axis=1) / LPC_ORDER,
-        "spectral_centroid": centroid,
-        "spectral_variability": variability,
-        **dict(zip(CLIP_LEVEL_FAMILIES, clip_level.T)),
-    }
-    return aggregate_clip(series)
+    np.add.reduce(predictor, axis=1, out=lpc_mean)
+    lpc_mean /= LPC_ORDER
+    return aggregate_clip(frame_table,
+                          clip_level_features(rms, hop_size / clip.sample_rate))

@@ -155,9 +155,17 @@ def _zscore(net: Network, x: np.ndarray) -> np.ndarray:
 
 
 def _outputs(net: Network, a: np.ndarray) -> np.ndarray:
-    """Output activations for z-scored inputs a."""
+    """Output activations for z-scored inputs a: per layer, the bits of
+    sigmoid(w[0] + a @ w[1:]), its steps run in place on the layer's fresh
+    product. exp may overflow (see sigmoid); the caller holds the errstate
+    that mutes it."""
     for w in net.weights:
-        a = sigmoid(w[0] + a @ w[1:])
+        a = a @ w[1:]
+        a += w[0]
+        np.negative(a, a)
+        np.exp(a, a)
+        a += 1.0
+        np.divide(1.0, a, a)
     return a
 
 
@@ -165,7 +173,8 @@ def forward(net: Network, x: np.ndarray) -> np.ndarray:
     """Output activations for one input vector, all in (0, 1). A stack of
     vectors, each alone on its second-to-last axis as (N, 1, j), gets each
     vector's own activations bit for bit."""
-    return _outputs(net, _zscore(net, _check_input(net, x)))
+    with np.errstate(over="ignore"):  # see sigmoid
+        return _outputs(net, _zscore(net, _check_input(net, x)))
 
 
 def classify(net: Network, x: np.ndarray) -> tuple[int, np.ndarray]:
@@ -175,18 +184,11 @@ def classify(net: Network, x: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def _zscored_mse(net: Network, z: np.ndarray, targets: np.ndarray) -> float:
-    """`_outputs` and np.mean's own steps, with the sigmoid in place: the
-    bits of float(np.mean((_outputs(net, z) - targets) ** 2)). exp may
-    overflow (see sigmoid); the caller holds the errstate that mutes it,
-    `train` one for the whole training and `mse` its own."""
-    a = z
-    for w in net.weights:
-        a = a @ w[1:]
-        a += w[0]
-        np.negative(a, a)
-        np.exp(a, a)
-        a += 1.0
-        np.divide(1.0, a, a)
+    """`_outputs`, then np.mean's own steps in place: the bits of
+    float(np.mean((_outputs(net, z) - targets) ** 2)). exp may overflow (see
+    sigmoid); the caller holds the errstate that mutes it, `train` one for
+    the whole training and `mse` its own."""
+    a = _outputs(net, z)
     a -= targets
     np.square(a, a)
     return float(np.add.reduce(a, axis=None) / a.size)

@@ -133,13 +133,19 @@ def write_subset(trace: SelectionTrace, path) -> None:
 
 
 def read_subset(path) -> list[int]:
-    """Slot indices from a write_subset file; a slot that is not an integer
-    in 0..27, a repeated slot or no slot at all raises MalformedArtifact."""
-    rows = read_csv_rows(path)[1:]  # after the header
-    try:
-        slots = [int(row[0]) for _, row in rows]
-    except ValueError as exc:
-        raise MalformedArtifact(f"{path}: {exc}") from None
-    if not 0 < len(slots) == len(set(slots) & set(range(len(FEATURE_NAMES)))):
-        raise MalformedArtifact(f"{path}: {slots} are not distinct slots in 0..27")
+    """Slot indices from a write_subset file: the header `slot,slot_name`,
+    then one `slot,FEATURE_NAMES[slot]` row per slot. Any other header or
+    row, a repeated slot or no slot at all raises MalformedArtifact."""
+    rows = read_csv_rows(path)
+    if not rows or rows[0][1] != ["slot", "slot_name"]:
+        raise MalformedArtifact(f"{path}: the header is not slot,slot_name")
+    named = [[str(slot), name] for slot, name in enumerate(FEATURE_NAMES)]
+    slots = []
+    for number, row in rows[1:]:
+        if row not in named:
+            raise MalformedArtifact(f"{path}: row {number} is not a slot in 0..27 "
+                                    f"and its name: {','.join(row)}")
+        slots.append(named.index(row))
+    if not 0 < len(slots) == len(set(slots)):
+        raise MalformedArtifact(f"{path}: {slots} are not distinct slots")
     return slots

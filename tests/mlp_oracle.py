@@ -21,12 +21,19 @@ import numpy as np
 from vocalnet.errors import EmptySet
 from vocalnet.mlp import (STALL_THRESHOLD, Network, TrainingConfig,
                           TrainingState, _Backprop, _check_input, _layer_views,
-                          _outputs, _zscore, fit_input_norm, sigmoid)
+                          _zscore, fit_input_norm, sigmoid)
 
 
-# `_zscored_mse` and `mse` as vocalnet.mlp had them before its MSE ran the
-# sigmoid in place, so the MSEs that train reports are checked against code
-# that does not share them.
+# `_outputs`, `_zscored_mse` and `mse` as vocalnet.mlp had them before its
+# batch forward pass ran the sigmoid in place, so the MSEs that train reports
+# are checked against code that does not share them.
+def _outputs(net: Network, a: np.ndarray) -> np.ndarray:
+    """Output activations for z-scored inputs a."""
+    for w in net.weights:
+        a = sigmoid(w[0] + a @ w[1:])
+    return a
+
+
 def _zscored_mse(net: Network, z: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean((_outputs(net, z) - targets) ** 2))
 

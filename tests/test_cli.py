@@ -188,7 +188,7 @@ class TestTrain:
         cls, slot = 2, FEATURE_NAMES.index("spectral_centroid_mean")
         row = rows[1 + cls * len(FEATURE_NAMES) + slot]
         column = corpus.samples[corpus.labels == cls, slot]
-        assert tuple(float(v) for v in row[2:]) == _quartiles(column)
+        assert [float(v) for v in row[2:]] == _quartiles(column[:, None])[:, 0].tolist()
 
     def test_unreadable_cache_exits_2(self, tmp_path):
         assert main(["train", "--cache", str(tmp_path / "nope.csv"),
@@ -288,10 +288,15 @@ class TestTrain:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "m.json").exists()
 
-    @pytest.mark.parametrize("rows", ["abc,x\n", "40,x\n", "3,a\n3,a\n", ""],
-                             ids=["non-integer", "out-of-range", "duplicate", "empty"])
-    def test_bad_subset_exits_2(self, cache_path, tmp_path, capsys, rows):
-        subset = write_text(tmp_path / "subset.csv", "slot,slot_name\n" + rows)
+    @pytest.mark.parametrize("text", [
+        "slot,slot_name\nabc,x\n", "slot,slot_name\n40,x\n",
+        "slot,slot_name\n3,zero_crossings_std\n3,zero_crossings_std\n",
+        "slot,slot_name\n", "3,zero_crossings_std\n5,rms_std\n",
+        "slot,slot_name\n3,lpc_mean\n",
+    ], ids=["non-integer", "out-of-range", "duplicate", "empty", "no-header",
+            "misnamed-slot"])
+    def test_bad_subset_exits_2(self, cache_path, tmp_path, capsys, text):
+        subset = write_text(tmp_path / "subset.csv", text)
         assert main(["train", "--cache", str(cache_path),
                      "--model", str(tmp_path / "m.json"), "--seed", "0",
                      "--subset", subset]) == 2

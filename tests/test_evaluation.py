@@ -137,22 +137,30 @@ class TestCrossFold:
 
 
 class TestFeatureSummary:
+    @staticmethod
+    def quartiles(values):
+        """_quartiles of one column, as a tuple of floats."""
+        return tuple(_quartiles(np.array(values, dtype=float)[:, None])[:, 0].tolist())
+
     def test_hand_quartiles(self):
-        assert _quartiles(np.array([1, 2, 3, 4, 5.0])) == (1.0, 1.5, 3.0, 4.5, 5.0)
+        assert self.quartiles([1, 2, 3, 4, 5]) == (1.0, 1.5, 3.0, 4.5, 5.0)
 
     def test_single_value(self):
-        assert _quartiles(np.array([7.0])) == (7.0, 7.0, 7.0, 7.0, 7.0)
+        assert self.quartiles([7]) == (7.0, 7.0, 7.0, 7.0, 7.0)
 
     def test_even_count(self):
-        assert _quartiles(np.array([1, 2, 3, 4.0])) == (1.0, 1.5, 2.5, 3.5, 4.0)
+        assert self.quartiles([1, 2, 3, 4]) == (1.0, 1.5, 2.5, 3.5, 4.0)
+
+    def test_columns_are_summarized_alone(self):
+        rows = np.array([[5, 1.0], [1, 2.0], [3, 3.0], [2, 4.0], [4, 5.0]])
+        np.testing.assert_array_equal(_quartiles(rows),
+                                      [[1, 1], [1.5, 1.5], [3, 3], [4.5, 4.5], [5, 5]])
 
     def test_per_class_summary_shape(self):
         corpus = synthetic_feature_corpus([(0, 0), (5, 5)], samples_per_class=8)
         summary = feature_summary(corpus)
-        assert set(summary) == {"class_0", "class_1"}
-        assert len(summary["class_0"]) == 28
-        for stats in summary["class_0"].values():
-            lo, q1, med, q3, hi = stats
+        assert summary.shape == (len(corpus.class_names), 28, 5) == (2, 28, 5)
+        for lo, q1, med, q3, hi in summary[0]:
             assert lo <= q1 <= med <= q3 <= hi
 
 

@@ -477,17 +477,19 @@ class TestEnvelopeFeatures:
 
 class TestAggregate:
     @staticmethod
-    def series(*values):
-        return {family: np.array(values, dtype=float)
-                for family in F.FEATURE_FAMILIES}
+    def tables(*values):
+        """Both tables, every family's row holding the given values."""
+        row = np.array(values, dtype=float)
+        return (np.tile(row, (len(F.FRAME_FAMILIES), 1)),
+                np.tile(row, (len(F.CLIP_LEVEL_FAMILIES), 1)))
 
     def test_two_frames_mean_and_population_std(self):
-        fv = F.aggregate_clip(self.series(0.0, 2.0))
+        fv = F.aggregate_clip(*self.tables(0.0, 2.0))
         np.testing.assert_allclose(fv.values[::2], 1.0)  # every mean slot
         np.testing.assert_allclose(fv.values[1::2], 1.0)  # population std
 
     def test_single_frame_zero_stds(self):
-        fv = F.aggregate_clip(self.series(3.0))
+        fv = F.aggregate_clip(*self.tables(3.0))
         np.testing.assert_allclose(fv.values[1::2], 0.0)
 
     def test_mixed_lengths_match_per_family_reductions(self):
@@ -501,7 +503,23 @@ class TestAggregate:
             series["zero_crossings"] = rng.integers(0, 300, frames)
             want = [stat(np.asarray(series[family], dtype=float))
                     for family in F.FEATURE_FAMILIES for stat in (np.mean, np.std)]
-            np.testing.assert_array_equal(F.aggregate_clip(series).values, want)
+            frame_table = np.array([series[family] for family in F.FRAME_FAMILIES],
+                                   dtype=float)
+            clip_table = np.array([series[family] for family in F.CLIP_LEVEL_FAMILIES])
+            np.testing.assert_array_equal(
+                F.aggregate_clip(frame_table, clip_table).values, want)
+
+    @pytest.mark.parametrize("n_frames", [1, 3, 100, 101, 1032])
+    def test_clip_level_table_has_a_row_per_family(self, n_frames):
+        rms = np.random.default_rng(n_frames).uniform(0, 1, n_frames)
+        hop_seconds = DEFAULT_HOP / RATE
+        table = F.clip_level_features(rms, hop_seconds)
+        assert table.shape == (4, -(-n_frames // F.MACRO_WINDOW_FRAMES))
+        assert table.flags.c_contiguous
+        for column, start in enumerate(range(0, n_frames, F.MACRO_WINDOW_FRAMES)):
+            chunk = rms[start:start + F.MACRO_WINDOW_FRAMES]
+            assert tuple(table[:, column]) == (F.fraction_low_energy(chunk),
+                                               *F.beat_features(chunk, hop_seconds))
 
     def test_slot_count_and_canonical_order(self):
         assert len(F.FEATURE_NAMES) == 28
@@ -510,6 +528,8 @@ class TestAggregate:
         assert stats == ["mean", "std"] * 14
         assert families[::2] == list(F.FEATURE_FAMILIES)
         assert families[1::2] == list(F.FEATURE_FAMILIES)
+        assert len(F.FRAME_FAMILIES) == 10
+        assert sorted(F.FRAME_FAMILIES + F.CLIP_LEVEL_FAMILIES) == sorted(F.FEATURE_FAMILIES)
 
 
 class TestExtractProperties:
@@ -573,8 +593,9 @@ class TestExtractProperties:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
-def whole_stack_vector(clip):
-    """The 28 values with each per-frame stage run once over every frame."""
+def whole_stack_series(clip):
+    """Each family's series, with each per-frame stage run once over every
+    frame and each clip-level value taken from its macro-window alone."""
     frames = frame_clip(clip)
     magnitudes = F.magnitude_spectrum(frames)
     zero_crossings, rms = F.time_domain_features(frames)
@@ -582,20 +603,34 @@ def whole_stack_vector(clip):
         F.spectral_shape_features(magnitudes, clip.sample_rate / DEFAULT_WINDOW)
     coeffs = F.mfcc(magnitudes, F.mel_filter_bank(clip.sample_rate, DEFAULT_WINDOW))
     predictor, _ = F.lpc(frames)
-    clip_level = F.clip_level_features(rms, DEFAULT_HOP / clip.sample_rate)
-    return F.aggregate_clip({
+    hop_seconds = DEFAULT_HOP / clip.sample_rate
+    chunks = [rms[start:start + F.MACRO_WINDOW_FRAMES]
+              for start in range(0, len(rms), F.MACRO_WINDOW_FRAMES)]
+    beats = np.array([F.beat_features(chunk, hop_seconds) for chunk in chunks])
+    return {
         "mfcc": coeffs.mean(axis=1),
-        "zero_crossings": zero_crossings,
+        "zero_crossings": zero_crossings.astype(float),
         "rms": rms,
+        "low_energy_fraction": np.array([F.fraction_low_energy(chunk)
+                                         for chunk in chunks]),
         "spectral_flux": flux,
         "spectral_rolloff": rolloff,
         "compactness": compactness,
         "moments": moments.mean(axis=1),
         "lpc": predictor.mean(axis=1),
         "spectral_centroid": centroid,
+        "beat_sum": beats[:, 0].copy(),
+        "strongest_beat": beats[:, 1].copy(),
+        "strongest_beat_strength": beats[:, 2].copy(),
         "spectral_variability": variability,
-        **dict(zip(F.CLIP_LEVEL_FAMILIES, clip_level.T)),
-    })
+    }
+
+
+def whole_stack_vector(clip):
+    """The 28 values with each per-frame stage run once over every frame."""
+    series = whole_stack_series(clip)
+    return F.aggregate_clip(np.array([series[f] for f in F.FRAME_FAMILIES]),
+                            np.array([series[f] for f in F.CLIP_LEVEL_FAMILIES]))
 
 
 class TestBlocks:
@@ -623,6 +658,18 @@ class TestBlocks:
         assert len(frame_clip(clip)) == n_frames
         got = F.extract_features(clip).values
         assert got.tobytes() == whole_stack_vector(clip).values.tobytes()
+
+    def test_long_clip_matches_each_series_reduced_alone(self):
+        # 12 s is 1032 frames: 5 blocks and 11 macro-windows, enough values
+        # per row that a table reduced through a strided view sums in another
+        # order than the series alone does
+        clip = noise_clip(np.random.default_rng(12), duration=12.0)
+        series = whole_stack_series(clip)
+        assert len(series["rms"]) > 4 * F.BLOCK_FRAMES
+        assert len(series["beat_sum"]) >= 9
+        want = np.array([stat(series[family]) for family in F.FEATURE_FAMILIES
+                         for stat in (np.mean, np.std)])
+        assert F.extract_features(clip).values.tobytes() == want.tobytes()
 
     def test_working_memory_is_below_the_samples(self):
         # numpy reports its buffers to tracemalloc; a whole-clip pass holds

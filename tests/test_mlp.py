@@ -108,6 +108,22 @@ class TestForward:
         np.testing.assert_array_equal(out.view(np.uint64),
                                       np.array([0.0, 0.5, 1.0]).view(np.uint64))
 
+    @settings(max_examples=100, deadline=None)
+    @given(j=st.integers(1, 28), k=st.integers(1, 14), m=st.integers(1, 3),
+           n=st.integers(2, 13), rows=st.integers(1, 20),
+           scale=st.sampled_from([1.0, 8.0, 1e3, 1e5]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_allocating_copy_bit_for_bit(self, j, k, m, n, rows, scale, seed):
+        # forward runs its sigmoid in place; the oracle keeps the allocating
+        # form. Large weights saturate the sigmoids to exactly 0 and 1
+        rng = np.random.default_rng(seed)
+        inputs = rng.standard_normal((rows, j)) * 10.0 ** rng.uniform(-3, 3)
+        net = init_network(NetworkSpec(j, k, m, n), seed=seed)
+        net.weights = [w * scale for w in net.weights]
+        mlp.fit_input_norm(net, inputs)
+        for x in (inputs, inputs[0]):  # a batch and one vector
+            want = mlp_oracle._outputs(net, mlp._zscore(net, x))
+            assert forward(net, x).tobytes() == want.tobytes()
+
     def test_dimension_mismatch(self):
         net = init_network(NetworkSpec(3, 2, 1, 2), seed=0)
         with pytest.raises(DimensionMismatch):
