@@ -37,10 +37,6 @@ class AudioClip:
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 def parse_wav(data: bytes, source_path: str = "") -> AudioClip:
     """Decode a RIFF/WAVE PCM byte stream into a normalized mono clip.

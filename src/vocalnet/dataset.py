@@ -74,14 +74,18 @@ def read_csv_rows(path) -> list[tuple[int, list[str]]]:
 
 
 def _manifest_rows(manifest: Path) -> list[tuple[str, str]]:
+    """(path, label) per row. The first row may be a `path,label` header and
+    a row of blank fields is skipped; a row with a blank path or label
+    raises MalformedArtifact."""
     rows = []
-    for number, row in read_csv_rows(manifest):
-        if not row[0].strip() or row[0].strip().lower() == "path":  # optional header
+    for i, (number, row) in enumerate(read_csv_rows(manifest)):
+        path, label = (field.strip() for field in (row + [""])[:2])
+        if i == 0 and path.lower() == "path" or not any(f.strip() for f in row):
             continue
-        if len(row) < 2 or not row[1].strip():
-            raise MalformedArtifact(
-                f"{manifest}: row {number} has no label: {','.join(row)}")
-        rows.append((row[0].strip(), row[1].strip()))
+        if not (path and label):
+            raise MalformedArtifact(f"{manifest}: row {number} has no "
+                                    f"{'label' if path else 'path'}: {','.join(row)}")
+        rows.append((path, label))
     return rows
 
 

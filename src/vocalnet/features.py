@@ -314,8 +314,11 @@ def lpc(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     # np.vecdot needs forward strides. Step i dots a[:, :i] with r[i], ...,
     # r[1], which is the forward slice reversed_r[:, order - i:order] of the
-    # autocorrelation reversed once.
-    reversed_r = r[:, ::-1].copy()
+    # autocorrelation reversed once. Its rows lie order + 2 values (96
+    # bytes) apart, so each row's slice sits on the same 16-byte alignment:
+    # OpenBLAS's Prescott ddot rounds by the alignment of its second operand.
+    reversed_r = np.empty((n_frames, order + 2))[:, :order + 1]
+    np.copyto(reversed_r, r[:, ::-1])
     a = np.zeros((n_frames, order))  # predictor coefficients, positive convention
     err = r[:, 0].copy()
     acc = np.empty(n_frames)

@@ -22,7 +22,7 @@ its float operations. `train` holds one `np.errstate` for the whole training.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import pairwise
 
 import numpy as np
@@ -70,14 +70,6 @@ class Network:
     input_std: np.ndarray
     label_map: list[str] = field(default_factory=list)
     feature_slots: list[int] | None = None  # selection result, if any
-
-    def copy(self) -> "Network":
-        return Network(spec=self.spec, weights=[w.copy() for w in self.weights],
-                       input_mean=self.input_mean.copy(),
-                       input_std=self.input_std.copy(),
-                       label_map=list(self.label_map),
-                       feature_slots=(list(self.feature_slots)
-                                      if self.feature_slots is not None else None))
 
 
 @dataclass
@@ -127,20 +119,21 @@ def init_network(spec: NetworkSpec, seed: int) -> Network:
                    input_mean=np.zeros(spec.j), input_std=np.ones(spec.j))
 
 
-def fit_input_norm(net: Network, inputs: np.ndarray) -> None:
-    """Z-scoring statistics from the training inputs; stds floored to stay
-    positive. Finite inputs can still overflow them (a column holding 1e308
-    and -1e308 has an infinite std); that raises MalformedArtifact naming the
-    columns by feature slot, as no model with such statistics loads."""
+def input_statistics(inputs: np.ndarray, slots: list[int] | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Z-scoring statistics of the training inputs: each column's mean and
+    its std floored to stay positive. Finite inputs can still overflow them
+    (a column holding 1e308 and -1e308 has an infinite std); that raises
+    MalformedArtifact naming the columns by their feature slots (column
+    indices by default), as no model with such statistics loads."""
     with np.errstate(over="ignore", invalid="ignore"):
         mean, std = inputs.mean(axis=0), inputs.std(axis=0)
     overflowed = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
     if overflowed.size:
-        slots = net.feature_slots or range(net.spec.j)
+        slots = slots or range(inputs.shape[1])
         raise MalformedArtifact(f"feature slots {[slots[i] for i in overflowed]} of "
                                 f"the training inputs have a mean or std that is not finite")
-    net.input_mean = mean
-    net.input_std = np.maximum(std, STD_FLOOR)
+    return mean, np.maximum(std, STD_FLOOR)
 
 
 def _check_input(net: Network, x: np.ndarray) -> np.ndarray:
@@ -299,13 +292,6 @@ class _Backprop:
                       *self.momentum_step]
                      for row, target in zip(rows, negated_targets)]
 
-    def backprop(self, idx: int) -> None:
-        """Gradient of sample idx's loss mean_outputs((o - t)^2) into grad:
-        sample idx's update without its momentum step. exp may overflow
-        (see sigmoid); the caller holds the errstate that mutes it."""
-        for call, args in self.rows[idx][:-len(self.momentum_step)]:
-            call(*args)
-
 
 def _layer_views(flat: np.ndarray, shapes: list[tuple[int, int]]) -> list[np.ndarray]:
     """Views of flat as matrices of the given shapes, in order. Each starts at
@@ -346,26 +332,30 @@ def train(net: Network, train_inputs: np.ndarray, train_targets: np.ndarray,
     """Back-propagation training with the three stopping rules plus an epoch cap.
 
     When stopping on test-set worsening, the snapshot taken at the best test
-    MSE is returned instead of the final weights. One errstate, held around
-    the whole training, mutes exp's overflow (see sigmoid) in every update
-    and every MSE.
+    MSE is returned instead of the final weights. The result is a new
+    Network with its own weights and input statistics; it shares net's
+    label_map and feature_slots, and net itself is left as it was. One
+    errstate, held around the whole training, mutes exp's overflow (see
+    sigmoid) in every update and every MSE.
     """
     if len(train_inputs) == 0 or len(test_inputs) == 0:
         raise EmptySet("train and test sets must be non-empty")
 
-    net = net.copy()
     inputs = _check_input(net, train_inputs)
-    fit_input_norm(net, inputs)
+    mean, std = input_statistics(inputs, net.feature_slots)
+    net = replace(net, input_mean=mean, input_std=std)
     rng = np.random.default_rng(config.seed)
     kernel = _Backprop(net, inputs, train_targets)
-    test_z = _zscore(net, _check_input(net, test_inputs))  # the statistics are fixed now
     net.weights = kernel.weights  # training updates kernel.theta in place
 
     best_test = np.inf
     best_theta = kernel.theta.copy()
     worsening = 0
     train_history: list[float] = []
-    with np.errstate(over="ignore"):  # every exp of the training; see sigmoid
+    # every exp of the training (see sigmoid), and a test row far outside
+    # the train statistics, whose z-score overflows
+    with np.errstate(over="ignore"):
+        test_z = _zscore(net, _check_input(net, test_inputs))
         train_mse = _zscored_mse(net, kernel.z, train_targets)
         test_mse = _zscored_mse(net, test_z, test_targets)
 

@@ -11,7 +11,7 @@ from .dataset import LabeledCorpus, SplitPlan
 from .errors import LabelOutOfRange
 from .evaluation import EvalReport, FoldSummary, confusion_matrix, cross_fold_report, summarize
 from .mlp import (Network, NetworkSpec, TrainingConfig, TrainingState,
-                  fit_input_norm, forward, init_network, one_hot, train)
+                  forward, init_network, input_statistics, one_hot, train)
 # evaluate no longer calls it, but perfbench's tracer test wraps this binding
 from .mlp import classify  # noqa: F401
 
@@ -93,11 +93,8 @@ def train_all_folds(corpus: LabeledCorpus, fold_plan: list[SplitPlan],
     matrix = corpus.samples
     if feature_slots is not None:
         matrix = matrix[:, feature_slots]
-    probe = init_network(NetworkSpec(j=matrix.shape[1], k=hidden_width, m=hidden_layers,
-                                     n=corpus.n_classes), config.seed)
-    probe.feature_slots = feature_slots
     for split in fold_plan:
-        fit_input_norm(probe, matrix[split.train_ids])
+        input_statistics(matrix[split.train_ids], feature_slots)
     results = [train_fold(corpus, fold_plan, f, config, hidden_width,
                           hidden_layers, feature_slots)
                for f in range(len(fold_plan))]

@@ -17,7 +17,7 @@ import numpy as np
 from .dataset import LabeledCorpus, SplitPlan, read_csv_rows
 from .errors import MalformedArtifact
 from .features import FEATURE_NAMES
-from .mlp import (Network, NetworkSpec, TrainingConfig, fit_input_norm, init_network,
+from .mlp import (Network, NetworkSpec, TrainingConfig, init_network, input_statistics,
                   mse, one_hot, train)
 
 MDL_MSE_FLOOR = 1e-12
@@ -69,11 +69,8 @@ def forward_select(corpus: LabeledCorpus, folds: list[SplitPlan], hidden_width: 
     test_t = one_hot(labels[split.test_ids], n_out)
     # train rejects a slot whose statistics overflow; round 0 trains each slot
     # alone, so check each on its round-0 candidate's rows before any training
-    probe = init_network(NetworkSpec(j=1, k=hidden_width, m=hidden_layers, n=n_out),
-                         config.seed)
     for slot in range(n_slots):
-        probe.feature_slots = [slot]
-        fit_input_norm(probe, train_x_full[:, [slot]])
+        input_statistics(train_x_full[:, [slot]], [slot])
 
     selected: list[int] = []
     incumbent = np.inf

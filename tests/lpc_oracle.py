@@ -1,9 +1,12 @@
 """Reference LPC stage: the Levinson-Durbin recursion that the one in
 vocalnet.features replaced, which made fresh per-step temporaries.
 
-Its code, with _row_dot, is unchanged, and tests/test_features.py requires
-vocalnet.features.lpc to return the same coefficient bytes and degenerate
-flags.
+Its code, with _row_dot, is unchanged but for one layout: the reversed
+autocorrelation's rows lie 12 values apart, as vocalnet.features.lpc lays
+them out, so on OpenBLAS's Prescott kernel, whose ddot rounds by the
+alignment of its second operand, no row's coefficients depend on the parity
+of its index. tests/test_features.py requires vocalnet.features.lpc to
+return the same coefficient bytes and degenerate flags.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ def lpc(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # _row_dot needs forward strides. Step i dots a[:, :i] with r[i], ...,
     # r[1], which is the forward slice reversed_r[:, order - i:order] of the
     # autocorrelation reversed once.
-    reversed_r = r[:, ::-1].copy()
+    reversed_r = np.empty((len(frames), order + 2))[:, :order + 1]
+    reversed_r[...] = r[:, ::-1]
     a = np.zeros((len(frames), order))  # predictor coefficients, positive convention
     err = r[:, 0].copy()
     live = np.ones(len(frames), dtype=bool)

@@ -8,7 +8,8 @@ tests/test_train_equivalence.py requires vocalnet.mlp.train to match bit for
 bit. Their logic is unchanged; the stall window (100 epochs) and the train MSE
 target (0.01) are the paper's, written here as literals. They score with a
 copy of the allocating `mse`, which tests/test_mlp.py checks vocalnet.mlp's
-against bit for bit.
+against bit for bit, and copy the network and fit its input statistics with
+copies of vocalnet.mlp's former `Network.copy` and `fit_input_norm`.
 
 `mse_gradients` runs the other way: it drives vocalnet.mlp's own kernel, so
 the gradchecks test the gradient that vocalnet.mlp.train applies.
@@ -18,10 +19,38 @@ from __future__ import annotations
 
 import numpy as np
 
-from vocalnet.errors import EmptySet
-from vocalnet.mlp import (STALL_THRESHOLD, Network, TrainingConfig,
+from vocalnet.errors import EmptySet, MalformedArtifact
+from vocalnet.mlp import (STALL_THRESHOLD, STD_FLOOR, Network, TrainingConfig,
                           TrainingState, _Backprop, _check_input, _layer_views,
-                          _zscore, fit_input_norm, sigmoid)
+                          _zscore, sigmoid)
+
+
+# `Network.copy` and `fit_input_norm` as vocalnet.mlp had them before its
+# `train` took the statistics as a value and built its result with
+# dataclasses.replace, so the reference trainer keeps its own.
+def _copy(self: Network) -> Network:
+    return Network(spec=self.spec, weights=[w.copy() for w in self.weights],
+                   input_mean=self.input_mean.copy(),
+                   input_std=self.input_std.copy(),
+                   label_map=list(self.label_map),
+                   feature_slots=(list(self.feature_slots)
+                                  if self.feature_slots is not None else None))
+
+
+def _fit_input_norm(net: Network, inputs: np.ndarray) -> None:
+    """Z-scoring statistics from the training inputs; stds floored to stay
+    positive. Finite inputs can still overflow them (a column holding 1e308
+    and -1e308 has an infinite std); that raises MalformedArtifact naming the
+    columns by feature slot, as no model with such statistics loads."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = inputs.mean(axis=0), inputs.std(axis=0)
+    overflowed = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if overflowed.size:
+        slots = net.feature_slots or range(net.spec.j)
+        raise MalformedArtifact(f"feature slots {[slots[i] for i in overflowed]} of "
+                                f"the training inputs have a mean or std that is not finite")
+    net.input_mean = mean
+    net.input_std = np.maximum(std, STD_FLOOR)
 
 
 # `_outputs`, `_zscored_mse` and `mse` as vocalnet.mlp had them before its
@@ -98,13 +127,13 @@ def train(net: Network, train_inputs: np.ndarray, train_targets: np.ndarray,
     if len(train_inputs) == 0 or len(test_inputs) == 0:
         raise EmptySet("train and test sets must be non-empty")
 
-    net = net.copy()
-    fit_input_norm(net, np.asarray(train_inputs, dtype=np.float64))
+    net = _copy(net)
+    _fit_input_norm(net, np.asarray(train_inputs, dtype=np.float64))
     rng = np.random.default_rng(config.seed)
     velocity = [np.zeros_like(w) for w in net.weights]
 
     best_test = np.inf
-    best_snapshot = net.copy()
+    best_snapshot = _copy(net)
     worsening = 0
     train_history: list[float] = []
     train_mse = mse(net, train_inputs, train_targets)
@@ -120,7 +149,7 @@ def train(net: Network, train_inputs: np.ndarray, train_targets: np.ndarray,
 
         if test_mse < best_test:
             best_test = test_mse
-            best_snapshot = net.copy()
+            best_snapshot = _copy(net)
             worsening = 0
         else:
             worsening += 1
@@ -147,12 +176,14 @@ def train(net: Network, train_inputs: np.ndarray, train_targets: np.ndarray,
 def mse_gradients(net: Network, inputs: np.ndarray,
                   targets: np.ndarray) -> list[np.ndarray]:
     """Analytic gradient of the full-batch MSE with respect to every weight:
-    the mean of the per-sample gradients of the kernel that train runs."""
+    the mean of the per-sample gradients of the kernel that train runs: each
+    sample's update without its momentum step leaves its gradient in grad."""
     kernel = _Backprop(net, _check_input(net, inputs), targets)
     total = np.zeros_like(kernel.grad)
     with np.errstate(over="ignore"):
-        for idx in range(len(kernel.rows)):
-            kernel.backprop(idx)
+        for row in kernel.rows:
+            for call, args in row[:-len(kernel.momentum_step)]:
+                call(*args)
             total += kernel.grad
     total /= len(kernel.rows)
     return _layer_views(total, [w.shape for w in net.weights])

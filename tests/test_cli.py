@@ -117,6 +117,34 @@ class TestExtract:
         err = capsys.readouterr().err
         assert "manifest.csv" in err and "row 2" in err
 
+    @pytest.mark.parametrize("text, row", [
+        ("a.wav,dog\n,cat\n", 2),
+        ("path,label\na.wav,dog\n  ,cat\n", 3),
+    ], ids=["blank-path", "spaces-for-path"])
+    def test_manifest_row_without_a_path_exits_2(self, tmp_path, capsys, text, row):
+        # at most the first row is a header, and a row of blank fields is
+        # skipped, but a labelled row must name its clip
+        save_wav(noise_clip(np.random.default_rng(0), duration=0.1),
+                 tmp_path / "a.wav")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(text)
+        assert main(["extract", "--corpus", str(manifest),
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: MalformedArtifact") and f"row {row} has no path" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_manifest_skips_blank_rows_and_reads_only_a_first_header(self, tmp_path):
+        save_wav(noise_clip(np.random.default_rng(0), duration=0.1),
+                 tmp_path / "a.wav")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("path,label\na.wav,dog\n , \n,\npath,label\n")
+        assert main(["extract", "--corpus", str(manifest),
+                     "--out", str(tmp_path / "out.csv")]) == 0
+        corpus = read_feature_cache(tmp_path / "out.csv")
+        # a later `path,label` row names a clip `path`, which fails to load
+        assert corpus.class_names == ["dog"] and len(corpus.samples) == 1
+
     def test_undecodable_manifest_exits_2(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.csv"
         manifest.write_bytes(b"a.wav,\xff\xfe\n")
@@ -262,6 +290,30 @@ class TestTrain:
         assert err == ("warning: classes smaller than 10 samples reuse eval "
                        "members across folds: class_0, class_1\n")
         assert "UserWarning" not in err and ".py:" not in err
+
+    def test_test_row_far_outside_the_train_statistics_warns_nothing(self, tmp_path):
+        # slot 5 varies by about 1e-3 over fold 0's train rows, so the
+        # z-score of a fold-0 test row holding 1e308 overflows to inf; the
+        # -1e308 sits in an eval row, outside every statistic select fits.
+        # A process of its own prints a RuntimeWarning as Python does, where
+        # pytest would record it
+        corpus = synthetic_feature_corpus([(0,), (5,)], samples_per_class=8)
+        corpus.samples[:, 5] *= 1e-3
+        with pytest.warns(UserWarning, match="smaller than 10"):
+            fold = plan_folds(corpus, seed=0)[0]
+        corpus.samples[fold.test_ids[0], 5] = 1e308
+        corpus.samples[fold.eval_ids[0], 5] = -1e308
+        cache = tmp_path / "far.csv"
+        write_feature_cache(corpus, cache)
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "vocalnet.cli", "select", "--cache", str(cache),
+             *output_flags("select", tmp_path), "--seed", "0", "--max-epochs", "5"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0
+        assert done.stderr == ("warning: classes smaller than 10 samples reuse eval "
+                               "members across folds: class_0, class_1\n")
 
     @pytest.mark.parametrize("extra", [
         lambda d: ["--hidden", "0"],

@@ -119,7 +119,7 @@ class TestForward:
         inputs = rng.standard_normal((rows, j)) * 10.0 ** rng.uniform(-3, 3)
         net = init_network(NetworkSpec(j, k, m, n), seed=seed)
         net.weights = [w * scale for w in net.weights]
-        mlp.fit_input_norm(net, inputs)
+        net.input_mean, net.input_std = mlp.input_statistics(inputs)
         for x in (inputs, inputs[0]):  # a batch and one vector
             want = mlp_oracle._outputs(net, mlp._zscore(net, x))
             assert forward(net, x).tobytes() == want.tobytes()
@@ -145,7 +145,7 @@ class TestGradients:
         x = np.array([[0.5, -1.0, 2.0, 0.1]])
         t = np.array([[1.0, 0.0]])
         config = TrainingConfig(learning_rate=1e-3, momentum=0.0, seed=0)
-        mlp.fit_input_norm(net, x)
+        net.input_mean, net.input_std = mlp.input_statistics(x)
         before = mse(net, x, t)
         rng = np.random.default_rng(0)
         kernel = mlp._Backprop(net, x, t)
@@ -172,7 +172,7 @@ class TestMse:
         targets = one_hot(rng.integers(0, n, rows), n)
         net = init_network(NetworkSpec(j, k, m, n), seed=seed)
         net.weights = [w * scale for w in net.weights]
-        mlp.fit_input_norm(net, inputs)
+        net.input_mean, net.input_std = mlp.input_statistics(inputs)
         got, want = mse(net, inputs, targets), mlp_oracle.mse(net, inputs, targets)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
@@ -223,15 +223,30 @@ class TestTrain:
         test_targets = one_hot(rng.integers(0, 3, 6), 3)
         net = init_network(NetworkSpec(4, 5, 2, 3), seed=8)
         net.weights = [w * 1000.0 for w in net.weights]
-        probe = net.copy()
-        mlp.fit_input_norm(probe, inputs)
-        first = probe.weights[0][0] + mlp._zscore(probe, inputs) @ probe.weights[0][1:]
+        mean, std = mlp.input_statistics(inputs)
+        first = net.weights[0][0] + (inputs - mean) / std @ net.weights[0][1:]
         assert (-first > np.log(np.finfo(np.float64).max)).any()  # exp(-first) overflows
         config = TrainingConfig(max_epochs=50, test_patience=2, seed=8)
         with np.errstate(over="raise"):
             _, state = train(net, inputs, targets, test_inputs, test_targets, config)
             assert np.geterr()["over"] == "raise"
         assert state.stop_reason == "TestWorsening"
+
+    def test_leaves_the_callers_network_unchanged(self):
+        rng = np.random.default_rng(9)
+        inputs = rng.standard_normal((12, 3)) * [1.0, 1e3, 1e-3] + 5.0
+        targets = one_hot(rng.integers(0, 2, 12), 2)
+        net = init_network(NetworkSpec(3, 4, 2, 2), seed=9)
+        net.label_map, net.feature_slots = ["a", "b"], [4, 0, 17]
+        before = ([w.tobytes() for w in net.weights], net.input_mean.tobytes(),
+                  net.input_std.tobytes())
+        trained, _ = train(net, inputs[:9], targets[:9], inputs[9:], targets[9:],
+                           TrainingConfig(max_epochs=20, seed=9))
+        assert ([w.tobytes() for w in net.weights], net.input_mean.tobytes(),
+                net.input_std.tobytes()) == before
+        assert net.label_map == ["a", "b"] and net.feature_slots == [4, 0, 17]
+        assert not np.array_equal(trained.input_mean, net.input_mean)
+        assert not np.array_equal(trained.weights[0], net.weights[0])
 
     def test_zero_epochs_returns_initial(self):
         net = init_network(NetworkSpec(2, 2, 1, 2), seed=0)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import mlp_oracle
 from vocalnet.mlp import (NetworkSpec, TrainingConfig, _Backprop, _layer_views,
-                          fit_input_norm, init_network, one_hot, train)
+                          init_network, input_statistics, one_hot, train)
 
 WIDE = 28  # columns of the full matrix the inputs are cut from, as in selection
 
@@ -136,11 +136,12 @@ def test_matches_reference_where_zeros_and_saturation_meet(
 
     # a per-sample gradient equals the reference's in value; where both are
     # zero its sign may differ (see the _Backprop docstring)
-    fit_input_norm(net, x)
+    net.input_mean, net.input_std = input_statistics(x)
     kernel = _Backprop(net, x, t)
     for idx in range(rows):
-        with np.errstate(over="ignore"):
-            kernel.backprop(idx)
+        with np.errstate(over="ignore"):  # the sample's update, less its momentum step
+            for call, args in kernel.rows[idx][:-len(kernel.momentum_step)]:
+                call(*args)
         got_grad = _layer_views(kernel.grad, [w.shape for w in net.weights])
         want_grad = mlp_oracle._sample_gradients(net, x[idx], t[idx])
         assert all(np.array_equal(g, w) for g, w in zip(got_grad, want_grad))
