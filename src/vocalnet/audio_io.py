@@ -122,8 +122,6 @@ def frame_clip(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
     clip. A clip shorter than one window yields a single zero-padded row so
     that no labeled sample is ever dropped.
     """
-    if window_size <= 0:
-        raise InvalidSetting(f"window_size must be positive, got {window_size}")
     if not 0 < hop_size <= window_size:
         raise InvalidSetting(f"hop_size must be in (0, {window_size}], got {hop_size}")
     x = clip.samples

@@ -3,14 +3,16 @@
 Features are always extracted at the paper's one setting: 512-sample
 windows, a 256-sample hop, 22050 Hz (audio_io.DEFAULT_*); no flag changes
 it, and the model records it. `select` and `train` take their training
-settings from flags alone; an unset flag keeps mlp.TrainingConfig's default
-(one hidden layer, as wide as the class count). A UserWarning, such as the
-small-class fold warning, prints as one `warning: <message>` line on
-stderr. Commands raise; `main` alone turns a failure into an exit code:
+settings from flags alone. An unset --learning-rate, --momentum,
+--max-epochs, --patience or --seed keeps mlp.TrainingConfig's default; an
+unset --layers gives one hidden layer, and an unset --hidden makes it as wide
+as the class count. A UserWarning, such as the small-class fold warning,
+prints as one `warning: <message>` line on stderr. Commands raise; `main` alone turns a failure into an exit code:
   2  a missing or malformed corpus, cache, model or subset file (a model
      that records other extraction settings included), a corpus with no
      usable clip, or an out-of-range setting;
-  3  a class too small to split, in select or train;
+  3  a class of fewer than 3 samples, or classes that all have 3-5 and so
+     leave no class a test row, in select or train;
   4  a clip that cannot be opened or parsed, or that resamples to no
      samples, in classify;
   5  a feature vector whose length does not match the model.

@@ -202,7 +202,11 @@ def plan_folds(corpus: LabeledCorpus, seed: int) -> list[SplitPlan]:
         perms.append(rng.permutation(ids))
         sizes.append(largest_remainder_counts(len(ids)))
 
-    # after the size check, so a class too small to split gets the error alone
+    if not any(n_test for _, n_test, _ in sizes):
+        needed = min(n for n in range(3, N_FOLDS + 1) if largest_remainder_counts(n)[1])
+        raise ClassTooSmall(f"no class has a test row; a class needs {needed} "
+                            f"samples for one")
+    # after the size checks, so a class too small to split gets the error alone
     small = [corpus.class_names[c] for c, perm in enumerate(perms)
              if len(perm) < N_FOLDS]
     if small:

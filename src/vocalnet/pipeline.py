@@ -31,30 +31,6 @@ class TrainingRun:
     best: FoldResult  # highest eval accuracy; ties to the earlier fold
 
 
-def train_fold(corpus: LabeledCorpus, fold_plan: list[SplitPlan], fold: int,
-               config: TrainingConfig, hidden_width: int, hidden_layers: int,
-               feature_slots: list[int] | None = None) -> FoldResult:
-    """Train on one fold's train/test split and score it on the eval set."""
-    split = fold_plan[fold]
-    matrix = corpus.samples
-    if feature_slots is not None:
-        matrix = matrix[:, feature_slots]
-    labels = corpus.labels
-    n = corpus.n_classes
-
-    spec = NetworkSpec(j=matrix.shape[1], k=hidden_width, m=hidden_layers, n=n)
-    net = init_network(spec, config.seed + fold)
-    net.label_map = list(corpus.class_names)
-    net.feature_slots = list(feature_slots) if feature_slots is not None else None
-
-    trained, state = train(net,
-                           matrix[split.train_ids], one_hot(labels[split.train_ids], n),
-                           matrix[split.test_ids], one_hot(labels[split.test_ids], n),
-                           config)
-    return FoldResult(fold=fold, network=trained, state=state,
-                      report=evaluate(trained, corpus, split.eval_ids))
-
-
 def evaluate(net: Network, corpus: LabeledCorpus, rows=None) -> EvalReport:
     """Score net on the given corpus rows (all by default). Each row is cut
     to the model's feature slots, and the corpus's classes are matched to the
@@ -90,14 +66,23 @@ def train_all_folds(corpus: LabeledCorpus, fold_plan: list[SplitPlan],
     statistics that overflow in any fold's train rows raise before fold 0."""
     if hidden_width is None:
         hidden_width = corpus.n_classes
-    matrix = corpus.samples
+    matrix, labels, n = corpus.samples, corpus.labels, corpus.n_classes
     if feature_slots is not None:
         matrix = matrix[:, feature_slots]
     for split in fold_plan:
         input_statistics(matrix[split.train_ids], feature_slots)
-    results = [train_fold(corpus, fold_plan, f, config, hidden_width,
-                          hidden_layers, feature_slots)
-               for f in range(len(fold_plan))]
+    spec = NetworkSpec(j=matrix.shape[1], k=hidden_width, m=hidden_layers, n=n)
+    results = []
+    for fold, split in enumerate(fold_plan):
+        net = init_network(spec, config.seed + fold)
+        net.label_map = list(corpus.class_names)
+        net.feature_slots = list(feature_slots) if feature_slots is not None else None
+        trained, state = train(net,
+                               matrix[split.train_ids], one_hot(labels[split.train_ids], n),
+                               matrix[split.test_ids], one_hot(labels[split.test_ids], n),
+                               config)
+        results.append(FoldResult(fold=fold, network=trained, state=state,
+                                  report=evaluate(trained, corpus, split.eval_ids)))
     summary = cross_fold_report([r.report for r in results])
     best = max(results, key=lambda r: (r.report.overall_accuracy, -r.fold))
     return TrainingRun(results=results, summary=summary, best=best)

@@ -81,15 +81,17 @@ def forward_select(corpus: LabeledCorpus, folds: list[SplitPlan], hidden_width: 
         best_slot = None
         best_mdl = np.inf
         round_scores: dict[int, float] = {}
+        # every candidate of a round has the same spec and seed, so one
+        # network serves them all: train leaves its argument unchanged
+        net = init_network(NetworkSpec(j=len(selected) + 1, k=hidden_width,
+                                       m=hidden_layers, n=n_out), config.seed)
         for slot in candidates:
             cols = selected + [slot]
-            spec = NetworkSpec(j=len(cols), k=hidden_width,
-                               m=hidden_layers, n=n_out)
-            net = init_network(spec, config.seed)
             net.feature_slots = cols
-            trained, _ = train(net, train_x_full[:, cols], train_t,
+            train_x = train_x_full[:, cols]
+            trained, _ = train(net, train_x, train_t,
                                test_x_full[:, cols], test_t, config)
-            score = mdl_score(trained, train_x_full[:, cols], train_t)
+            score = mdl_score(trained, train_x, train_t)
             round_scores[slot] = score
             if score < best_mdl:  # strict: equal scores keep the lower slot
                 best_mdl = score

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from vocalnet.audio_io import (MIN_SAMPLE_RATE, AudioClip, frame_clip,
                                parse_wav, resample)
-from vocalnet.errors import (EmptyClip, MalformedRiff, UnsupportedFormat,
-                             VocalnetError)
+from vocalnet.errors import (EmptyClip, InvalidSetting, MalformedRiff,
+                             UnsupportedFormat, VocalnetError)
 
 from conftest import wav_bytes, write_wav
 
@@ -64,9 +64,11 @@ class TestParseWav:
         import struct
         data = wav_bytes([1000, -1000])
         head, tail = data[:36], data[36:]
-        junk = b"LIST" + struct.pack("<I", 6) + b"junk!?"
-        clip = parse_wav(head + junk + tail)
-        assert len(clip.samples) == 2
+        # an odd-sized chunk is followed by one pad byte
+        for junk in (b"LIST" + struct.pack("<I", 6) + b"junk!?",
+                     b"LIST" + struct.pack("<I", 5) + b"junk!" + b"\x00"):
+            clip = parse_wav(head + junk + tail)
+            assert len(clip.samples) == 2
 
     def test_samples_always_in_range(self):
         rng = np.random.default_rng(0)
@@ -185,6 +187,11 @@ class TestFrameClip:
     def test_no_overlap(self):
         clip = AudioClip(np.zeros(1024), 8000)
         assert len(frame_clip(clip, 512, 512)) == 2
+
+    @pytest.mark.parametrize("window, hop", [(0, 0), (-512, 256), (512, 0), (512, 513)])
+    def test_invalid_window_or_hop_raises(self, window, hop):
+        with pytest.raises(InvalidSetting):
+            frame_clip(AudioClip(np.ones(1024), 8000), window, hop)
 
     def test_empty_clip_raises(self):
         clip = AudioClip(np.ones(1), 8000)

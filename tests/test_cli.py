@@ -232,6 +232,16 @@ class TestTrain:
         err = capsys.readouterr().err  # the error alone, with no fold warning
         assert err.startswith("error: ClassTooSmall") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["train", "select"])
+    def test_classes_without_a_test_row_exit_3(self, tmp_path, command, capsys):
+        corpus = synthetic_feature_corpus([(0,), (5,)], samples_per_class=5)
+        cache = tmp_path / "tiny.csv"
+        write_feature_cache(corpus, cache)
+        assert main([command, "--cache", str(cache),
+                     *output_flags(command, tmp_path), "--seed", "0"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ClassTooSmall") and err.count("\n") == 1
+
     @staticmethod
     def count_trainings(monkeypatch) -> list:
         """The calls select and train make to mlp.train, from now on."""
@@ -498,9 +508,10 @@ class TestEvaluate:
         lambda doc: doc["weights"][0].pop(),
         lambda doc: doc["label_map"].pop(),
         lambda doc: doc.update(feature_slots=[0, 40]),
+        lambda doc: doc.update(feature_slots=list(range(1, 29))),
         lambda doc: doc.update(spec={**doc["spec"], "k": 2.0}),
         lambda doc: doc.update(extraction={"window": 1024, "hop": 512, "rate": 22050}),
-    ], ids=["weight-rows", "label-map", "feature-slots", "float-width",
+    ], ids=["weight-rows", "label-map", "feature-slots", "slot-bound", "float-width",
             "other-extraction"])
     def test_model_that_misfits_its_spec_exits_2(self, three_class_model,
                                                  tmp_path, capsys, corrupt):
@@ -513,6 +524,25 @@ class TestEvaluate:
         assert main(["evaluate", "--model", bad, "--cache", str(cache)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: MalformedArtifact: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["evaluate", "classify"])
+    def test_model_without_slots_for_its_width_exits_5(self, cache_path, small_corpus_dir,
+                                                       tmp_path, capsys, command):
+        # a two-slot model that no longer names its slots is given all 28
+        model = tmp_path / "m.json"
+        subset = write_text(tmp_path / "subset.csv", "slot,slot_name\n"
+                            + "".join(f"{i},{FEATURE_NAMES[i]}\n" for i in (0, 8)))
+        assert main(["train", "--cache", str(cache_path), "--model", str(model),
+                     "--seed", "0", "--max-epochs", "5", "--subset", subset]) == 0
+        doc = json.loads(model.read_text())
+        doc["feature_slots"] = None
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        wav = sorted((small_corpus_dir / "tone880").glob("*.wav"))[0]
+        inputs = {"evaluate": ["--cache", str(cache_path)], "classify": [str(wav)]}
+        assert main([command, "--model", str(model), *inputs[command]]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: DimensionMismatch") and err.count("\n") == 1
 
     def test_model_json_list_exits_2(self, cache_path, tmp_path, capsys):
         bad = write_text(tmp_path / "list.json", "[1, 2]")

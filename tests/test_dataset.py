@@ -187,6 +187,17 @@ class TestPlanSplit:
         with pytest.raises(ClassTooSmall):
             plan_folds(label_corpus([10, 2]), seed=0)
 
+    @pytest.mark.parametrize("sizes", [[3, 4, 5], [5, 5]])
+    def test_no_class_with_a_test_row(self, sizes):
+        # 3-5 samples split (2,0,1), (3,0,1), (4,0,1): no fold has a test set
+        with pytest.raises(ClassTooSmall, match="needs 6 samples"):
+            plan_folds(label_corpus(sizes), seed=0)
+
+    def test_one_class_with_a_test_row_suffices(self):
+        with pytest.warns(UserWarning, match="smaller than 10"):
+            plan = plan_folds(label_corpus([5, 6]), seed=0)
+        assert all(len(split.test_ids) == 1 for split in plan)
+
 
 class TestPlanFolds:
     def test_eval_membership_exactly_twice(self):
