@@ -189,6 +189,9 @@ def plan_folds(corpus: LabeledCorpus, seed: int) -> list[SplitPlan]:
     Fold i takes its eval block at a rotating offset, the test block right
     after it, and trains on the rest; with class sizes that are multiples of
     10 every sample lands in eval exactly twice and in test exactly once.
+    A class of 3, 4 or 5 samples splits (2, 0, 1), (3, 0, 1) or (4, 0, 1)
+    (train, test, eval) and so has no test row in any fold: its samples never
+    weigh on the test-set MSE that the TestWorsening stop watches.
     """
     labels = corpus.labels
     rng = np.random.default_rng(seed)

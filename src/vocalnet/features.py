@@ -7,13 +7,23 @@ of one (10, F) table; the four CLIP_LEVEL_FAMILIES take one per macro-window
 of the rms envelope, as the rows of a (4, M) table. aggregate_clip reduces
 both tables row by row into the slots.
 
-extract_features runs the per-frame stages over BLOCK_FRAMES = 256 frames at
-a time and writes each family into its slice of its table row, so however
-long a clip runs, its working memory is its decoded samples, one block and a
-few dozen values per frame. At 512-sample windows a block's windowed frames
-and its complex spectrum are about 1 MB each, and spectral shape's two
-per-call buffers 0.5 MB each, as big as the block's magnitudes; 128-frame
-blocks were measured slower per frame.
+extract_features cuts a clip's frames into near-equal blocks of at most
+BLOCK_FRAMES = 256 frames and runs every per-frame stage, LPC included, on
+one block at a time, writing each family into its slice of its table row. A
+clip of more than one block runs its blocks on two threads, the caller and
+one helper, which take them from one shared queue; numpy drops the GIL
+inside a block's FFT, ufunc and BLAS calls. However long a clip runs, its
+working memory is its decoded samples, the stage arrays of at most two
+blocks and a few dozen values per frame. At 512-sample windows a 256-frame
+block holds at most about 1.7 MB at once, in spectral shape: its magnitudes
+and that stage's two per-call buffers, 0.5 MB each. The spectrum tapers and
+transforms FFT_ROWS = 64 frames at a time, so the block's 1 MB of tapered
+frames and 1 MB of complex spectrum are never held whole. Block size was
+measured on a 512-frame noise clip (2-core x86-64, numpy 2.4.6, six
+rounds): the stages run one block after another took 12.5-13.9 us/frame in
+128-frame blocks and 11.7-17.8 in 256-frame ones, but the whole extraction
+on two threads took 10.4-13.3 us/frame in 128-frame blocks against 9.0-10.6
+in 256-frame ones.
 
 extract_features takes a power-of-two window above LPC_ORDER (10) samples and
 a hop in (0, window]; any other setting raises InvalidSetting before any
@@ -28,6 +38,7 @@ dots stay one BLAS ddot per frame, for the reason lpc gives.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,6 +56,7 @@ MACRO_WINDOW_FRAMES = 100
 BPM_MIN = 40.0
 BPM_MAX = 200.0
 BLOCK_FRAMES = 256
+FFT_ROWS = 64
 
 # the 14 families in canonical listing order; each yields a mean and a std slot
 FEATURE_FAMILIES = (
@@ -108,8 +120,18 @@ def _bin_indices(n_bins: int) -> np.ndarray:
 
 
 def magnitude_spectrum(frames: np.ndarray) -> np.ndarray:
-    """Magnitude of the real FFT of each Hann-tapered frame: (F, W/2 + 1)."""
-    return np.abs(np.fft.rfft(frames * _hann(frames.shape[1]), axis=1))
+    """Magnitude of the real FFT of each Hann-tapered frame: (F, W/2 + 1).
+
+    The frames are tapered and transformed FFT_ROWS at a time, so beside the
+    magnitudes only that many rows of tapered frames and complex spectrum
+    are held at once; each row's FFT is that of the row alone.
+    """
+    magnitudes = np.empty((len(frames), frames.shape[1] // 2 + 1))
+    window = _hann(frames.shape[1])
+    for start in range(0, len(frames), FFT_ROWS):
+        rows = slice(start, start + FFT_ROWS)
+        np.abs(np.fft.rfft(frames[rows] * window, axis=1), out=magnitudes[rows])
+    return magnitudes
 
 
 def time_domain_features(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -421,19 +443,50 @@ def aggregate_clip(frame_table: np.ndarray, clip_table: np.ndarray) -> FeatureVe
     return FeatureVector(values=values.ravel())
 
 
+def _analyze_block(block: np.ndarray, columns: np.ndarray, bin_hz: float,
+                   mel_bank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run every per-frame stage on one block of frames and write its values
+    into `columns`, the block's (10, len(block)) slice of the frame table.
+
+    Returns copies of the block's first and last magnitude rows. Their flux
+    is 0 here, as for a clip's first frame; extract_features sets each later
+    block's first flux from them.
+    """
+    (coeffs_mean, zero_crossings, rms, flux, rolloff, compactness, moments_mean,
+     lpc_mean, centroid, variability) = columns
+    # before the spectrum, so its squared frames are not held beside it
+    zero_crossings[:], rms[:] = time_domain_features(block)
+    magnitudes = magnitude_spectrum(block)
+    (flux[:], rolloff[:], compactness[:], moments, centroid[:],
+     variability[:]) = spectral_shape_features(magnitudes, bin_hz)
+    # np.mean(axis=1, out=...) as numpy's _mean takes it: sum, then divide
+    for coefficients, means in ((moments, moments_mean),
+                                (mfcc(magnitudes, mel_bank), coeffs_mean),
+                                (lpc(block)[0], lpc_mean)):
+        np.add.reduce(coefficients, axis=1, out=means)
+        means /= coefficients.shape[1]
+    return magnitudes[0].copy(), magnitudes[-1].copy()
+
+
 def extract_features(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
                      hop_size: int = DEFAULT_HOP) -> FeatureVector:
     """Full per-clip extraction: frame, analyze block by block, aggregate.
 
-    The per-frame stages run on BLOCK_FRAMES (256) frames of the copy-free
-    frame view at a time and write into the rows of one (10, F) table, so
-    working memory is one block's stage arrays however long the clip: about
-    1 MB each for a block's windowed frames and complex spectrum (128-frame
-    blocks measured slower). Each stage is row-independent and a block's
-    first flux value is taken against the previous block's last spectrum, so
-    the rows are those of one pass over every frame, bit for bit; a clip of
-    at most 256 frames is one block. LPC keeps one pass over all frames: its
-    arrays are (F, order).
+    The F frames of the copy-free frame view are cut into
+    n = ceil(F / BLOCK_FRAMES) blocks of near-equal size, with edges at
+    F * b // n, so no block exceeds 256 frames (300 frames are 150 + 150).
+    Each block runs every per-frame stage, LPC included, and writes into its
+    own column slice of one (10, F) table. A clip of one block is analyzed
+    inline; otherwise one helper thread and the caller take blocks from one
+    shared queue until none are left, and the caller joins the helper and
+    raises the first exception either side met. numpy drops the GIL inside a
+    block's FFT, ufunc and BLAS calls, so the two run on two cores, and
+    working memory is at most two blocks' stage arrays however long the clip.
+
+    Every stage is row-independent, and each later block's first flux value
+    is taken after the join from its first magnitude row and the previous
+    block's last, so the rows are those of one pass over every frame, bit
+    for bit, whichever thread ran which block.
 
     Vector families (mfcc, moments, lpc) are first collapsed to the mean of
     their coefficients per frame.
@@ -446,26 +499,37 @@ def extract_features(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
     frames = frame_clip(clip, window_size, hop_size)
     bin_hz = clip.sample_rate / window_size
     mel_bank = mel_filter_bank(clip.sample_rate, window_size)
-    frame_table = np.empty((len(FRAME_FAMILIES), len(frames)))  # rows in that order
-    (coeffs_mean, zero_crossings, rms, flux, rolloff, compactness, moments_mean,
-     lpc_mean, centroid, variability) = frame_table
-    for start in range(0, len(frames), BLOCK_FRAMES):
-        block = frames[start:start + BLOCK_FRAMES]
-        rows = slice(start, start + len(block))
-        magnitudes = magnitude_spectrum(block)
-        zero_crossings[rows], rms[rows] = time_domain_features(block)
-        (flux[rows], rolloff[rows], compactness[rows], moments, centroid[rows],
-         variability[rows]) = spectral_shape_features(magnitudes, bin_hz)
-        if start:
-            flux[start] = np.add.reduce((magnitudes[0] - previous) ** 2)
-        previous = magnitudes[-1]
-        # np.mean(axis=1, out=...) as numpy's _mean takes it: sum, then divide
-        for coefficients, means in ((moments, moments_mean[rows]),
-                                    (mfcc(magnitudes, mel_bank), coeffs_mean[rows])):
-            np.add.reduce(coefficients, axis=1, out=means)
-            means /= coefficients.shape[1]
-    predictor, _ = lpc(frames)
-    np.add.reduce(predictor, axis=1, out=lpc_mean)
-    lpc_mean /= LPC_ORDER
+    n_frames = len(frames)
+    frame_table = np.empty((len(FRAME_FAMILIES), n_frames))  # rows in that order
+    n_blocks = -(-n_frames // BLOCK_FRAMES)
+    edges = [n_frames * b // n_blocks for b in range(n_blocks + 1)]
+    ends = [None] * n_blocks  # each block's first and last magnitude rows
+    errors = []
+    blocks = iter(range(n_blocks))
+
+    def analyze():
+        try:
+            # next() on the shared iterator is one C call under the GIL, so
+            # each block index goes to one side only
+            for b in blocks:
+                rows = slice(edges[b], edges[b + 1])
+                ends[b] = _analyze_block(frames[rows], frame_table[:, rows],
+                                         bin_hz, mel_bank)
+        except BaseException as error:
+            errors.append(error)
+
+    if n_blocks == 1:
+        analyze()
+    else:
+        helper = threading.Thread(target=analyze)
+        helper.start()
+        analyze()
+        helper.join()
+    if errors:
+        raise errors[0]
+    flux = frame_table[FRAME_FAMILIES.index("spectral_flux")]
+    for b in range(1, n_blocks):
+        flux[edges[b]] = np.add.reduce((ends[b][0] - ends[b - 1][1]) ** 2)
+    rms = frame_table[FRAME_FAMILIES.index("rms")]
     return aggregate_clip(frame_table,
                           clip_level_features(rms, hop_size / clip.sample_rate))

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -63,6 +65,15 @@ class TestMagnitudeSpectrum:
             full = m[0] ** 2 + m[-1] ** 2 + 2 * np.sum(m[1:-1] ** 2)
             np.testing.assert_allclose(np.sum(windowed ** 2), full / 128,
                                        rtol=1e-10)
+
+    @pytest.mark.parametrize("n_frames", [1, F.FFT_ROWS - 1, F.FFT_ROWS,
+                                          F.FFT_ROWS + 1, 300])
+    def test_chunks_match_one_transform_of_every_frame(self, n_frames):
+        frames = frame_clip(TestBlocks.clip_of(n_frames, "noise",
+                                               np.random.default_rng(n_frames)))
+        assert len(frames) == n_frames
+        want = np.abs(np.fft.rfft(frames * np.hanning(DEFAULT_WINDOW), axis=1))
+        assert F.magnitude_spectrum(frames).tobytes() == want.tobytes()
 
 
 class TestTimeDomain:
@@ -635,7 +646,13 @@ def whole_stack_vector(clip):
 
 class TestBlocks:
     @staticmethod
-    def clip_of(n_frames, kind, rng):
+    def block_edges(n_frames):
+        """The near-equal block edges extract_features cuts n_frames at."""
+        n_blocks = -(-n_frames // F.BLOCK_FRAMES)
+        return [n_frames * b // n_blocks for b in range(n_blocks + 1)]
+
+    @classmethod
+    def clip_of(cls, n_frames, kind, rng):
         """A clip cut into exactly n_frames default frames."""
         n = DEFAULT_WINDOW + (n_frames - 1) * DEFAULT_HOP + int(rng.integers(DEFAULT_HOP))
         if kind == "tone":
@@ -646,18 +663,103 @@ class TestBlocks:
             # silence, and bursts over the first frame and every block edge:
             # frames on both sides of an edge see the burst
             x = np.zeros(n)
-            for edge in range(0, n_frames + 1, F.BLOCK_FRAMES):
+            for edge in cls.block_edges(n_frames):
                 burst = x[max(0, edge * DEFAULT_HOP - 700):edge * DEFAULT_HOP + 700]
                 burst[:] = 0.5 * rng.standard_normal(len(burst))
         return AudioClip(np.clip(x, -1, 1), RATE)
 
-    @pytest.mark.parametrize("n_frames", [1, 255, 256, 257, 513, 851])
+    @pytest.mark.parametrize("n_frames, sizes", [
+        (256, [256]), (257, [128, 129]), (300, [150, 150]), (700, [233, 233, 234])])
+    def test_blocks_are_near_equal(self, n_frames, sizes, monkeypatch):
+        seen = []
+        stage = F.time_domain_features
+
+        def recording(block):
+            seen.append(len(block))
+            return stage(block)
+
+        monkeypatch.setattr(F, "time_domain_features", recording)
+        F.extract_features(self.clip_of(n_frames, "noise", np.random.default_rng(0)))
+        assert sorted(seen) == sizes
+        assert np.diff(self.block_edges(n_frames)).tolist() == sorted(sizes)
+
+    # 300 and 700 frames split at 150 and at 233 and 466, not at multiples
+    # of BLOCK_FRAMES
+    @pytest.mark.parametrize("n_frames", [1, 255, 256, 257, 300, 513, 700, 851])
     @pytest.mark.parametrize("kind", ["tone", "noise", "bursts"])
     def test_blocks_match_one_pass_over_every_frame(self, n_frames, kind):
         clip = self.clip_of(n_frames, kind, np.random.default_rng(n_frames))
         assert len(frame_clip(clip)) == n_frames
         got = F.extract_features(clip).values
         assert got.tobytes() == whole_stack_vector(clip).values.tobytes()
+
+    @pytest.mark.parametrize("side", ["caller", "helper"])
+    def test_a_failing_block_raises_its_exception_after_the_join(self, side,
+                                                                  monkeypatch):
+        # a clip of two blocks; the barrier holds each thread in its first
+        # block until the other has one too, so each side analyzes one block,
+        # and the stage raises on the given side's block only
+        clip = self.clip_of(300, "noise", np.random.default_rng(0))
+        barrier = threading.Barrier(2, timeout=30)
+        error = RuntimeError("a block failed")
+        stage = F.time_domain_features
+
+        def failing(block):
+            barrier.wait()
+            on_caller = threading.current_thread() is threading.main_thread()
+            if on_caller == (side == "caller"):
+                raise error
+            return stage(block)
+
+        monkeypatch.setattr(F, "time_domain_features", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            F.extract_features(clip)
+        assert raised.value is error
+        assert threading.active_count() == threads
+
+    def test_concurrent_calls_keep_every_bit(self):
+        # four callers, each with its own helper, on two cores, with the
+        # interpreter switching threads every 10 us: state shared between
+        # calls or between a call's two threads, such as a module-level
+        # scratch buffer, or a block skipped, shows as a changed bit
+        clips = [self.clip_of(n_frames, "noise", np.random.default_rng(n_frames))
+                 for n_frames in (300, 513, 700, 851)]
+        want = [whole_stack_vector(clip).values.tobytes() for clip in clips]
+        got = {i: [] for i in range(len(clips))}
+
+        def run(i):
+            for _ in range(5):
+                got[i].append(F.extract_features(clips[i]).values.tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=run, args=(i,)) for i in got]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert [got[i] for i in got] == [[w] * 5 for w in want]
+
+    def test_a_clip_of_one_block_starts_no_thread(self, monkeypatch):
+        made = []
+
+        class Counted(threading.Thread):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        rng = np.random.default_rng(4)
+        for n_frames in (1, 86, 255, 256):
+            F.extract_features(self.clip_of(n_frames, "noise", rng))
+        assert made == []
+        F.extract_features(self.clip_of(257, "noise", rng))
+        assert len(made) == 1
 
     def test_long_clip_matches_each_series_reduced_alone(self):
         # 12 s is 1032 frames: 5 blocks and 11 macro-windows, enough values
