@@ -7,7 +7,9 @@ settings from flags alone. An unset --learning-rate, --momentum,
 --max-epochs, --patience or --seed keeps mlp.TrainingConfig's default; an
 unset --layers gives one hidden layer, and an unset --hidden makes it as wide
 as the class count. A UserWarning, such as the small-class fold warning,
-prints as one `warning: <message>` line on stderr. Commands raise; `main` alone turns a failure into an exit code:
+prints as one `warning: <message>` line on stderr. `main` parses with one
+parser, built on first use and kept for the process. Commands raise; `main`
+alone turns a failure into an exit code:
   2  a missing or malformed corpus, cache, model or subset file (a model
      that records other extraction settings included), a corpus with no
      usable clip, or an out-of-range setting;
@@ -21,6 +23,7 @@ prints as one `warning: <message>` line on stderr. Commands raise; `main` alone 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 
@@ -50,62 +53,43 @@ def _add_training(parser):
     parser.add_argument("--seed", type=int, default=_TRAINING.seed, help="random seed")
 
 
-def _add_extract(parser):
-    parser.add_argument("--corpus", required=True,
-                        help="class-per-directory root or path,label manifest CSV")
-    parser.add_argument("--out", required=True, help="feature cache CSV")
-
-
-def _add_select(parser):
-    parser.add_argument("--cache", required=True, help="feature cache CSV")
-    parser.add_argument("--trace", required=True, help="selection trace CSV")
-    parser.add_argument("--subset", required=True, help="selected-slots output CSV")
-    _add_training(parser)
-
-
-def _add_train(parser):
-    parser.add_argument("--cache", required=True, help="feature cache CSV")
-    parser.add_argument("--model", required=True, help="model JSON output")
-    parser.add_argument("--report", help="report path prefix (.txt, .csv and "
-                                         ".features.csv written)")
-    parser.add_argument("--subset", help="selected-slots CSV from the select command")
-    _add_training(parser)
-
-
-def _add_evaluate(parser):
-    parser.add_argument("--model", required=True)
-    parser.add_argument("--cache", required=True)
-    parser.add_argument("--report", help="report path prefix (.txt and .csv written)")
-
-
-def _add_classify(parser):
-    parser.add_argument("--model", required=True)
-    parser.add_argument("wav", help="clip to classify")
-
-
-_SUBCOMMANDS = {  # name -> (help, adds the command's arguments)
-    "extract": ("compute the per-clip feature cache", _add_extract),
-    "select": ("forward feature selection by MDL", _add_select),
-    "train": ("10-fold training; exports the best fold's network", _add_train),
-    "evaluate": ("score a model against a feature cache", _add_evaluate),
-    "classify": ("classify one WAV file", _add_classify),
-}
-
-
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser for argv. When argv[0] names a command only that command's
-    subparser is built, which parses and helps exactly as the full parser
-    does; otherwise (no command, -h, an unknown word) all five are."""
+@functools.lru_cache(maxsize=None)
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of all five commands, built on the first call and shared
+    from then on, so callers must not change it. A parse leaves nothing on
+    it, and help takes the terminal's width when it is printed."""
     parser = argparse.ArgumentParser(
         prog="vocalnet",
         description="Identify animal species from vocalization recordings")
-    chosen = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    # the usage line of an error (unrecognized arguments) names every command
-    every_name = "{" + ",".join(_SUBCOMMANDS) + "}" if chosen else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=every_name)
-    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
-        if chosen in (None, name):
-            add_arguments(sub.add_parser(name, help=help_text))
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("extract", help="compute the per-clip feature cache")
+    p.add_argument("--corpus", required=True,
+                   help="class-per-directory root or path,label manifest CSV")
+    p.add_argument("--out", required=True, help="feature cache CSV")
+
+    p = sub.add_parser("select", help="forward feature selection by MDL")
+    p.add_argument("--cache", required=True, help="feature cache CSV")
+    p.add_argument("--trace", required=True, help="selection trace CSV")
+    p.add_argument("--subset", required=True, help="selected-slots output CSV")
+    _add_training(p)
+
+    p = sub.add_parser("train", help="10-fold training; exports the best fold's network")
+    p.add_argument("--cache", required=True, help="feature cache CSV")
+    p.add_argument("--model", required=True, help="model JSON output")
+    p.add_argument("--report", help="report path prefix (.txt, .csv and "
+                                    ".features.csv written)")
+    p.add_argument("--subset", help="selected-slots CSV from the select command")
+    _add_training(p)
+
+    p = sub.add_parser("evaluate", help="score a model against a feature cache")
+    p.add_argument("--model", required=True)
+    p.add_argument("--cache", required=True)
+    p.add_argument("--report", help="report path prefix (.txt and .csv written)")
+
+    p = sub.add_parser("classify", help="classify one WAV file")
+    p.add_argument("--model", required=True)
+    p.add_argument("wav", help="clip to classify")
     return parser
 
 
@@ -228,8 +212,7 @@ def _warning_lines(show):
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = build_parser().parse_args(argv)
     with warnings.catch_warnings():  # restores showwarning on the way out
         warnings.showwarning = _warning_lines(warnings.showwarning)
         try:

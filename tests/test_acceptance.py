@@ -97,6 +97,9 @@ def test_criterion_4_end_to_end_synthetic_corpus(tone_corpus_dir):
     assert corpus.class_names[-1] == "_pseudo"
     folds = plan_folds(corpus, seed=0)
     run = pipeline.train_all_folds(corpus, folds, TrainingConfig(seed=0))
+    # the README's library example: one hidden layer as wide as the class count
+    assert {(r.network.spec.m, r.network.spec.k) for r in run.results} \
+        == {(1, corpus.n_classes)}
     assert run.summary.mean_accuracy >= 95.0, run.summary.mean_accuracy
     aggregate = summarize(run.summary.summed_matrix)
     assert aggregate.hypothesis_pass

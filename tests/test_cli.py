@@ -21,7 +21,7 @@ from vocalnet.dataset import (make_corpus, plan_folds, read_feature_cache,
                               write_feature_cache)
 from vocalnet.evaluation import _quartiles
 from vocalnet.features import FEATURE_NAMES
-from vocalnet.mlp import classify, load_model
+from vocalnet.mlp import TrainingConfig, classify, load_model
 
 from conftest import (build_tone_corpus_dir, noise_clip, save_wav,
                       synthetic_feature_corpus, wav_bytes)
@@ -637,6 +637,11 @@ def test_flag_the_command_ignores_exits_2(command, flag, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def fresh_parser() -> argparse.ArgumentParser:
+    """A newly built parser of all five commands, not the one main keeps."""
+    return build_parser.__wrapped__()
+
+
 def exit_output(run, capsys, code) -> tuple[str, str]:
     """stdout and stderr of a run that ends argparse-style with SystemExit(code)."""
     with pytest.raises(SystemExit) as exc:
@@ -646,13 +651,14 @@ def exit_output(run, capsys, code) -> tuple[str, str]:
     return captured.out, captured.err
 
 
-# main builds only the named command's subparser; what it prints must be what
-# the parser with all five commands, build_parser(), prints
+# main parses with one parser, built on first use and kept for the process;
+# whatever earlier calls parsed with it, what it prints must be what a freshly
+# built parser prints
 @pytest.mark.parametrize("argv", [["--help"], ["-h"]]
                          + [[command, "--help"] for command in COMMANDS],
                          ids=lambda argv: " ".join(argv))
 def test_help_matches_the_full_parser(argv, capsys, monkeypatch):
-    full = exit_output(lambda: build_parser().parse_args(argv), capsys, 0)
+    full = exit_output(lambda: fresh_parser().parse_args(argv), capsys, 0)
     assert full[0].startswith("usage: vocalnet") and not full[1]
     assert exit_output(lambda: main(argv), capsys, 0) == full
     monkeypatch.setattr(sys, "argv", ["vocalnet", *argv])  # the installed entry point
@@ -666,10 +672,44 @@ def test_help_matches_the_full_parser(argv, capsys, monkeypatch):
     (["classify"], False),
 ], ids=["none", "unknown", "extra-positional", "foreign-flag", "missing-required"])
 def test_usage_errors_match_the_full_parser(argv, top_level, capsys):
-    full = exit_output(lambda: build_parser().parse_args(argv), capsys, 2)
+    full = exit_output(lambda: fresh_parser().parse_args(argv), capsys, 2)
     assert exit_output(lambda: main(argv), capsys, 2) == full
     # the top-level parser's usage line lists all five commands
     assert ("{extract,select,train,evaluate,classify}" in full[1]) == top_level
+
+
+class TestKeptParser:
+    """main parses every call with the one parser build_parser keeps; a parse
+    leaves nothing on it for the next."""
+
+    @staticmethod
+    def parsed(monkeypatch) -> list:
+        """The Namespace of each command main runs from now on; none runs."""
+        seen = []
+        for command in COMMANDS:
+            monkeypatch.setitem(COMMANDS, command, lambda args: seen.append(args) or 0)
+        return seen
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_flags_of_one_call_do_not_carry_to_the_next(self, monkeypatch):
+        seen = self.parsed(monkeypatch)
+        argv = ["train", "--cache", "c.csv", "--model", "m.json"]
+        assert main([*argv, "--seed", "5", "--hidden", "3"]) == 0
+        assert main(argv) == 0
+        assert (seen[0].seed, seen[0].hidden) == (5, 3)
+        assert vars(seen[1]) == vars(fresh_parser().parse_args(argv))
+        assert (seen[1].seed, seen[1].hidden) == (TrainingConfig().seed, None)
+
+    def test_a_usage_error_leaves_the_next_call_parsing_normally(self, monkeypatch,
+                                                                 capsys):
+        seen = self.parsed(monkeypatch)
+        argv = ["classify", "--model", "m.json", "x.wav"]
+        exit_output(lambda: main(["classify"]), capsys, 2)
+        assert main(argv) == 0
+        assert vars(seen[0]) == {"command": "classify", "model": "m.json", "wav": "x.wav"}
+        assert not capsys.readouterr().err
 
 
 def test_cli_imports_without_scipy():
@@ -687,7 +727,7 @@ def readme() -> str:
 
 
 def accepted_flags(command) -> set[str]:
-    parser = build_parser([command])
+    parser = build_parser()
     commands = next(action for action in parser._actions
                     if isinstance(action, argparse._SubParsersAction))
     return set(commands.choices[command]._option_string_actions)

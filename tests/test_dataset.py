@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from vocalnet.dataset import (PSEUDO_CLASS, largest_remainder_counts,
                               load_corpus, make_corpus, plan_folds,
                               read_feature_cache, write_feature_cache)
-from vocalnet.errors import ClassTooSmall, EmptyCorpus
+from vocalnet.errors import ClassTooSmall, EmptyCorpus, MalformedArtifact
 from vocalnet.features import FEATURE_NAMES
 
 from conftest import noise_clip, save_wav
@@ -107,6 +108,14 @@ class TestFeatureCache:
         with open(path) as fh:
             header = next(csv.reader(fh))
         assert header == ["clip_path", "label", *FEATURE_NAMES]
+
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+    def test_file_without_rows_names_row_1(self, tmp_path, text):
+        path = tmp_path / "cache.csv"
+        path.write_text(text)
+        with pytest.raises(MalformedArtifact,
+                           match=rf"^{re.escape(str(path))}: row 1: not the header "):
+            read_feature_cache(path)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

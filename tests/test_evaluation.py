@@ -190,6 +190,30 @@ class TestRendering:
         assert [row[:label_width].strip() for row in rows] == [*names, "False positives"]
         assert all(cell_ends(row) == cell_ends(header) for row in rows)
 
+    # the labels take the longest name two spaces apart; a cell takes the
+    # widest count two spaces apart (12345) or the longest name one apart
+    @pytest.mark.parametrize("names, counts, expected", [
+        (["owl", "jay"], [[12345, 3], [0, 7]], """\
+                     owl    jay    Correct
+owl                12345      3      12345
+jay                    .      7          7
+False positives        0      3      12352
+Overall error rate (%): 0.02
+Overall accuracy (%):   99.98
+Hypothesis (>= 70% accuracy): PASS"""),
+        (["a_long_class_name_owl", "jay"], [[2, 1], [0, 3]], """\
+                        a_long_class_name_owl                   jay                   Correct
+a_long_class_name_owl                       2                     1                         2
+jay                                         .                     3                         3
+False positives                             0                     1                         5
+Overall error rate (%): 16.67
+Overall accuracy (%):   83.33
+Hypothesis (>= 70% accuracy): PASS"""),
+    ], ids=["wide-count", "long-name"])
+    def test_text_report_column_widths(self, names, counts, expected):
+        matrix = ConfusionMatrix(counts=np.array(counts), class_names=names)
+        assert render_report_text(summarize(matrix)) == expected
+
     def test_csv_report(self):
         csv_text = render_report_csv(summarize(dog_table_matrix()))
         lines = csv_text.strip().splitlines()

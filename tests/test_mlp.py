@@ -212,6 +212,29 @@ class TestTrain:
             assert state.test_mse == pytest.approx(
                 mse(trained, test_inputs, shuffled))
 
+    def test_train_stalled_looks_back_exactly_100_epochs(self, monkeypatch):
+        # every input carries both labels, so the train MSE creeps down to
+        # 0.25 and its fall slows; by epoch 1557 it fell less than 1e-6 over
+        # 98 epochs, but over 100 only by epoch 1564
+        history = []
+
+        def recorded(*args, train_epoch=mlp.train_epoch):
+            history.append(train_epoch(*args))
+            return history[-1]
+        monkeypatch.setattr(mlp, "train_epoch", recorded)
+        x = np.random.default_rng(3).standard_normal((6, 2))
+        targets = one_hot(np.repeat([0, 1], 6), 2)
+        inputs = np.vstack([x, x])
+        config = TrainingConfig(learning_rate=0.003, momentum=0.0, max_epochs=5000,
+                                test_patience=10**6, seed=3)
+        _, state = train(init_network(NetworkSpec(2, 2, 1, 2), seed=3),
+                         inputs, targets, inputs, targets, config)
+        assert (state.stop_reason, state.epoch) == ("TrainStalled", 1564)
+
+        def fall(epoch, over):
+            return history[epoch - 1 - over] - history[epoch - 1]
+        assert fall(1557, 98) < mlp.STALL_THRESHOLD <= fall(1563, 100)
+
     def test_one_errstate_mutes_every_exp_of_the_training(self):
         # weights x1000 saturate every sigmoid, so exp overflows in the
         # updates, in each epoch's MSEs and in the train MSE after the

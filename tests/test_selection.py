@@ -89,6 +89,19 @@ class TestForwardSelect:
         assert all(b <= a for a, b in zip(accepted, accepted[1:]))
         assert informative_trace.final_mdl == pytest.approx(accepted[-1])
 
+    def test_a_tie_with_the_incumbent_is_rejected(self, informative_corpus,
+                                                  monkeypatch):
+        # every candidate scores the same, so round 1's best only ties round
+        # 0's accepted score: selection stops with the one slot of round 0
+        monkeypatch.setattr(selection, "mdl_score", lambda *args: 0.0)
+        folds = dataset.plan_folds(informative_corpus, seed=0)
+        trace = forward_select(informative_corpus, folds, hidden_width=3,
+                               hidden_layers=1,
+                               config=TrainingConfig(max_epochs=1, seed=0))
+        assert trace.final_subset == [0] and trace.final_mdl == 0.0
+        assert [(s.round, s.slot) for s in trace.steps if s.accepted] == [(0, 0)]
+        assert len(trace.steps) == 28 + 27
+
     def test_rerun_reproduces_trace(self, informative_corpus, informative_trace):
         folds = dataset.plan_folds(informative_corpus, seed=0)
         again = forward_select(informative_corpus, folds, hidden_width=3,
