@@ -140,16 +140,27 @@ def frame_clip(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
 
 
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:
-    """Linear-interpolation resampling to target_rate; identity when rates match."""
+    """Linear-interpolation resampling to target_rate; identity when rates match.
+
+    At a whole-multiple rate, resample keeps every k-th sample, which gives
+    np.interp's bits there.
+    """
     if target_rate <= 0:
         raise InvalidSetting(f"target_rate must be positive, got {target_rate}")
     if target_rate == clip.sample_rate:
         return clip
     n_out = int(round(len(clip.samples) * target_rate / clip.sample_rate))
-    # float grids hold the same whole numbers as integer ones, but are not
-    # cast to float64 element by element in the product and again in interp
-    positions = np.arange(n_out, dtype=np.float64) * (clip.sample_rate / target_rate)
-    grid = np.arange(len(clip.samples), dtype=np.float64)
-    resampled = np.interp(positions, grid, clip.samples)
+    k, rest = divmod(clip.sample_rate, target_rate)
+    if rest == 0:
+        # every position i*k is a source sample, which np.interp returns as it
+        # is; a fresh contiguous copy, as interp's output is, so frames stride
+        # over it alike and the decoded clip is not kept alive
+        resampled = clip.samples[::k][:n_out].copy()
+    else:
+        # float grids hold the same whole numbers as integer ones, but are not
+        # cast to float64 element by element in the product and again in interp
+        positions = np.arange(n_out, dtype=np.float64) * (clip.sample_rate / target_rate)
+        grid = np.arange(len(clip.samples), dtype=np.float64)
+        resampled = np.interp(positions, grid, clip.samples)
     return AudioClip(samples=resampled, sample_rate=target_rate,
                      source_path=clip.source_path)

@@ -128,6 +128,17 @@ def decode_reference(body: bytes, channels: int, bits: int) -> np.ndarray:
     return samples
 
 
+SPECIAL_FLOATS = (np.nan, np.inf, -np.inf, 0.0, -0.0)
+
+
+@st.composite
+def rate_pairs(draw):
+    """(rate, target): a free rate, or a whole multiple 2-8 of the target."""
+    rates = st.integers(MIN_SAMPLE_RATE, 96000)
+    target = draw(rates)
+    return draw(rates | st.integers(2, 8).map(lambda k: k * target)), target
+
+
 class TestDecodeParity:
     """parse_wav and resample give the reference formulas' bits exactly."""
 
@@ -147,17 +158,27 @@ class TestDecodeParity:
         assert clip.samples.tobytes() == expected.tobytes()
 
     @settings(max_examples=300, deadline=None)
-    @given(samples=st.lists(st.floats(-1, 1), min_size=1, max_size=300),
-           rate=st.integers(MIN_SAMPLE_RATE, 96000),
-           target=st.integers(MIN_SAMPLE_RATE, 96000))
-    @example(samples=[0.5, -0.0, 0.25, -0.0], rate=8000, target=8000)
-    def test_resample_bits(self, samples, rate, target):
+    @given(samples=st.lists(st.floats(-1, 1) | st.sampled_from(SPECIAL_FLOATS),
+                            min_size=1, max_size=300),
+           rates=rate_pairs())
+    @example(samples=[0.5, -0.0, 0.25, -0.0], rates=(8000, 8000))
+    # an odd length at 2x: round(5 / 2) is 2, where every other sample is 3
+    @example(samples=[np.nan, -0.0, np.inf, -np.inf, 0.5], rates=(44100, 22050))
+    # round(1 / 3) is 0: no sample at all
+    @example(samples=[0.5], rates=(3 * 22050, 22050))
+    def test_resample_bits(self, samples, rates):
+        rate, target = rates
         x = np.array(samples)
         n_out = int(round(len(x) * target / rate))
         expected = np.interp(np.arange(n_out) * (rate / target),
                              np.arange(len(x)), x)
         out = resample(AudioClip(x, rate), target).samples
         assert out.tobytes() == expected.tobytes()
+        # a fresh array, as np.interp's output is: frames stride over it, and
+        # it keeps no reference to the source clip
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        if rate != target:
+            assert not np.shares_memory(out, x)
 
 
 class TestRoundTrip:

@@ -575,10 +575,16 @@ class TestClassify:
 
     def test_clip_that_resamples_to_nothing_exits_4(self, model_path, tmp_path,
                                                       capsys):
-        clip = tmp_path / "fast.wav"  # 100 samples at 2 GHz are no sample at 22050 Hz
-        clip.write_bytes(wav_bytes(np.zeros(100), sample_rate=2_000_000_000))
-        assert main(["classify", "--model", str(model_path), str(clip)]) == 4
-        assert capsys.readouterr().err.startswith("error: EmptyClip: ")
+        # 100 samples at 2 GHz or more are no sample at 22050 Hz, whether
+        # resampled by interpolation or, at 22050 x 100000 Hz, by keeping every
+        # k-th sample. 8-bit, so that the byte rate fits its 32-bit field too
+        for rate in (2_000_000_000, 22050 * 100_000):
+            clip = tmp_path / f"fast-{rate}.wav"
+            clip.write_bytes(wav_bytes(np.full(100, 128), sample_rate=rate, bits=8))
+            assert main(["classify", "--model", str(model_path), str(clip)]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("error: EmptyClip: ")
+            assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_missing_clip_exits_4(self, model_path, tmp_path, capsys):
         assert main(["classify", "--model", str(model_path),
