@@ -36,7 +36,7 @@ print("accepted slots, in order:")
 for step in trace.steps:
     if step.accepted:
         print(f"  round {step.round}: slot {step.slot:2d} "
-              f"({step.slot_name}), score {step.mdl:.2f}")
+              f"({FEATURE_NAMES[step.slot]}), score {step.mdl:.2f}")
 print(f"\nfinal subset: {[FEATURE_NAMES[i] for i in trace.final_subset]}")
 print(f"candidate trainings recorded in the trace: {len(trace.steps)}")
 

@@ -8,8 +8,8 @@ forward feature selection -> confusion-matrix evaluation.
 from .audio_io import AudioClip, frame_clip, parse_wav, read_wav, resample
 from .dataset import (LabeledCorpus, SplitPlan, load_corpus, make_corpus,
                       plan_folds, read_feature_cache, write_feature_cache)
-from .evaluation import (ConfusionMatrix, EvalReport, confusion_matrix,
-                         cross_fold_report, feature_summary, summarize)
+from .evaluation import (ConfusionMatrix, confusion_matrix, cross_fold_report,
+                         feature_summary, summarize)
 from .features import (FEATURE_NAMES, FeatureVector, extract_features)
 from .mlp import (Network, NetworkSpec, TrainingConfig, TrainingState,
                   classify, forward, init_network, load_model, save_model, train)

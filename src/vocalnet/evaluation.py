@@ -1,9 +1,10 @@
 """Confusion matrices, accuracy reports, fold aggregation, and feature summaries.
 
-Accuracy is the percentage of correctly identified samples (matrix trace over
-total); a class's false-positive rate uses the whole evaluated total as its
-denominator, so a classifier can be 100% accurate on every real class and
-still carry a non-zero error rate through pseudo-class false positives.
+A report is the confusion matrix itself: accuracy is the percentage of
+correctly identified samples (matrix trace over total), and a class's false
+positives are its column's off-diagonal counts, so a classifier can be 100%
+accurate on every real class and still carry a non-zero error rate through
+pseudo-class false positives.
 """
 
 from __future__ import annotations
@@ -30,22 +31,22 @@ class ConfusionMatrix:
     def total(self) -> int:
         return int(self.counts.sum())
 
+    @property
+    def overall_accuracy(self) -> float:
+        return 100.0 * int(np.trace(self.counts)) / self.total
 
-@dataclass
-class ClassReport:
-    name: str
-    true_positives: int
-    false_positives: int
-    fp_rate: float  # percent of the whole evaluated total
+    @property
+    def overall_error_rate(self) -> float:
+        return 100.0 - self.overall_accuracy
 
+    @property
+    def hypothesis_pass(self) -> bool:
+        return self.overall_accuracy >= ACCURACY_THRESHOLD
 
-@dataclass
-class EvalReport:
-    matrix: ConfusionMatrix
-    overall_accuracy: float
-    overall_error_rate: float
-    per_class: list[ClassReport]
-    hypothesis_pass: bool
+    @property
+    def false_positives(self) -> list[int]:
+        """Per predicted class, its column's count off the diagonal."""
+        return (self.counts.sum(axis=0) - np.diag(self.counts)).tolist()
 
 
 @dataclass
@@ -74,34 +75,22 @@ def confusion_matrix(truths, predictions, n: int,
     return ConfusionMatrix(counts=counts, class_names=list(class_names))
 
 
-def summarize(matrix: ConfusionMatrix) -> EvalReport:
-    """Overall accuracy/error plus per-class true/false positive breakdown."""
-    total = matrix.total
-    if total == 0:
+def summarize(matrix: ConfusionMatrix) -> ConfusionMatrix:
+    """The matrix itself, once it holds an evaluated sample; its properties
+    give the overall accuracy, error rate, hypothesis verdict and per-class
+    false positives."""
+    if matrix.total == 0:
         raise EmptyMatrix("no evaluated samples")
-    correct = int(np.trace(matrix.counts))
-    accuracy = 100.0 * correct / total
-    per_class = []
-    for i, name in enumerate(matrix.class_names):
-        tp = int(matrix.counts[i, i])
-        fp = int(matrix.counts[:, i].sum() - tp)
-        per_class.append(ClassReport(name=name, true_positives=tp,
-                                     false_positives=fp,
-                                     fp_rate=100.0 * fp / total))
-    return EvalReport(matrix=matrix, overall_accuracy=accuracy,
-                      overall_error_rate=100.0 - accuracy,
-                      per_class=per_class,
-                      hypothesis_pass=accuracy >= ACCURACY_THRESHOLD)
+    return matrix
 
 
-def cross_fold_report(reports: list[EvalReport]) -> FoldSummary:
+def cross_fold_report(reports: list[ConfusionMatrix]) -> FoldSummary:
     """Population statistics over fold accuracies plus the cell-wise matrix sum."""
     if not reports:
         raise ValueError("need at least one fold report")
     accuracies = np.array([r.overall_accuracy for r in reports])
-    summed = ConfusionMatrix(
-        counts=np.sum([r.matrix.counts for r in reports], axis=0),
-        class_names=list(reports[0].matrix.class_names))
+    summed = ConfusionMatrix(counts=np.sum([r.counts for r in reports], axis=0),
+                             class_names=list(reports[0].class_names))
     return FoldSummary(mean_accuracy=float(accuracies.mean()),
                        std_accuracy=float(accuracies.std()),
                        min_accuracy=float(accuracies.min()),
@@ -140,12 +129,12 @@ def write_feature_summary(summary: np.ndarray, class_names: list[str], path) -> 
                 writer.writerow([cls, slot, *(repr(float(s)) for s in stats)])
 
 
-def render_report_text(report: EvalReport) -> str:
+def render_report_text(matrix: ConfusionMatrix) -> str:
     """Aligned-text table: rows true class, columns predicted, then a Total
     Correct column and overall error/accuracy footer rows."""
-    names = report.matrix.class_names
-    counts = report.matrix.counts
-    false_positives = [c.false_positives for c in report.per_class]
+    names = matrix.class_names
+    counts = matrix.counts
+    false_positives = matrix.false_positives
     label_width = max(len(n) for n in [*names, "False positives"]) + 2
     # wide enough for every count and every whole class name, a space apart
     cell = max(6, max(len(str(int(c))) for c in [*counts.flat, *false_positives]) + 2,
@@ -165,22 +154,21 @@ def render_report_text(report: EvalReport) -> str:
     fp_row += "".join(f"{fp:>{cell}}" for fp in false_positives)
     fp_row += f"{int(np.trace(counts)):>{cell + 4}}"
     lines.append(fp_row)
-    lines.append(f"Overall error rate (%): {report.overall_error_rate:.2f}")
-    lines.append(f"Overall accuracy (%):   {report.overall_accuracy:.2f}")
+    lines.append(f"Overall error rate (%): {matrix.overall_error_rate:.2f}")
+    lines.append(f"Overall accuracy (%):   {matrix.overall_accuracy:.2f}")
     lines.append(f"Hypothesis (>= {ACCURACY_THRESHOLD:.0f}% accuracy): "
-                 f"{'PASS' if report.hypothesis_pass else 'FAIL'}")
+                 f"{'PASS' if matrix.hypothesis_pass else 'FAIL'}")
     return "\n".join(lines)
 
 
-def render_report_csv(report: EvalReport) -> str:
+def render_report_csv(matrix: ConfusionMatrix) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    names = report.matrix.class_names
+    names = matrix.class_names
     writer.writerow(["true_class", *names, "total_correct"])
     for i, name in enumerate(names):
-        writer.writerow([name, *report.matrix.counts[i].tolist(),
-                         report.matrix.counts[i, i]])
-    writer.writerow(["overall_error_rate", f"{report.overall_error_rate:.6f}"])
-    writer.writerow(["overall_accuracy", f"{report.overall_accuracy:.6f}"])
-    writer.writerow(["hypothesis_pass", int(report.hypothesis_pass)])
+        writer.writerow([name, *matrix.counts[i].tolist(), matrix.counts[i, i]])
+    writer.writerow(["overall_error_rate", f"{matrix.overall_error_rate:.6f}"])
+    writer.writerow(["overall_accuracy", f"{matrix.overall_accuracy:.6f}"])
+    writer.writerow(["hypothesis_pass", int(matrix.hypothesis_pass)])
     return buf.getvalue()

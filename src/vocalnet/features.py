@@ -11,8 +11,13 @@ extract_features cuts a clip's frames into near-equal blocks of at most
 BLOCK_FRAMES = 256 frames and runs every per-frame stage, LPC included, on
 one block at a time, writing each family into its slice of its table row. A
 clip of more than one block runs its blocks on two threads, the caller and
-one helper, which take them from one shared queue; numpy drops the GIL
-inside a block's FFT, ufunc and BLAS calls. However long a clip runs, its
+one helper, which take them from one shared queue. numpy drops the GIL inside
+a block's FFT and most of its ufunc and BLAS calls, but inside a gufunc or an
+accumulate only above 500 outer iterations, so lpc's np.vecdot and the
+rolloff's np.cumsum(axis=1) hold it over a block's at most 256 rows: two
+threads ran those calls at 0.95-1.00x one thread's speed, against 1.93-1.98x
+at 501-1024 rows, and the whole extraction of 512-2048-frame clips at
+1.30-1.44x (2-core x86-64, numpy 2.4.6). However long a clip runs, its
 working memory is its decoded samples, the stage arrays of at most two
 blocks and a few dozen values per frame. At 512-sample windows a 256-frame
 block holds at most about 1.7 MB at once, in spectral shape: its magnitudes
@@ -111,14 +116,6 @@ def _hann(window_size: int) -> np.ndarray:
     return window
 
 
-@lru_cache(maxsize=8)
-def _bin_indices(n_bins: int) -> np.ndarray:
-    """np.arange(n_bins), read-only."""
-    bins = np.arange(n_bins)
-    bins.flags.writeable = False
-    return bins
-
-
 def magnitude_spectrum(frames: np.ndarray) -> np.ndarray:
     """Magnitude of the real FFT of each Hann-tapered frame: (F, W/2 + 1).
 
@@ -196,7 +193,7 @@ def spectral_shape_features(magnitudes: np.ndarray, bin_hz: float):
     total = np.add.reduce(m, axis=1)
     moments[:, 0] = total
     nonzero = total > 0
-    bins = _bin_indices(n_bins)
+    bins = np.arange(n_bins)
     step = np.multiply(bins, m, out=scratch(n_frames, n_bins))
     centroid_bins = np.divide(np.add.reduce(step, axis=1), total,
                               out=moments[:, 1], where=nonzero)
@@ -480,8 +477,11 @@ def extract_features(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
     inline; otherwise one helper thread and the caller take blocks from one
     shared queue until none are left, and the caller joins the helper and
     raises the first exception either side met. numpy drops the GIL inside a
-    block's FFT, ufunc and BLAS calls, so the two run on two cores, and
-    working memory is at most two blocks' stage arrays however long the clip.
+    block's FFT and most of its ufunc and BLAS calls, so the two run on two
+    cores for most of a block; lpc's np.vecdot and the rolloff's cumsum hold
+    it over a block's rows, so two threads extracted 512-2048-frame clips at
+    1.30-1.44x one thread's speed, not 2x. Working memory is at most two
+    blocks' stage arrays however long the clip.
 
     Every stage is row-independent, and each later block's first flux value
     is taken after the join from its first magnitude row and the previous

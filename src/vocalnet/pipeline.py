@@ -9,7 +9,8 @@ import numpy as np
 
 from .dataset import LabeledCorpus, SplitPlan
 from .errors import LabelOutOfRange
-from .evaluation import EvalReport, FoldSummary, confusion_matrix, cross_fold_report, summarize
+from .evaluation import (ConfusionMatrix, FoldSummary, confusion_matrix, cross_fold_report,
+                         summarize)
 from .mlp import (Network, NetworkSpec, TrainingConfig, TrainingState,
                   forward, init_network, input_statistics, one_hot, train)
 # evaluate no longer calls it, but perfbench's tracer test wraps this binding
@@ -21,7 +22,7 @@ class FoldResult:
     fold: int
     network: Network
     state: TrainingState
-    report: EvalReport
+    report: ConfusionMatrix
 
 
 @dataclass
@@ -31,7 +32,7 @@ class TrainingRun:
     best: FoldResult  # highest eval accuracy; ties to the earlier fold
 
 
-def evaluate(net: Network, corpus: LabeledCorpus, rows=None) -> EvalReport:
+def evaluate(net: Network, corpus: LabeledCorpus, rows=None) -> ConfusionMatrix:
     """Score net on the given corpus rows (all by default). Each row is cut
     to the model's feature slots, and the corpus's classes are matched to the
     model's by name; a class the model lacks raises LabelOutOfRange."""

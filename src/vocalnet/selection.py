@@ -27,7 +27,6 @@ MDL_MSE_FLOOR = 1e-12
 class SelectionStep:
     round: int
     slot: int
-    slot_name: str
     mdl: float
     accepted: bool
 
@@ -36,7 +35,6 @@ class SelectionStep:
 class SelectionTrace:
     steps: list[SelectionStep]
     final_subset: list[int]
-    final_mdl: float
 
     def subset_names(self) -> list[str]:
         return [FEATURE_NAMES[i] for i in self.final_subset]
@@ -100,7 +98,6 @@ def forward_select(corpus: LabeledCorpus, folds: list[SplitPlan], hidden_width: 
         accepted = best_mdl < incumbent
         for slot in candidates:
             steps.append(SelectionStep(round=round_idx, slot=slot,
-                                       slot_name=FEATURE_NAMES[slot],
                                        mdl=round_scores[slot],
                                        accepted=accepted and slot == best_slot))
         if not accepted:
@@ -108,8 +105,7 @@ def forward_select(corpus: LabeledCorpus, folds: list[SplitPlan], hidden_width: 
         selected.append(best_slot)
         incumbent = best_mdl
 
-    return SelectionTrace(steps=steps, final_subset=selected,
-                          final_mdl=float(incumbent))
+    return SelectionTrace(steps=steps, final_subset=selected)
 
 
 def export_trace(trace: SelectionTrace, path) -> None:
@@ -118,7 +114,7 @@ def export_trace(trace: SelectionTrace, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["round", "slot", "slot_name", "mdl", "accepted"])
         for step in trace.steps:
-            writer.writerow([step.round, step.slot, step.slot_name,
+            writer.writerow([step.round, step.slot, FEATURE_NAMES[step.slot],
                              repr(float(step.mdl)), int(step.accepted)])
 
 

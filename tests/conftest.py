@@ -10,7 +10,9 @@ RATE = 22050
 
 
 def wav_bytes(samples_i16, sample_rate=8000, channels=1, bits=16, format_tag=1):
-    """Hand-build a RIFF/WAVE byte stream for parser tests."""
+    """Hand-build a RIFF/WAVE byte stream for parser tests. The byte rate,
+    which the parser ignores, is written modulo 2**32, so every 32-bit sample
+    rate can be written at every sample width and channel count."""
     if bits == 16:
         pcm = np.asarray(samples_i16, dtype="<i2").tobytes()
     else:
@@ -18,7 +20,7 @@ def wav_bytes(samples_i16, sample_rate=8000, channels=1, bits=16, format_tag=1):
     block_align = channels * bits // 8
     header = b"RIFF" + struct.pack("<I", 36 + len(pcm)) + b"WAVE"
     header += b"fmt " + struct.pack("<IHHIIHH", 16, format_tag, channels,
-                                    sample_rate, sample_rate * block_align,
+                                    sample_rate, sample_rate * block_align % 2**32,
                                     block_align, bits)
     header += b"data" + struct.pack("<I", len(pcm))
     return header + pcm

@@ -577,14 +577,19 @@ class TestClassify:
                                                       capsys):
         # 100 samples at 2 GHz or more are no sample at 22050 Hz, whether
         # resampled by interpolation or, at 22050 x 100000 Hz, by keeping every
-        # k-th sample. 8-bit, so that the byte rate fits its 32-bit field too
+        # k-th sample. Each rate is written as 8-bit mono, 16-bit mono and
+        # 16-bit stereo silence; the parser ignores the byte rate, which
+        # overflows its 32-bit field at 16 bits and wav_bytes wraps
         for rate in (2_000_000_000, 22050 * 100_000):
-            clip = tmp_path / f"fast-{rate}.wav"
-            clip.write_bytes(wav_bytes(np.full(100, 128), sample_rate=rate, bits=8))
-            assert main(["classify", "--model", str(model_path), str(clip)]) == 4
-            err = capsys.readouterr().err
-            assert err.startswith("error: EmptyClip: ")
-            assert err.count("\n") == 1 and err.endswith("\n")
+            for bits, channels, silence in ((8, 1, 128), (16, 1, 0), (16, 2, 0)):
+                clip = tmp_path / f"fast-{rate}-{bits}-{channels}.wav"
+                clip.write_bytes(wav_bytes(np.full(100 * channels, silence),
+                                           sample_rate=rate, channels=channels,
+                                           bits=bits))
+                assert main(["classify", "--model", str(model_path), str(clip)]) == 4
+                err = capsys.readouterr().err
+                assert err.startswith("error: EmptyClip: ")
+                assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_missing_clip_exits_4(self, model_path, tmp_path, capsys):
         assert main(["classify", "--model", str(model_path),

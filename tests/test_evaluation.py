@@ -2,6 +2,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vocalnet.errors import EmptyMatrix, LabelOutOfRange
 from vocalnet.evaluation import (ConfusionMatrix, confusion_matrix,
@@ -99,9 +102,7 @@ class TestSummarize:
         report = summarize(ConfusionMatrix(counts, ["a", "b", "_pseudo"]))
         assert counts[0, 0] == 5 and counts[1, 1] == 5
         assert report.overall_error_rate > 0
-        a_fp = report.per_class[0]
-        assert a_fp.false_positives == 1
-        assert a_fp.fp_rate == pytest.approx(100.0 / 12)
+        assert report.false_positives == [1, 0, 0]
 
     def test_empty_matrix(self):
         with pytest.raises(EmptyMatrix):
@@ -111,6 +112,32 @@ class TestSummarize:
         counts = np.array([[1, 1], [1, 1]])
         report = summarize(ConfusionMatrix(counts, ["a", "b"]))
         assert not report.hypothesis_pass
+
+
+class TestDerivedFacts:
+    """The matrix's properties against plain loops over its counts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(counts=st.integers(1, 8).flatmap(
+        lambda n: hnp.arrays(np.int64, (n, n), elements=st.integers(0, 10**4)))
+        .filter(lambda counts: counts.sum() > 0))
+    @example(counts=np.array([[7, 1], [2, 0]]))  # exactly 70%: the gate passes
+    def test_matches_loops_over_the_counts(self, counts):
+        matrix = ConfusionMatrix(counts, [f"c{i}" for i in range(len(counts))])
+        assert summarize(matrix) is matrix
+        rows = counts.tolist()
+        n = len(rows)
+        total = sum(sum(row) for row in rows)
+        correct = sum(rows[i][i] for i in range(n))
+        accuracy = 100.0 * correct / total
+        false_positives = [sum(rows[t][p] for t in range(n) if t != p) for p in range(n)]
+        assert matrix.overall_accuracy == accuracy
+        assert matrix.overall_error_rate == 100.0 - accuracy
+        assert matrix.hypothesis_pass == (accuracy >= 70.0)
+        assert matrix.false_positives == false_positives
+        fp_row = next(line for line in render_report_text(matrix).splitlines()
+                      if line.startswith("False positives"))
+        assert fp_row.split()[2:] == [str(v) for v in [*false_positives, correct]]
 
 
 class TestCrossFold:

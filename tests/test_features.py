@@ -295,8 +295,7 @@ class TestCachedArrays:
         lambda: F.mel_filter_bank(22050, 512),
         lambda: F._hann(512),
         lambda: F._dct_basis(F.N_MEL_FILTERS),
-        lambda: F._bin_indices(DEFAULT_WINDOW // 2 + 1),
-    ], ids=["mel_filter_bank", "hann", "dct_basis", "bin_indices"])
+    ], ids=["mel_filter_bank", "hann", "dct_basis"])
     def test_write_raises(self, cached):
         array = cached()
         before = array.copy()

@@ -371,7 +371,7 @@ class TestClassify:
             truth = net.label_map.index(corpus.class_names[label])
             counts[truth, classify(net, x)[0]] += 1
         report = evaluate(net, corpus)
-        np.testing.assert_array_equal(report.matrix.counts, counts)
+        np.testing.assert_array_equal(report.counts, counts)
 
 
 class TestModelFile:

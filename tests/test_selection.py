@@ -87,7 +87,6 @@ class TestForwardSelect:
     def test_mdl_non_increasing_over_accepted_steps(self, informative_trace):
         accepted = [s.mdl for s in informative_trace.steps if s.accepted]
         assert all(b <= a for a, b in zip(accepted, accepted[1:]))
-        assert informative_trace.final_mdl == pytest.approx(accepted[-1])
 
     def test_a_tie_with_the_incumbent_is_rejected(self, informative_corpus,
                                                   monkeypatch):
@@ -98,7 +97,8 @@ class TestForwardSelect:
         trace = forward_select(informative_corpus, folds, hidden_width=3,
                                hidden_layers=1,
                                config=TrainingConfig(max_epochs=1, seed=0))
-        assert trace.final_subset == [0] and trace.final_mdl == 0.0
+        assert trace.final_subset == [0]
+        assert [s.mdl for s in trace.steps if s.accepted] == [0.0]
         assert [(s.round, s.slot) for s in trace.steps if s.accepted] == [(0, 0)]
         assert len(trace.steps) == 28 + 27
 
@@ -136,5 +136,5 @@ class TestTraceFiles:
                           max_size=len(FEATURE_NAMES), unique=True))
     def test_subset_round_trip_property(self, tmp_path_factory, slots):
         path = tmp_path_factory.mktemp("subset") / "subset.csv"
-        write_subset(SelectionTrace(steps=[], final_subset=slots, final_mdl=0.0), path)
+        write_subset(SelectionTrace(steps=[], final_subset=slots), path)
         assert read_subset(path) == slots
