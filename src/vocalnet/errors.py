@@ -54,4 +54,4 @@ class LabelOutOfRange(VocalnetError):
 
 
 class EmptyMatrix(VocalnetError):
-    """Cannot summarize a confusion matrix with zero total count."""
+    """A confusion matrix with zero total count has no accuracy to report."""

@@ -33,7 +33,10 @@ class ConfusionMatrix:
 
     @property
     def overall_accuracy(self) -> float:
-        return 100.0 * int(np.trace(self.counts)) / self.total
+        total = self.total
+        if total == 0:
+            raise EmptyMatrix("no evaluated samples")
+        return 100.0 * int(np.trace(self.counts)) / total
 
     @property
     def overall_error_rate(self) -> float:

@@ -8,10 +8,15 @@ of the rms envelope, as the rows of a (4, M) table. aggregate_clip reduces
 both tables row by row into the slots.
 
 extract_features cuts a clip's frames into near-equal blocks of at most
-BLOCK_FRAMES = 256 frames and runs every per-frame stage, LPC included, on
+BLOCK_FRAMES = 256 frames, and a clip of SPLIT_FRAMES = 128 frames or more
+into two blocks at least, and runs every per-frame stage, LPC included, on
 one block at a time, writing each family into its slice of its table row. A
-clip of more than one block runs its blocks on two threads, the caller and
-one helper, which take them from one shared queue. numpy drops the GIL inside
+clip of two blocks or more runs them on the caller and the process's one
+helper thread (vocalnet._helper), which take them from one shared iterator.
+Against one block, two ran noise clips at 0.77-0.78x one block's speed at 64
+frames, 0.92-0.96x at 100, 0.99-1.05x at 128, 1.14-1.15x at 200 and 1.25x at
+256 (2-core x86-64, numpy 2.4.6, two rounds), so two blocks start at 128
+frames. numpy drops the GIL inside
 a block's FFT and most of its ufunc and BLAS calls, but inside a gufunc or an
 accumulate only above 500 outer iterations, so lpc's np.vecdot and the
 rolloff's np.cumsum(axis=1) hold it over a block's at most 256 rows: two
@@ -43,12 +48,12 @@ dots stay one BLAS ddot per frame, for the reason lpc gives.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from . import _helper
 from .audio_io import AudioClip, DEFAULT_HOP, DEFAULT_WINDOW, frame_clip
 from .errors import InvalidSetting
 
@@ -61,6 +66,7 @@ MACRO_WINDOW_FRAMES = 100
 BPM_MIN = 40.0
 BPM_MAX = 200.0
 BLOCK_FRAMES = 256
+SPLIT_FRAMES = 128
 FFT_ROWS = 64
 
 # the 14 families in canonical listing order; each yields a mean and a std slot
@@ -470,23 +476,27 @@ def extract_features(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
     """Full per-clip extraction: frame, analyze block by block, aggregate.
 
     The F frames of the copy-free frame view are cut into
-    n = ceil(F / BLOCK_FRAMES) blocks of near-equal size, with edges at
-    F * b // n, so no block exceeds 256 frames (300 frames are 150 + 150).
-    Each block runs every per-frame stage, LPC included, and writes into its
-    own column slice of one (10, F) table. A clip of one block is analyzed
-    inline; otherwise one helper thread and the caller take blocks from one
-    shared queue until none are left, and the caller joins the helper and
-    raises the first exception either side met. numpy drops the GIL inside a
-    block's FFT and most of its ufunc and BLAS calls, so the two run on two
-    cores for most of a block; lpc's np.vecdot and the rolloff's cumsum hold
-    it over a block's rows, so two threads extracted 512-2048-frame clips at
-    1.30-1.44x one thread's speed, not 2x. Working memory is at most two
-    blocks' stage arrays however long the clip.
+    n = ceil(F / BLOCK_FRAMES) blocks of near-equal size, two at least from
+    SPLIT_FRAMES = 128 frames on, with edges at F * b // n, so no block
+    exceeds 256 frames (127 frames are one block, 128 are 64 + 64 and 300
+    are 150 + 150). Each block runs every per-frame stage, LPC included, and
+    writes into its own column slice of one (10, F) table. A clip of one
+    block is analyzed inline and hands nothing to the helper; otherwise the
+    caller and the process's one helper thread take blocks from one shared
+    iterator until none are left, and once both are done the first exception
+    either side met is raised. numpy drops the GIL inside a block's FFT and
+    most of its ufunc and BLAS calls, so the two run on two cores for most of
+    a block; lpc's np.vecdot and the rolloff's cumsum hold it over a block's
+    rows, so two threads extracted 512-2048-frame clips at 1.30-1.44x one
+    thread's speed, not 2x. Below 128 frames two blocks ran slower than one
+    (0.77-0.78x at 64 frames), from there on as fast or faster (0.99-1.05x
+    at 128, 1.25x at 256). Working memory is at most two blocks' stage
+    arrays however long the clip.
 
     Every stage is row-independent, and each later block's first flux value
-    is taken after the join from its first magnitude row and the previous
-    block's last, so the rows are those of one pass over every frame, bit
-    for bit, whichever thread ran which block.
+    is taken once both sides are done, from its first magnitude row and the
+    previous block's last, so the rows are those of one pass over every
+    frame, bit for bit, whichever side ran which block.
 
     Vector families (mfcc, moments, lpc) are first collapsed to the mean of
     their coefficients per frame.
@@ -501,32 +511,23 @@ def extract_features(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
     mel_bank = mel_filter_bank(clip.sample_rate, window_size)
     n_frames = len(frames)
     frame_table = np.empty((len(FRAME_FAMILIES), n_frames))  # rows in that order
-    n_blocks = -(-n_frames // BLOCK_FRAMES)
+    n_blocks = max(-(-n_frames // BLOCK_FRAMES), 1 + (n_frames >= SPLIT_FRAMES))
     edges = [n_frames * b // n_blocks for b in range(n_blocks + 1)]
     ends = [None] * n_blocks  # each block's first and last magnitude rows
-    errors = []
     blocks = iter(range(n_blocks))
 
     def analyze():
-        try:
-            # next() on the shared iterator is one C call under the GIL, so
-            # each block index goes to one side only
-            for b in blocks:
-                rows = slice(edges[b], edges[b + 1])
-                ends[b] = _analyze_block(frames[rows], frame_table[:, rows],
-                                         bin_hz, mel_bank)
-        except BaseException as error:
-            errors.append(error)
+        # next() on the shared iterator is one C call under the GIL, so each
+        # block index goes to one side only
+        for b in blocks:
+            rows = slice(edges[b], edges[b + 1])
+            ends[b] = _analyze_block(frames[rows], frame_table[:, rows],
+                                     bin_hz, mel_bank)
 
     if n_blocks == 1:
         analyze()
     else:
-        helper = threading.Thread(target=analyze)
-        helper.start()
-        analyze()
-        helper.join()
-    if errors:
-        raise errors[0]
+        _helper.run_pair(analyze, analyze)
     flux = frame_table[FRAME_FAMILIES.index("spectral_flux")]
     for b in range(1, n_blocks):
         flux[edges[b]] = np.add.reduce((ends[b][0] - ends[b - 1][1]) ** 2)

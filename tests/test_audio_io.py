@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vocalnet.audio_io import (MIN_SAMPLE_RATE, AudioClip, frame_clip,
-                               parse_wav, resample)
+from vocalnet import _helper
+from vocalnet.audio_io import (MIN_SAMPLE_RATE, SPLIT_OUTPUTS, AudioClip,
+                               frame_clip, parse_wav, resample)
 from vocalnet.errors import (EmptyClip, InvalidSetting, MalformedRiff,
                              UnsupportedFormat, VocalnetError)
 
@@ -179,6 +180,44 @@ class TestDecodeParity:
         assert out.dtype == np.float64 and out.flags.c_contiguous
         if rate != target:
             assert not np.shares_memory(out, x)
+
+    # from SPLIT_OUTPUTS outputs on, resample interpolates the two halves of
+    # the grid on the caller and the helper; n_out 2**15 - 1 stays one call
+    @pytest.mark.parametrize("wanted", [2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1, 100_003])
+    @pytest.mark.parametrize("rate", [16000, 11025, 48000])
+    @pytest.mark.parametrize("specials", [
+        (np.nan, np.inf, -0.0, -np.inf), (-0.0, -0.0, np.inf, np.nan),
+        (-np.inf, -0.0, -0.0, np.inf)])
+    def test_resample_bits_at_the_split(self, wanted, rate, specials, monkeypatch):
+        target = 22050
+
+        def n_out_of(n_in):
+            return int(round(n_in * target / rate))
+
+        # upsampling reaches only some lengths (11025 Hz only even ones), so
+        # n_out is the reachable length next to `wanted` on its side of
+        # SPLIT_OUTPUTS: at most it below, at least it from there on
+        n_in = wanted * rate // target
+        while n_out_of(n_in + 1) <= wanted:
+            n_in += 1
+        n_in += wanted >= SPLIT_OUTPUTS and n_out_of(n_in) < wanted
+        n_out = n_out_of(n_in)
+        assert (n_out >= SPLIT_OUTPUTS) == (wanted >= SPLIT_OUTPUTS)
+        assert abs(n_out - wanted) <= 2
+        x = np.random.default_rng(wanted + rate).uniform(-1, 1, n_in)
+        # the source samples on either side of the first helper position
+        at = int(n_out // 2 * (rate / target))
+        x[at - 1:at + 3] = specials
+        pairs = []
+        run_pair = _helper.run_pair
+        monkeypatch.setattr(_helper, "run_pair",
+                            lambda *sides: pairs.append(1) or run_pair(*sides))
+        out = resample(AudioClip(x, rate), target).samples
+        assert len(pairs) == (n_out >= SPLIT_OUTPUTS)
+        expected = np.interp(np.arange(n_out) * (rate / target), np.arange(n_in), x)
+        assert out.tobytes() == expected.tobytes()
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        assert not np.shares_memory(out, x)
 
 
 class TestRoundTrip:

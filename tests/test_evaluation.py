@@ -108,6 +108,13 @@ class TestSummarize:
         with pytest.raises(EmptyMatrix):
             summarize(ConfusionMatrix(np.zeros((2, 2), dtype=int), ["a", "b"]))
 
+    @pytest.mark.parametrize("name", ["overall_accuracy", "overall_error_rate",
+                                      "hypothesis_pass"])
+    def test_empty_matrix_properties_raise_empty_matrix(self, name):
+        # read without summarize first, as a library caller may
+        with pytest.raises(EmptyMatrix):
+            getattr(confusion_matrix([], [], 2), name)
+
     def test_below_threshold_fails_hypothesis(self):
         counts = np.array([[1, 1], [1, 1]])
         report = summarize(ConfusionMatrix(counts, ["a", "b"]))

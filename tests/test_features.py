@@ -1,6 +1,11 @@
+import os
+import signal
 import sys
 import threading
+import time
 import tracemalloc
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +18,7 @@ import lpc_oracle
 import spectral_shape_oracle
 from vocalnet.audio_io import (AudioClip, DEFAULT_HOP, DEFAULT_WINDOW,
                                frame_clip, resample)
-from vocalnet import features as F
+from vocalnet import _helper, features as F
 from vocalnet.errors import InvalidSetting
 
 from conftest import RATE, noise_clip, tone_clip
@@ -647,7 +652,7 @@ class TestBlocks:
     @staticmethod
     def block_edges(n_frames):
         """The near-equal block edges extract_features cuts n_frames at."""
-        n_blocks = -(-n_frames // F.BLOCK_FRAMES)
+        n_blocks = max(-(-n_frames // F.BLOCK_FRAMES), 1 + (n_frames >= F.SPLIT_FRAMES))
         return [n_frames * b // n_blocks for b in range(n_blocks + 1)]
 
     @classmethod
@@ -668,7 +673,8 @@ class TestBlocks:
         return AudioClip(np.clip(x, -1, 1), RATE)
 
     @pytest.mark.parametrize("n_frames, sizes", [
-        (256, [256]), (257, [128, 129]), (300, [150, 150]), (700, [233, 233, 234])])
+        (256, [128, 128]), (257, [128, 129]), (300, [150, 150]), (700, [233, 233, 234]),
+        (127, [127]), (128, [64, 64]), (129, [64, 65])])
     def test_blocks_are_near_equal(self, n_frames, sizes, monkeypatch):
         seen = []
         stage = F.time_domain_features
@@ -683,8 +689,9 @@ class TestBlocks:
         assert np.diff(self.block_edges(n_frames)).tolist() == sorted(sizes)
 
     # 300 and 700 frames split at 150 and at 233 and 466, not at multiples
-    # of BLOCK_FRAMES
-    @pytest.mark.parametrize("n_frames", [1, 255, 256, 257, 300, 513, 700, 851])
+    # of BLOCK_FRAMES; 127 frames are one block and 128 the first two
+    @pytest.mark.parametrize("n_frames", [1, 255, 256, 257, 300, 513, 700, 851,
+                                          127, 128, 129])
     @pytest.mark.parametrize("kind", ["tone", "noise", "bursts"])
     def test_blocks_match_one_pass_over_every_frame(self, n_frames, kind):
         clip = self.clip_of(n_frames, kind, np.random.default_rng(n_frames))
@@ -711,16 +718,17 @@ class TestBlocks:
             return stage(block)
 
         monkeypatch.setattr(F, "time_domain_features", failing)
-        threads = threading.active_count()
+        threads = set(threading.enumerate())
         with pytest.raises(RuntimeError) as raised:
             F.extract_features(clip)
         assert raised.value is error
-        assert threading.active_count() == threads
+        # the call may have started the one helper, and left no other thread
+        assert len(set(threading.enumerate()) - threads) <= 1
 
     def test_concurrent_calls_keep_every_bit(self):
-        # four callers, each with its own helper, on two cores, with the
+        # four callers sharing the one helper, on two cores, with the
         # interpreter switching threads every 10 us: state shared between
-        # calls or between a call's two threads, such as a module-level
+        # calls or between a call's two sides, such as a module-level
         # scratch buffer, or a block skipped, shows as a changed bit
         clips = [self.clip_of(n_frames, "noise", np.random.default_rng(n_frames))
                  for n_frames in (300, 513, 700, 851)]
@@ -746,19 +754,91 @@ class TestBlocks:
 
     def test_a_clip_of_one_block_starts_no_thread(self, monkeypatch):
         made = []
+        handed = []
 
         class Counted(threading.Thread):
             def __init__(self, *args, **kwargs):
                 made.append(self)
                 super().__init__(*args, **kwargs)
 
+        run_pair = _helper.run_pair
+
+        def counted_pair(on_caller, on_helper):
+            handed.append(on_helper)
+            return run_pair(on_caller, on_helper)
+
         monkeypatch.setattr(threading, "Thread", Counted)
+        monkeypatch.setattr(_helper, "run_pair", counted_pair)
         rng = np.random.default_rng(4)
-        for n_frames in (1, 86, 255, 256):
+        for n_frames in (1, 86, 127):
             F.extract_features(self.clip_of(n_frames, "noise", rng))
-        assert made == []
-        F.extract_features(self.clip_of(257, "noise", rng))
-        assert len(made) == 1
+        assert handed == []
+        for count, n_frames in enumerate((128, 256, 257), 1):
+            F.extract_features(self.clip_of(n_frames, "noise", rng))
+            assert len(handed) == count
+        # the helper starts once, on first use, if no earlier call started it
+        assert len(made) <= 1
+
+    def test_a_forked_child_starts_its_own_helper(self):
+        # a fork keeps only the forking thread: a child that handed its
+        # blocks to the parent's helper would wait for it forever
+        clip = self.clip_of(300, "noise", np.random.default_rng(5))
+        want = whole_stack_vector(clip).values.tobytes()
+        F.extract_features(clip)  # the helper now runs
+        with warnings.catch_warnings():
+            # Python 3.12 warns on a fork of a process that runs threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                status = 0 if F.extract_features(clip).values.tobytes() == want else 2
+            finally:
+                os._exit(status)
+        deadline = time.monotonic() + 30
+        done, status = os.waitpid(pid, os.WNOHANG)
+        while not done and time.monotonic() < deadline:
+            time.sleep(0.01)
+            done, status = os.waitpid(pid, os.WNOHANG)
+        if not done:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done, "the child did not finish its extraction"
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+    def test_a_block_that_raised_on_the_helper_leaves_it_serving(self, monkeypatch):
+        clip = self.clip_of(300, "noise", np.random.default_rng(6))
+        want = whole_stack_vector(clip).values.tobytes()
+        F.extract_features(clip)  # the helper now runs
+        threads = threading.active_count()
+        # as above, each side analyzes one block; the helper's raises
+        barrier = threading.Barrier(2, timeout=30)
+        error = RuntimeError("a block failed")
+        stage = F.time_domain_features
+
+        def failing(block):
+            barrier.wait()
+            if threading.current_thread() is not threading.main_thread():
+                raise error
+            return stage(block)
+
+        monkeypatch.setattr(F, "time_domain_features", failing)
+        with pytest.raises(RuntimeError) as raised:
+            F.extract_features(clip)
+        assert raised.value is error
+        monkeypatch.undo()
+        for _ in range(3):
+            assert F.extract_features(clip).values.tobytes() == want
+        assert threading.active_count() == threads
+
+    def test_the_helper_keeps_nothing_of_a_clip(self):
+        # the helper drops a task before the caller returns, so the clip's
+        # frames, a view of its samples, go with the caller's last reference
+        clip = self.clip_of(300, "noise", np.random.default_rng(7))
+        samples = weakref.ref(clip.samples)
+        F.extract_features(clip)
+        del clip
+        assert samples() is None
 
     def test_long_clip_matches_each_series_reduced_alone(self):
         # 12 s is 1032 frames: 5 blocks and 11 macro-windows, enough values
