@@ -6,7 +6,7 @@ forward feature selection -> confusion-matrix evaluation.
 """
 
 from .audio_io import AudioClip, frame_clip, parse_wav, read_wav, resample
-from .dataset import (LabeledCorpus, SplitPlan, load_corpus, make_corpus,
+from .dataset import (LabeledCorpus, SplitPlan, clip_features, load_corpus, make_corpus,
                       plan_folds, read_feature_cache, write_feature_cache)
 from .evaluation import (ConfusionMatrix, confusion_matrix, cross_fold_report,
                          feature_summary, summarize)

@@ -8,15 +8,16 @@ settings from flags alone. An unset --learning-rate, --momentum,
 unset --layers gives one hidden layer, and an unset --hidden makes it as wide
 as the class count. A UserWarning, such as the small-class fold warning,
 prints as one `warning: <message>` line on stderr. `main` parses with one
-parser, built on first use and kept for the process. Commands raise; `main`
-alone turns a failure into an exit code:
+parser, built on first use and kept for the process. Every artifact is
+UTF-8 whatever the locale. Commands raise; `main` alone turns a failure into
+an exit code:
   2  a missing or malformed corpus, cache, model or subset file (a model
      that records other extraction settings included), a corpus with no
      usable clip, or an out-of-range setting;
   3  a class of fewer than 3 samples, or classes that all have 3-5 and so
      leave no class a test row, in select or train;
   4  a clip that cannot be opened or parsed, or that resamples to no
-     samples, in classify;
+     samples, in classify; `extract` skips it with the same message;
   5  a feature vector whose length does not match the model.
 """
 
@@ -27,7 +28,7 @@ import functools
 import sys
 import warnings
 
-from . import audio_io, dataset, evaluation, features, mlp, pipeline, selection
+from . import dataset, evaluation, mlp, pipeline, selection
 from .errors import (ClassTooSmall, DimensionMismatch, EmptyClip, MalformedRiff,
                      UnsupportedFormat, VocalnetError)
 
@@ -104,9 +105,9 @@ def _hidden_width(args, corpus) -> int:
 
 
 def _write_report(report, prefix) -> None:
-    with open(prefix + ".txt", "w") as fh:
+    with open(prefix + ".txt", "w", encoding="utf-8") as fh:
         fh.write(evaluation.render_report_text(report) + "\n")
-    with open(prefix + ".csv", "w") as fh:
+    with open(prefix + ".csv", "w", encoding="utf-8") as fh:
         fh.write(evaluation.render_report_csv(report))
 
 
@@ -175,13 +176,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_classify(args) -> int:
     net, _doc = mlp.load_model(args.model)
-    try:
-        clip = audio_io.read_wav(args.wav)
-    except OSError as exc:  # an unopenable clip is a bad clip (4), not a bad file (2)
-        raise MalformedRiff(f"cannot read clip: {exc}") from exc
-
-    vector = features.extract_features(audio_io.resample(clip, audio_io.DEFAULT_RATE))
-    values = vector.values
+    values = dataset.clip_features(args.wav)
     if net.feature_slots is not None:
         values = values[net.feature_slots]
     label, activations = mlp.classify(net, values)

@@ -65,7 +65,7 @@ def make_corpus(clip_paths, label_names, rows, load_errors=()) -> LabeledCorpus:
 def read_csv_rows(path) -> list[tuple[int, list[str]]]:
     """(line number, row) for each non-empty row of a CSV file; undecodable
     text or a malformed field raises MalformedArtifact."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             return [(reader.line_num, row) for row in reader if row]
@@ -89,9 +89,19 @@ def _manifest_rows(manifest: Path) -> list[tuple[str, str]]:
     return rows
 
 
+def clip_features(path) -> np.ndarray:
+    """One WAV file's 28 values at audio_io.DEFAULT_*; MalformedRiff if unreadable."""
+    try:
+        clip = audio_io.read_wav(path)
+    except OSError as exc:
+        raise MalformedRiff(f"cannot read clip: {exc}") from exc
+    return features.extract_features(
+        audio_io.resample(clip, audio_io.DEFAULT_RATE)).values
+
+
 def load_corpus(root) -> LabeledCorpus:
     """Load a corpus from a class-per-directory tree or a path,label manifest,
-    extracting every clip at the audio_io.DEFAULT_* window, hop and rate.
+    extracting every clip with clip_features.
 
     In a tree, a clip is any file in a class directory whose name ends in
     .wav in any case (field recorders write .WAV), taken in sorted order.
@@ -116,15 +126,12 @@ def load_corpus(root) -> LabeledCorpus:
     load_errors: list[tuple[str, str]] = []
     for path, label in entries:
         try:
-            clip = audio_io.read_wav(path)
-            clip = audio_io.resample(clip, audio_io.DEFAULT_RATE)
-            vector = features.extract_features(clip)
-        except (MalformedRiff, UnsupportedFormat, EmptyClip, OSError) as exc:
+            rows.append(clip_features(path))
+        except (MalformedRiff, UnsupportedFormat, EmptyClip) as exc:
             load_errors.append((str(path), str(exc)))
             continue
         paths.append(path)
         labels.append(label)
-        rows.append(vector.values)
 
     if not rows:
         raise EmptyCorpus(f"no usable clips under {root}")
@@ -133,8 +140,9 @@ def load_corpus(root) -> LabeledCorpus:
 
 
 def write_feature_cache(corpus: LabeledCorpus, path) -> None:
-    """One CSV row per clip: clip_path,label,<28 canonical slots>."""
-    with open(path, "w", newline="") as fh:
+    """One UTF-8 CSV row per clip: clip_path,label,<28 canonical slots>. A
+    name the file system gave as undecodable bytes goes back out as those."""
+    with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:
         writer = csv.writer(fh)
         writer.writerow(["clip_path", "label", *FEATURE_NAMES])
         for path, label, values in zip(corpus.clip_paths, corpus.labels,

@@ -104,7 +104,7 @@ def cross_fold_report(reports: list[ConfusionMatrix]) -> FoldSummary:
 def _quartiles(rows: np.ndarray) -> np.ndarray:
     """Five-number summary of each column, with median-exclusive quartiles:
     (5, columns) rows of min, q1, median, q3 and max."""
-    v = np.sort(rows, axis=0)
+    v = np.sort(rows, axis=0, kind="stable")  # -0.0 and 0.0 keep their order on every CPU
     n = len(v)
 
     def median(a):
@@ -124,7 +124,7 @@ def feature_summary(corpus: LabeledCorpus) -> np.ndarray:
 
 
 def write_feature_summary(summary: np.ndarray, class_names: list[str], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["class", "slot", "min", "q1", "median", "q3", "max"])
         for cls, slots in zip(class_names, summary):

@@ -272,12 +272,11 @@ def mel_filter_bank(sample_rate: int, window_size: int) -> np.ndarray:
     hz_points = mel_to_hz(mel_points)
     bin_freqs = np.arange(n_bins) * (sample_rate / window_size)
 
-    bank = np.zeros((N_MEL_FILTERS, n_bins))
-    for i in range(N_MEL_FILTERS):
-        lo, mid, hi = hz_points[i], hz_points[i + 1], hz_points[i + 2]
-        rising = (bin_freqs - lo) / max(mid - lo, 1e-12)
-        falling = (hi - bin_freqs) / max(hi - mid, 1e-12)
-        bank[i] = np.maximum(0.0, np.minimum(rising, falling))
+    # one row per filter: its lower edge, peak and upper edge
+    lo, mid, hi = hz_points[:-2, None], hz_points[1:-1, None], hz_points[2:, None]
+    rising = (bin_freqs - lo) / np.maximum(mid - lo, 1e-12)
+    falling = (hi - bin_freqs) / np.maximum(hi - mid, 1e-12)
+    bank = np.maximum(0.0, np.minimum(rising, falling))
     bank.flags.writeable = False  # shared by every caller of the cache
     return bank
 
@@ -356,16 +355,13 @@ def lpc(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.greater(err, 0.0, out=live)
         # column i is still all zero, so a spent frame's k is 0
         k = a[:, i]
-        if i:
-            np.vecdot(a[:, :i], reversed_r[:, order - i:order], out=acc)
-            np.subtract(r[:, i + 1], acc, out=acc)
-            np.divide(acc, err, out=k, where=live)
-            # the reflection updates live rows in place and leaves the others be
-            np.multiply(k[:, None], a[:, i - 1::-1], out=reflected[:, :i])
-            np.subtract(a[:, :i], reflected[:, :i], out=a[:, :i], where=live[:, None])
-        else:
-            # with no coefficients yet the dot is 0.0, and r - 0.0 is r, -0.0 too
-            np.divide(r[:, 1], err, out=k, where=live)
+        # step 0's dot is empty and writes 0.0, and r - 0.0 is r, -0.0 too
+        np.vecdot(a[:, :i], reversed_r[:, order - i:order], out=acc)
+        np.subtract(r[:, i + 1], acc, out=acc)
+        np.divide(acc, err, out=k, where=live)
+        # the reflection updates live rows in place and leaves the others be
+        np.multiply(k[:, None], a[:, :i][:, ::-1], out=reflected[:, :i])
+        np.subtract(a[:, :i], reflected[:, :i], out=a[:, :i], where=live[:, None])
         np.multiply(k, k, out=shrink)
         np.subtract(1.0, shrink, out=shrink)
         err *= shrink

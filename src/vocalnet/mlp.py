@@ -408,7 +408,7 @@ def save_model(net: Network, path, seed: int | None = None,
         "stop_reason": stop_reason,
         "extraction": EXTRACTION,
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 
 
@@ -419,7 +419,7 @@ def load_model(path) -> tuple[Network, dict]:
     feature slot, or extraction settings other than (a part of) EXTRACTION
     raise MalformedArtifact."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         if doc["format_version"] != MODEL_FORMAT_VERSION:
             raise ValueError(f"format version {doc['format_version']!r}")

@@ -110,7 +110,7 @@ def forward_select(corpus: LabeledCorpus, folds: list[SplitPlan], hidden_width: 
 
 def export_trace(trace: SelectionTrace, path) -> None:
     """Audit CSV: round,slot,slot_name,mdl,accepted."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["round", "slot", "slot_name", "mdl", "accepted"])
         for step in trace.steps:
@@ -120,7 +120,7 @@ def export_trace(trace: SelectionTrace, path) -> None:
 
 def write_subset(trace: SelectionTrace, path) -> None:
     """Selected slot indices and names, one per line, for the training command."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["slot", "slot_name"])
         for slot in trace.final_subset:

@@ -102,6 +102,36 @@ class TestExtract:
                    for line in capsys.readouterr().err.splitlines())
         assert len(read_feature_cache(out).samples) == 40
 
+    @pytest.mark.parametrize("layout", ["directory", "manifest"])
+    def test_unreadable_clip_is_skipped_and_classify_exits_4_alike(
+            self, small_corpus_dir, model_path, tmp_path, capsys, layout):
+        # a directory named like a clip, or a manifest row naming no file
+        import shutil
+        root = tmp_path / "corpus"
+        shutil.copytree(small_corpus_dir, root)
+        if layout == "directory":
+            bad = root / "tone440" / "x.wav"
+            bad.mkdir()
+            corpus = root
+        else:
+            bad = root / "missing.wav"
+            corpus = root / "manifest.csv"
+            rows = [f"{wav.relative_to(root)},{wav.parent.name}"
+                    for wav in sorted(root.glob("*/*.wav"))]
+            corpus.write_text("path,label\n" + "\n".join(rows + ["missing.wav,tone440"]))
+        out = tmp_path / "cache.csv"
+        assert main(["extract", "--corpus", str(corpus), "--out", str(out)]) == 0
+        assert len(read_feature_cache(out).samples) == 40
+        warning, = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning: skipped ")]
+        prefix = f"warning: skipped {bad}: "
+        assert warning.startswith(prefix + "cannot read clip: ")
+
+        assert main(["classify", "--model", str(model_path), str(bad)]) == 4
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == f"error: MalformedRiff: {warning[len(prefix):]}\n"
+
     def test_empty_corpus_exits_2(self, tmp_path):
         (tmp_path / "cls").mkdir()
         assert main(["extract", "--corpus", str(tmp_path),
@@ -731,6 +761,44 @@ def test_cli_imports_without_scipy():
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_artifacts_are_utf8_under_an_ascii_locale(tmp_path):
+    """extract -> select -> train --report over a corpus with a non-ASCII
+    class and clip name writes the same bytes under the C locale, with
+    Python's UTF-8 mode and locale coercion off, as under a UTF-8 locale."""
+    corpus = build_tone_corpus_dir(tmp_path / "corpus", clips_per_class=6, seed=5)
+    (corpus / "tone440").rename(corpus / "ñandú-tone440")
+    (corpus / "tone880" / "clip00.wav").rename(corpus / "tone880" / "canción.wav")
+    src = Path(__file__).resolve().parent.parent / "src"
+    locales = {"utf8": {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"},
+               "ascii": {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}}
+    written = {}
+    for name, locale_env in locales.items():
+        env = {**os.environ, **locale_env, "PYTHONPATH": str(src)}
+        encoding = subprocess.run(
+            [sys.executable, "-c", "import codecs, locale; "
+             "print(codecs.lookup(locale.getpreferredencoding()).name)"],
+            env=env, capture_output=True, text=True, timeout=60).stdout.strip()
+        assert encoding == {"utf8": "utf-8", "ascii": "ascii"}[name]
+        out = tmp_path / name
+        out.mkdir()
+        training = ["--seed", "0", "--max-epochs", "3"]
+        for argv in (["extract", "--corpus", str(corpus), "--out", str(out / "cache.csv")],
+                     ["select", "--cache", str(out / "cache.csv"), "--trace",
+                      str(out / "trace.csv"), "--subset", str(out / "subset.csv"), *training],
+                     ["train", "--cache", str(out / "cache.csv"), "--subset",
+                      str(out / "subset.csv"), "--model", str(out / "model.json"),
+                      "--report", str(out / "report"), *training]):
+            done = subprocess.run([sys.executable, "-m", "vocalnet.cli", *argv], env=env,
+                                  capture_output=True, timeout=300)
+            assert done.returncode == 0, (name, argv[0], done.stderr.decode())
+        written[name] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert sorted(written["utf8"]) == ["cache.csv", "model.json", "report.csv",
+                                       "report.features.csv", "report.txt",
+                                       "subset.csv", "trace.csv"]
+    assert "ñandú-tone440".encode() in written["utf8"]["report.features.csv"]
+    assert written["ascii"] == written["utf8"]
 
 
 def readme() -> str:

@@ -1,4 +1,5 @@
 import re
+import statistics
 
 import numpy as np
 import pytest
@@ -189,6 +190,33 @@ class TestFeatureSummary:
         rows = np.array([[5, 1.0], [1, 2.0], [3, 3.0], [2, 4.0], [4, 5.0]])
         np.testing.assert_array_equal(_quartiles(rows),
                                       [[1, 1], [1.5, 1.5], [3, 3], [4.5, 4.5], [5, 5]])
+
+    @staticmethod
+    def sorted_list_quartiles(column):
+        """Min, median-exclusive quartiles and max of one column, from a
+        sorted Python list and statistics.median."""
+        values = sorted(column)
+        half = len(values) // 2 or 1
+        return [values[0], statistics.median(values[:half]), statistics.median(values),
+                statistics.median(values[len(values) - half:]), values[-1]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 40).flatmap(lambda n: hnp.arrays(
+        np.float64, (n, 3), elements=st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+            st.builds(lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** exponent,
+                      st.sampled_from([1.0, -1.0]), st.floats(1.0, 10.0),
+                      st.integers(-300, 299))))))
+    @example(rows=np.array([[-0.0], [-0.0]]))
+    @example(rows=np.array([[-0.0], [0.0], [-0.0]]))
+    # numpy's AVX-512 sort and its other kernels order these zeros apart
+    @example(rows=np.array([[-0.0], [-0.0], [0.0], [0.0], [0.0], [0.0], [0.0], [-1.0]]))
+    def test_matches_a_sorted_list_reference_bit_for_bit(self, rows):
+        got = _quartiles(rows)
+        want = np.array([self.sorted_list_quartiles(column.tolist())
+                         for column in rows.T]).T
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
     def test_per_class_summary_shape(self):
         corpus = synthetic_feature_corpus([(0, 0), (5, 5)], samples_per_class=8)

@@ -291,6 +291,32 @@ class TestMfcc:
         assert bank.shape == (26, 257)
         assert np.all(bank >= 0)
 
+    @staticmethod
+    def mel_bank_oracle(sample_rate, window_size):
+        """The bank built one filter at a time, as vocalnet built it before
+        its one broadcast over all filters."""
+        n_bins = window_size // 2 + 1
+        mel_points = np.linspace(0.0, float(F.mel_scale(sample_rate / 2.0)),
+                                 F.N_MEL_FILTERS + 2)
+        hz_points = F.mel_to_hz(mel_points)
+        bin_freqs = np.arange(n_bins) * (sample_rate / window_size)
+        bank = np.zeros((F.N_MEL_FILTERS, n_bins))
+        for i in range(F.N_MEL_FILTERS):
+            lo, mid, hi = hz_points[i], hz_points[i + 1], hz_points[i + 2]
+            rising = (bin_freqs - lo) / max(mid - lo, 1e-12)
+            falling = (hi - bin_freqs) / max(hi - mid, 1e-12)
+            bank[i] = np.maximum(0.0, np.minimum(rising, falling))
+        return bank
+
+    @pytest.mark.parametrize("window", [64, 512, 2048])
+    @pytest.mark.parametrize("rate", [8000, 11025, 16000, 22050, 44100, 48000])
+    def test_bank_matches_the_per_filter_loop_bit_for_bit(self, rate, window):
+        bank = F.mel_filter_bank(rate, window)
+        want = self.mel_bank_oracle(rate, window)
+        assert (bank.dtype, bank.shape) == (want.dtype, want.shape)
+        assert bank.flags.c_contiguous
+        assert bank.tobytes() == want.tobytes()
+
 
 class TestCachedArrays:
     """Every later extraction in the process reads the cached arrays, so

@@ -1,10 +1,13 @@
 import csv
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import selection_oracle
 from vocalnet import dataset, pipeline, selection
 from vocalnet.features import FEATURE_NAMES
 from vocalnet.mlp import NetworkSpec, TrainingConfig, init_network, one_hot
@@ -116,6 +119,49 @@ class TestForwardSelect:
         run = pipeline.train_all_folds(informative_corpus, folds, FAST,
                                        feature_slots=informative_trace.final_subset)
         assert run.summary.mean_accuracy >= 90.0
+
+
+class TestAgainstOracle:
+    """forward_select's whole trace against tests/selection_oracle.py."""
+
+    @staticmethod
+    def cache(sizes, seed):
+        """sizes[c] rows of class c; slot c carries class c's offset of 3, the
+        other slots are standard normal noise."""
+        rng = np.random.default_rng(seed)
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        rows = rng.standard_normal((len(labels), len(FEATURE_NAMES)))
+        rows[np.arange(len(labels)), labels] += 3.0
+        return dataset.make_corpus([f"row{i}" for i in range(len(labels))],
+                                   [f"class{c}" for c in labels], rows)
+
+    @pytest.mark.filterwarnings("ignore:classes smaller than")
+    @settings(max_examples=25, deadline=None)
+    @given(sizes=st.lists(st.integers(3, 8), min_size=2, max_size=5),
+           seed=st.integers(0, 2**16), width=st.integers(1, 3),
+           layers=st.integers(1, 2), epochs=st.integers(1, 3),
+           grid=st.sampled_from([None, 1.0, 10.0, 1e9]))
+    # every score rounds to -1e9 or 0, so round 1's best ties the incumbent
+    @example(sizes=[6, 6], seed=0, width=1, layers=1, epochs=1, grid=1e9)
+    # real scores: round 1 improves on nothing, so one slot is selected
+    @example(sizes=[3, 8, 5], seed=4, width=1, layers=1, epochs=2, grid=None)
+    def test_trace_matches_the_oracle(self, sizes, seed, width, layers, epochs, grid):
+        assume(any(n >= 6 for n in sizes))  # one class needs a test row
+        corpus = self.cache(sizes, seed)
+        folds = dataset.plan_folds(corpus, seed)
+        config = TrainingConfig(max_epochs=epochs, seed=seed)
+        # a coarse grid makes scores tie, within a round and with the incumbent
+        coarsen = (lambda score: math.floor(score / grid) * grid) if grid else float
+        score = selection.mdl_score
+        with mock.patch.object(selection, "mdl_score",
+                               lambda *args: coarsen(score(*args))):
+            trace = forward_select(corpus, folds, width, layers, config)
+        want, want_subset = selection_oracle.forward_select(
+            corpus, folds, width, layers, config, coarsen)
+        got = [(s.round, s.slot, s.mdl, s.accepted) for s in trace.steps]
+        assert [(r, slot, np.float64(m).tobytes(), a) for r, slot, m, a in got] \
+            == [(r, slot, np.float64(m).tobytes(), a) for r, slot, m, a in want]
+        assert trace.final_subset == want_subset
 
 
 class TestTraceFiles:
