@@ -141,19 +141,48 @@ def frame_clip(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
         strides=(hop_size * step, step), writeable=False)
 
 
+def _interp_shared(buffer, n_out: int, half: int, ratio: float, lo: int,
+                   n_source: int) -> None:
+    """The helper's side of resample: outputs half:n_out from the source
+    samples lo:lo + n_source at the buffer's start, written over them."""
+    source = np.frombuffer(buffer, count=n_source)
+    positions = np.arange(half, n_out, dtype=np.float64) * ratio
+    out = np.interp(positions, np.arange(lo, lo + n_source, dtype=np.float64), source)
+    np.frombuffer(buffer, count=len(out))[:] = out
+
+
+def _hand_interp(helper, samples: np.ndarray, n_out: int, half: int,
+                 ratio: float) -> bool:
+    """Copy the source samples that outputs half:n_out read into the helper's
+    buffer and hand it _interp_shared; False where there is no helper, the
+    samples or the outputs do not fit, or the helper died."""
+    if helper is None or not helper.alive:
+        return False
+    lo = int(half * ratio)  # the source sample at or below position `half`
+    source = samples[lo:]
+    if 8 * max(len(source), n_out - half) > len(helper.buffer):
+        return False
+    np.frombuffer(helper.buffer, count=len(source))[:] = source
+    return helper.call(_interp_shared, n_out, half, ratio, lo, len(source))
+
+
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     """Linear-interpolation resampling to target_rate; identity when rates match.
 
     At a whole-multiple rate, resample keeps every k-th sample, which gives
     np.interp's bits there. At any other rate, a grid of SPLIT_OUTPUTS = 2**15
     outputs or more is interpolated in two halves, the first on the caller
-    and the second on the process's one helper thread, and the halves are
-    joined into one fresh array. np.interp gives each position the same
-    value whichever call takes it, so the bits are those of one call. Split
-    against one call, resampling to 22050 Hz took 69 against 60 us at 0.5 s
-    from 16 kHz, 95 against 97 at 1 s from 11.025 kHz, and 244 against 339 at
-    3 s from 16 kHz; from 2**15 outputs (1.49 s) on it ran 1.05-1.51x as
-    fast from 11.025, 16 and 48 kHz (2-core x86-64, numpy 2.4.6).
+    and the second on the package's one helper process (vocalnet._helper),
+    which reads the source samples from the first one it needs on, copied to
+    its buffer; the halves are joined into one fresh array. np.interp gives
+    each position the same value whichever call takes it, on the whole source
+    or the run of it from the sample at or below the position's, so the bits
+    are those of one call. Where the helper is held by another thread, is
+    missing or has died, or its source samples or outputs do not fit its
+    1 MiB buffer (from about 5.4 s at 48 kHz), one call on the caller takes
+    every output. Against one call, the split took 258 against 321 us at
+    1.5 s from 16 kHz, 585 against 691 at 3 s, and 238 against 287 at 3 s
+    from 11.025 kHz (2-core x86-64, numpy 2.4.6).
     """
     if target_rate <= 0:
         raise InvalidSetting(f"target_rate must be positive, got {target_rate}")
@@ -169,14 +198,23 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     else:
         # float grids hold the same whole numbers as integer ones, but are not
         # cast to float64 element by element in the product and again in interp
-        positions = np.arange(n_out, dtype=np.float64) * (clip.sample_rate / target_rate)
+        ratio = clip.sample_rate / target_rate
+        positions = np.arange(n_out, dtype=np.float64) * ratio
         grid = np.arange(len(clip.samples), dtype=np.float64)
         if n_out < SPLIT_OUTPUTS:
             resampled = np.interp(positions, grid, clip.samples)
         else:
             half = n_out // 2
-            resampled = np.concatenate(_helper.run_pair(
-                lambda: np.interp(positions[:half], grid, clip.samples),
-                lambda: np.interp(positions[half:], grid, clip.samples)))
+            with _helper.held() as helper:
+                handed = _hand_interp(helper, clip.samples, n_out, half, ratio)
+                try:
+                    resampled = np.interp(positions[:half] if handed else positions,
+                                          grid, clip.samples)
+                finally:
+                    done = handed and helper.wait()
+                if handed:
+                    second = (np.frombuffer(helper.buffer, count=n_out - half) if done
+                              else np.interp(positions[half:], grid, clip.samples))
+                    resampled = np.concatenate((resampled, second))
     return AudioClip(samples=resampled, sample_rate=target_rate,
                      source_path=clip.source_path)

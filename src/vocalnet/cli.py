@@ -9,8 +9,9 @@ unset --layers gives one hidden layer, and an unset --hidden makes it as wide
 as the class count. A UserWarning, such as the small-class fold warning,
 prints as one `warning: <message>` line on stderr. `main` parses with one
 parser, built on first use and kept for the process. Every artifact is
-UTF-8 whatever the locale. Commands raise; `main` alone turns a failure into
-an exit code:
+UTF-8 whatever the locale; a class name that stdout cannot encode prints
+with backslash escapes in `classify` and `evaluate`. Commands raise; `main`
+alone turns a failure into an exit code:
   2  a missing or malformed corpus, cache, model or subset file (a model
      that records other extraction settings included), a corpus with no
      usable clip, or an out-of-range setting;
@@ -165,10 +166,23 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _print_escaped(text: str) -> None:
+    """print(text), or, where stdout cannot encode all of it, text with each
+    character it cannot encode written as a backslash escape, as Python
+    writes to stderr."""
+    encoding = getattr(sys.stdout, "encoding", None)
+    if encoding:
+        try:
+            text.encode(encoding, sys.stdout.errors or "strict")
+        except UnicodeEncodeError:
+            text = text.encode(encoding, "backslashreplace").decode(encoding)
+    print(text)
+
+
 def cmd_evaluate(args) -> int:
     net, _doc = mlp.load_model(args.model)
     report = pipeline.evaluate(net, dataset.read_feature_cache(args.cache))
-    print(evaluation.render_report_text(report))
+    _print_escaped(evaluation.render_report_text(report))
     if args.report:
         _write_report(report, args.report)
     return 0
@@ -181,7 +195,7 @@ def cmd_classify(args) -> int:
         values = values[net.feature_slots]
     label, activations = mlp.classify(net, values)
     name = net.label_map[label] if net.label_map else str(label)
-    print(name)
+    _print_escaped(name)
     print(" ".join(f"{a:.4f}" for a in activations))
     return 0
 

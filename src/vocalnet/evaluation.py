@@ -109,7 +109,16 @@ def _quartiles(rows: np.ndarray) -> np.ndarray:
 
     def median(a):
         mid = len(a) // 2
-        return a[mid] if len(a) % 2 else (a[mid - 1] + a[mid]) / 2
+        if len(a) % 2:
+            return a[mid]
+        low, high = a[mid - 1], a[mid]
+        with np.errstate(over="ignore"):
+            middle = (low + high) / 2
+        # two finite values whose sum passes the largest float: halved first,
+        # there alone, so every other median keeps the bits of (a + b) / 2
+        over = np.isinf(middle) & np.isfinite(low) & np.isfinite(high)
+        middle[over] = low[over] / 2 + high[over] / 2
+        return middle
 
     half = n // 2 or 1  # one value is its own lower and upper half
     return np.array([v[0], median(v[:half]), median(v), median(v[n - half:]), v[-1]])

@@ -11,29 +11,31 @@ extract_features cuts a clip's frames into near-equal blocks of at most
 BLOCK_FRAMES = 256 frames, and a clip of SPLIT_FRAMES = 128 frames or more
 into two blocks at least, and runs every per-frame stage, LPC included, on
 one block at a time, writing each family into its slice of its table row. A
-clip of two blocks or more runs them on the caller and the process's one
-helper thread (vocalnet._helper), which take them from one shared iterator.
-Against one block, two ran noise clips at 0.77-0.78x one block's speed at 64
-frames, 0.92-0.96x at 100, 0.99-1.05x at 128, 1.14-1.15x at 200 and 1.25x at
-256 (2-core x86-64, numpy 2.4.6, two rounds), so two blocks start at 128
-frames. numpy drops the GIL inside
-a block's FFT and most of its ufunc and BLAS calls, but inside a gufunc or an
-accumulate only above 500 outer iterations, so lpc's np.vecdot and the
-rolloff's np.cumsum(axis=1) hold it over a block's at most 256 rows: two
-threads ran those calls at 0.95-1.00x one thread's speed, against 1.93-1.98x
-at 501-1024 rows, and the whole extraction of 512-2048-frame clips at
-1.30-1.44x (2-core x86-64, numpy 2.4.6). However long a clip runs, its
-working memory is its decoded samples, the stage arrays of at most two
-blocks and a few dozen values per frame. At 512-sample windows a 256-frame
-block holds at most about 1.7 MB at once, in spectral shape: its magnitudes
-and that stage's two per-call buffers, 0.5 MB each. The spectrum tapers and
-transforms FFT_ROWS = 64 frames at a time, so the block's 1 MB of tapered
-frames and 1 MB of complex spectrum are never held whole. Block size was
-measured on a 512-frame noise clip (2-core x86-64, numpy 2.4.6, six
-rounds): the stages run one block after another took 12.5-13.9 us/frame in
-128-frame blocks and 11.7-17.8 in 256-frame ones, but the whole extraction
-on two threads took 10.4-13.3 us/frame in 128-frame blocks against 9.0-10.6
-in 256-frame ones.
+clip of two blocks or more runs every other block on the package's one
+helper process (vocalnet._helper), which reads the block's samples from a
+shared buffer and writes its values back there. A thread could not stand in
+for it: numpy holds the GIL inside a gufunc or an accumulate over at most 500
+rows, so lpc's np.vecdot and the rolloff's np.cumsum(axis=1) serialize two
+threads over a block's at most 256 rows, and two threads extracted
+512-2048-frame clips at only 1.30-1.44x one thread's speed. With the helper
+process, two blocks against one ran noise clips at 0.97x one block's speed
+at 24 frames, 1.08x at 32, 1.27x at 64, 1.30x at 86, 1.44x at 128 and 1.53x
+at 256 (2-core x86-64, numpy 2.4.6, medians of 11 rounds). Two blocks still
+start at 128 frames: a clip below that gains at most about 0.2 ms, and the
+first one in a process would pay the fork and, at exit, the helper's end,
+0.5-0.8 ms and about 1 ms in a fresh `vocalnet classify`, whose clips are
+mostly that short. However long a clip runs, its working memory is its
+decoded samples, the stage arrays of one block on each side and a few dozen
+values per frame. At 512-sample windows a 256-frame block holds at most
+about 1.7 MB at once, in spectral shape: its magnitudes and that stage's two
+per-call buffers, 0.5 MB each. The spectrum tapers and transforms
+FFT_ROWS = 64 frames at a time, so the block's 1 MB of tapered frames and
+1 MB of complex spectrum are never held whole. Block size was measured on a
+512-frame noise clip (2-core x86-64, numpy 2.4.6, six rounds): the stages
+run one block after another took 12.5-13.9 us/frame in 128-frame blocks and
+11.7-17.8 in 256-frame ones. In a later sitting the whole extraction with
+the helper process took 5.99 us/frame in 128-frame blocks against 5.61 in
+256-frame ones (medians of 11 interleaved rounds).
 
 extract_features takes a power-of-two window above LPC_ORDER (10) samples and
 a hop in (0, window]; any other setting raises InvalidSetting before any
@@ -467,6 +469,62 @@ def _analyze_block(block: np.ndarray, columns: np.ndarray, bin_hz: float,
     return magnitudes[0].copy(), magnitudes[-1].copy()
 
 
+def _block_edges(n_frames: int) -> list[int]:
+    """The edges of the near-equal blocks extract_features cuts n_frames at."""
+    n_blocks = max(-(-n_frames // BLOCK_FRAMES), 1 + (n_frames >= SPLIT_FRAMES))
+    return [n_frames * b // n_blocks for b in range(n_blocks + 1)]
+
+
+def _shared_tables(buffer, n_rows: int, window_size: int):
+    """A handed block's outputs in the helper's buffer, from byte 0: its
+    (10, n_rows) columns, then its first and last magnitude rows."""
+    n_values = 2 * (window_size // 2 + 1)
+    tables = np.frombuffer(buffer, count=len(FRAME_FAMILIES) * n_rows + n_values)
+    return (tables[:-n_values].reshape(len(FRAME_FAMILIES), n_rows),
+            tables[-n_values:].reshape(2, -1))
+
+
+def _analyze_shared_block(buffer, n_rows: int, window_size: int, hop_size: int,
+                          at: int, sample_rate: int) -> None:
+    """The helper's side of extract_features: _analyze_block on the block of
+    n_rows frames whose samples start at byte `at` of the buffer, its outputs
+    written to _shared_tables."""
+    columns, ends = _shared_tables(buffer, n_rows, window_size)
+    samples = np.frombuffer(buffer, count=(n_rows - 1) * hop_size + window_size,
+                            offset=at)
+    frames = np.lib.stride_tricks.as_strided(
+        samples, shape=(n_rows, window_size),
+        strides=(hop_size * samples.itemsize, samples.itemsize), writeable=False)
+    ends[:] = _analyze_block(frames, columns, sample_rate / window_size,
+                             mel_filter_bank(sample_rate, window_size))
+
+
+def _hand_block(helper, clip: AudioClip, start: int, stop: int, window_size: int,
+                hop_size: int) -> bool:
+    """Copy the samples of frames start:stop into the helper's buffer and hand
+    it _analyze_shared_block; False where there is no helper, the block's
+    frames are no contiguous run of samples, they do not fit the buffer or
+    the helper died.
+
+    The samples land at the address they have modulo 64, so every stage reads
+    them at the alignment it would on the caller: OpenBLAS's Prescott ddot
+    rounds by its operands' alignment.
+    """
+    if helper is None or not helper.alive:
+        return False
+    samples = clip.samples[start * hop_size:(stop - 1) * hop_size + window_size]
+    if samples.strides[0] != samples.itemsize:
+        return False
+    n_rows = stop - start
+    tables = samples.itemsize * (len(FRAME_FAMILIES) * n_rows + 2 * (window_size // 2 + 1))
+    at = -(-tables // 64) * 64 + samples.__array_interface__["data"][0] % 64
+    if at + samples.nbytes > len(helper.buffer):
+        return False
+    np.frombuffer(helper.buffer, count=len(samples), offset=at)[:] = samples
+    return helper.call(_analyze_shared_block, n_rows, window_size, hop_size, at,
+                       clip.sample_rate)
+
+
 def extract_features(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
                      hop_size: int = DEFAULT_HOP) -> FeatureVector:
     """Full per-clip extraction: frame, analyze block by block, aggregate.
@@ -477,22 +535,22 @@ def extract_features(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
     exceeds 256 frames (127 frames are one block, 128 are 64 + 64 and 300
     are 150 + 150). Each block runs every per-frame stage, LPC included, and
     writes into its own column slice of one (10, F) table. A clip of one
-    block is analyzed inline and hands nothing to the helper; otherwise the
-    caller and the process's one helper thread take blocks from one shared
-    iterator until none are left, and once both are done the first exception
-    either side met is raised. numpy drops the GIL inside a block's FFT and
-    most of its ufunc and BLAS calls, so the two run on two cores for most of
-    a block; lpc's np.vecdot and the rolloff's cumsum hold it over a block's
-    rows, so two threads extracted 512-2048-frame clips at 1.30-1.44x one
-    thread's speed, not 2x. Below 128 frames two blocks ran slower than one
-    (0.77-0.78x at 64 frames), from there on as fast or faster (0.99-1.05x
-    at 128, 1.25x at 256). Working memory is at most two blocks' stage
-    arrays however long the clip.
+    block is analyzed inline and never reaches the helper. Otherwise the
+    caller takes blocks 0, 2, 4, ... and the package's one helper process
+    (vocalnet._helper) blocks 1, 3, 5, ...: the caller copies the helper's
+    next block into the shared buffer, hands it over, analyzes its own block
+    and then copies the helper's columns and magnitude rows back. Where the
+    helper is held by another thread, is missing, has died or the block does
+    not fit its buffer, the caller analyzes that block itself. An exception
+    the helper's block raised is raised once the caller's block is done,
+    chained to the caller's own where that raised too.
 
-    Every stage is row-independent, and each later block's first flux value
-    is taken once both sides are done, from its first magnitude row and the
-    previous block's last, so the rows are those of one pass over every
-    frame, bit for bit, whichever side ran which block.
+    Every stage is row-independent, the helper reads its samples at the
+    caller's alignment, and each later block's first flux value is taken
+    once every block is done, from its first magnitude row and the previous
+    block's last, so the rows are those of one pass over every frame, bit
+    for bit, whichever process ran which block. Working memory is at most
+    one block's stage arrays on each side however long the clip.
 
     Vector families (mfcc, moments, lpc) are first collapsed to the mean of
     their coefficients per frame.
@@ -507,23 +565,34 @@ def extract_features(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
     mel_bank = mel_filter_bank(clip.sample_rate, window_size)
     n_frames = len(frames)
     frame_table = np.empty((len(FRAME_FAMILIES), n_frames))  # rows in that order
-    n_blocks = max(-(-n_frames // BLOCK_FRAMES), 1 + (n_frames >= SPLIT_FRAMES))
-    edges = [n_frames * b // n_blocks for b in range(n_blocks + 1)]
+    edges = _block_edges(n_frames)
+    n_blocks = len(edges) - 1
     ends = [None] * n_blocks  # each block's first and last magnitude rows
-    blocks = iter(range(n_blocks))
 
-    def analyze():
-        # next() on the shared iterator is one C call under the GIL, so each
-        # block index goes to one side only
-        for b in blocks:
-            rows = slice(edges[b], edges[b + 1])
-            ends[b] = _analyze_block(frames[rows], frame_table[:, rows],
-                                     bin_hz, mel_bank)
+    def analyze(b):
+        rows = slice(edges[b], edges[b + 1])
+        ends[b] = _analyze_block(frames[rows], frame_table[:, rows], bin_hz, mel_bank)
 
     if n_blocks == 1:
-        analyze()
+        analyze(0)
     else:
-        _helper.run_pair(analyze, analyze)
+        with _helper.held() as helper:
+            for b in range(0, n_blocks, 2):
+                handed = b + 1 < n_blocks and _hand_block(
+                    helper, clip, edges[b + 1], edges[b + 2], window_size, hop_size)
+                try:
+                    analyze(b)
+                finally:
+                    # collected even where the caller's block raised
+                    done = handed and helper.wait()
+                if done:
+                    rows = slice(edges[b + 1], edges[b + 2])
+                    columns, (first, last) = _shared_tables(
+                        helper.buffer, rows.stop - rows.start, window_size)
+                    frame_table[:, rows] = columns
+                    ends[b + 1] = first.copy(), last.copy()
+                elif b + 1 < n_blocks:
+                    analyze(b + 1)
     flux = frame_table[FRAME_FAMILIES.index("spectral_flux")]
     for b in range(1, n_blocks):
         flux[edges[b]] = np.add.reduce((ends[b][0] - ends[b - 1][1]) ** 2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vocalnet import _helper
+from vocalnet import audio_io
 from vocalnet.audio_io import (MIN_SAMPLE_RATE, SPLIT_OUTPUTS, AudioClip,
                                frame_clip, parse_wav, resample)
 from vocalnet.errors import (EmptyClip, InvalidSetting, MalformedRiff,
@@ -182,7 +182,9 @@ class TestDecodeParity:
             assert not np.shares_memory(out, x)
 
     # from SPLIT_OUTPUTS outputs on, resample interpolates the two halves of
-    # the grid on the caller and the helper; n_out 2**15 - 1 stays one call
+    # the grid on the caller and the helper process, which gets the source
+    # from the sample at or below its first position on; n_out 2**15 - 1
+    # stays one call
     @pytest.mark.parametrize("wanted", [2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1, 100_003])
     @pytest.mark.parametrize("rate", [16000, 11025, 48000])
     @pytest.mark.parametrize("specials", [
@@ -208,12 +210,12 @@ class TestDecodeParity:
         # the source samples on either side of the first helper position
         at = int(n_out // 2 * (rate / target))
         x[at - 1:at + 3] = specials
-        pairs = []
-        run_pair = _helper.run_pair
-        monkeypatch.setattr(_helper, "run_pair",
-                            lambda *sides: pairs.append(1) or run_pair(*sides))
+        handed = []
+        hand = audio_io._hand_interp
+        monkeypatch.setattr(audio_io, "_hand_interp",
+                            lambda *args: handed.append(hand(*args)) or handed[-1])
         out = resample(AudioClip(x, rate), target).samples
-        assert len(pairs) == (n_out >= SPLIT_OUTPUTS)
+        assert handed == [True] * (n_out >= SPLIT_OUTPUTS)
         expected = np.interp(np.arange(n_out) * (rate / target), np.arange(n_in), x)
         assert out.tobytes() == expected.tobytes()
         assert out.dtype == np.float64 and out.flags.c_contiguous

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -799,6 +800,38 @@ def test_artifacts_are_utf8_under_an_ascii_locale(tmp_path):
                                        "subset.csv", "trace.csv"]
     assert "ñandú-tone440".encode() in written["utf8"]["report.features.csv"]
     assert written["ascii"] == written["utf8"]
+
+
+def test_printed_names_escape_what_stdout_cannot_encode(tmp_path):
+    """classify and evaluate print a class name that stdout cannot encode
+    with backslash escapes, as Python's stderr does, and exit 0; where it can
+    encode every name, stdout keeps its bytes."""
+    corpus = build_tone_corpus_dir(tmp_path / "corpus", clips_per_class=6, seed=5)
+    # every class non-ASCII, so whichever one classify picks needs escapes
+    shutil.rmtree(corpus / "_pseudo")
+    for name in ("tone440", "tone880", "tone1760"):
+        (corpus / name).rename(corpus / f"ñandú-{name}")
+    cache, model = tmp_path / "cache.csv", tmp_path / "model.json"
+    assert main(["extract", "--corpus", str(corpus), "--out", str(cache)]) == 0
+    assert main(["train", "--cache", str(cache), "--model", str(model),
+                 "--seed", "0", "--max-epochs", "3"]) == 0
+    clip = next((corpus / "ñandú-tone880").iterdir())
+    src = Path(__file__).resolve().parent.parent / "src"
+    locales = {"utf8": {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"},
+               "ascii": {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}}
+    for argv in (["classify", "--model", str(model), str(clip)],
+                 ["evaluate", "--model", str(model), "--cache", str(cache)]):
+        stdout = {}
+        for name, locale_env in locales.items():
+            done = subprocess.run([sys.executable, "-m", "vocalnet.cli", *argv],
+                                  env={**os.environ, **locale_env, "PYTHONPATH": str(src)},
+                                  capture_output=True, timeout=300)
+            assert (done.returncode, done.stderr) == (0, b""), (name, argv[0])
+            stdout[name] = done.stdout
+        assert "ñandú-tone".encode() in stdout["utf8"]
+        assert stdout["ascii"] == stdout["utf8"].decode().encode("ascii",
+                                                                   "backslashreplace")
+        assert b"\\xf1and\\xfa-tone" in stdout["ascii"]
 
 
 def readme() -> str:

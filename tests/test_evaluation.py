@@ -218,6 +218,16 @@ class TestFeatureSummary:
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert got.tobytes() == want.tobytes()
 
+    def test_a_median_of_two_huge_values_does_not_overflow(self):
+        # 1.7e308 + 1.7e308 passes the largest float; their median is 1.7e308,
+        # and the other medians keep the bits of (a + b) / 2
+        got = self.quartiles([1e-300, 1e300, 1.7e308, 1.7e308])
+        assert got == (1e-300, (1e-300 + 1e300) / 2, (1e300 + 1.7e308) / 2,
+                       1.7e308, 1.7e308)
+        assert self.quartiles([-1.7e308, -1.7e308, 0.0, 1.0])[1] == -1.7e308
+        # infinities keep their sums: the overflow fallback is for finite pairs
+        assert self.quartiles([np.inf, np.inf])[2] == np.inf
+
     def test_per_class_summary_shape(self):
         corpus = synthetic_feature_corpus([(0, 0), (5, 5)], samples_per_class=8)
         summary = feature_summary(corpus)

@@ -1,5 +1,6 @@
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -674,6 +675,16 @@ def whole_stack_vector(clip):
                             np.array([series[f] for f in F.CLIP_LEVEL_FAMILIES]))
 
 
+@pytest.fixture
+def fresh_helper():
+    """No helper runs before or after the test: a helper forked during a
+    test that patches a stage keeps the patch, so it is forked in the test
+    and stopped with it."""
+    _helper.stop()
+    yield
+    _helper.stop()
+
+
 class TestBlocks:
     @staticmethod
     def block_edges(n_frames):
@@ -698,10 +709,31 @@ class TestBlocks:
                 burst[:] = 0.5 * rng.standard_normal(len(burst))
         return AudioClip(np.clip(x, -1, 1), RATE)
 
+    @staticmethod
+    def spy_on_handing(monkeypatch):
+        """The sizes of the blocks extract_features hands the helper, in order."""
+        handed = []
+        hand = F._hand_block
+
+        def spy(helper, clip, start, stop, *settings):
+            if hand(helper, clip, start, stop, *settings):
+                handed.append(stop - start)
+                return True
+            return False
+
+        monkeypatch.setattr(F, "_hand_block", spy)
+        return handed
+
     @pytest.mark.parametrize("n_frames, sizes", [
         (256, [128, 128]), (257, [128, 129]), (300, [150, 150]), (700, [233, 233, 234]),
         (127, [127]), (128, [64, 64]), (129, [64, 65])])
-    def test_blocks_are_near_equal(self, n_frames, sizes, monkeypatch):
+    def test_blocks_are_near_equal(self, n_frames, sizes, monkeypatch, fresh_helper):
+        # the plan itself, then the blocks each side analyzed: the caller's
+        # through a stage patched here, the helper's as they are handed to
+        # it, so nothing is observed inside the helper process
+        plan = np.diff(F._block_edges(n_frames)).tolist()
+        assert F._block_edges(n_frames) == self.block_edges(n_frames)
+        assert sorted(plan) == sizes
         seen = []
         stage = F.time_domain_features
 
@@ -710,9 +742,10 @@ class TestBlocks:
             return stage(block)
 
         monkeypatch.setattr(F, "time_domain_features", recording)
+        handed = self.spy_on_handing(monkeypatch)
         F.extract_features(self.clip_of(n_frames, "noise", np.random.default_rng(0)))
-        assert sorted(seen) == sizes
-        assert np.diff(self.block_edges(n_frames)).tolist() == sorted(sizes)
+        assert seen == plan[0::2]
+        assert handed == plan[1::2]
 
     # 300 and 700 frames split at 150 and at 233 and 466, not at multiples
     # of BLOCK_FRAMES; 127 frames are one block and 128 the first two
@@ -725,37 +758,76 @@ class TestBlocks:
         got = F.extract_features(clip).values
         assert got.tobytes() == whole_stack_vector(clip).values.tobytes()
 
+    def test_the_helper_writes_the_callers_rows_at_every_alignment(self):
+        # the helper gets a copy of its block's samples at their address
+        # modulo 64, so for a clip whose samples start at any 8-byte offset of
+        # a cache line its rows are those the caller writes from the clip's
+        # own memory, bit for bit, under kernels that round by alignment too
+        # (OpenBLAS's Prescott ddot); the rows are compared before
+        # aggregation, whose sums can absorb a last-bit change
+        base = self.clip_of(300, "noise", np.random.default_rng(10)).samples
+        bin_hz = RATE / DEFAULT_WINDOW
+        mel_bank = F.mel_filter_bank(RATE, DEFAULT_WINDOW)
+        for offset in range(8):
+            clip = AudioClip(base[offset:], RATE)
+            frames = frame_clip(clip)[150:300]
+            want = np.empty((len(F.FRAME_FAMILIES), len(frames)))
+            first, last = F._analyze_block(frames, want, bin_hz, mel_bank)
+            with _helper.held() as helper:
+                assert F._hand_block(helper, clip, 150, 300, DEFAULT_WINDOW,
+                                     DEFAULT_HOP)
+                assert helper.wait()
+                columns, ends = F._shared_tables(helper.buffer, len(frames),
+                                                 DEFAULT_WINDOW)
+                assert columns.tobytes() == want.tobytes(), offset
+                assert ends.tobytes() == np.stack([first, last]).tobytes()
+            got = F.extract_features(clip).values.tobytes()
+            assert got == whole_stack_vector(clip).values.tobytes(), offset
+
+    def test_a_caller_that_finds_the_helper_held_runs_every_block_itself(
+            self, monkeypatch):
+        # while one caller holds the helper, another analyzes all of its
+        # blocks itself at once rather than wait for it
+        clip = self.clip_of(300, "noise", np.random.default_rng(11))
+        want = whole_stack_vector(clip).values.tobytes()
+        handed = self.spy_on_handing(monkeypatch)
+        got = []
+        with _helper.held():
+            other = threading.Thread(
+                target=lambda: got.append(F.extract_features(clip).values.tobytes()))
+            other.start()
+            other.join(timeout=20)
+            assert not other.is_alive(), "the caller waited for the held helper"
+        assert got == [want] and handed == []
+
     @pytest.mark.parametrize("side", ["caller", "helper"])
     def test_a_failing_block_raises_its_exception_after_the_join(self, side,
-                                                                  monkeypatch):
-        # a clip of two blocks; the barrier holds each thread in its first
-        # block until the other has one too, so each side analyzes one block,
-        # and the stage raises on the given side's block only
+                                                                  monkeypatch,
+                                                                  fresh_helper):
+        # a clip of two blocks, one on each side; the helper is forked with
+        # the stage patched here, which raises on the given side's block only
         clip = self.clip_of(300, "noise", np.random.default_rng(0))
-        barrier = threading.Barrier(2, timeout=30)
-        error = RuntimeError("a block failed")
+        caller = os.getpid()
         stage = F.time_domain_features
 
         def failing(block):
-            barrier.wait()
-            on_caller = threading.current_thread() is threading.main_thread()
-            if on_caller == (side == "caller"):
-                raise error
+            if (os.getpid() == caller) == (side == "caller"):
+                raise RuntimeError(f"a block failed on the {side}")
             return stage(block)
 
         monkeypatch.setattr(F, "time_domain_features", failing)
         threads = set(threading.enumerate())
-        with pytest.raises(RuntimeError) as raised:
+        with pytest.raises(RuntimeError, match=f"^a block failed on the {side}$"):
             F.extract_features(clip)
-        assert raised.value is error
-        # the call may have started the one helper, and left no other thread
-        assert len(set(threading.enumerate()) - threads) <= 1
+        # the helper's answer was taken before the raise, and no thread started
+        assert _helper._running is not None and not _helper._running.pending
+        assert set(threading.enumerate()) == threads
 
     def test_concurrent_calls_keep_every_bit(self):
-        # four callers sharing the one helper, on two cores, with the
-        # interpreter switching threads every 10 us: state shared between
-        # calls or between a call's two sides, such as a module-level
-        # scratch buffer, or a block skipped, shows as a changed bit
+        # four callers on two cores, one at a time holding the helper and the
+        # others analyzing every block themselves, with the interpreter
+        # switching threads every 10 us: state shared between calls, such as
+        # the helper's buffer, or a block skipped, shows as a changed bit
         clips = [self.clip_of(n_frames, "noise", np.random.default_rng(n_frames))
                  for n_frames in (300, 513, 700, 851)]
         want = [whole_stack_vector(clip).values.tobytes() for clip in clips]
@@ -778,39 +850,31 @@ class TestBlocks:
         assert not any(caller.is_alive() for caller in callers)
         assert [got[i] for i in got] == [[w] * 5 for w in want]
 
-    def test_a_clip_of_one_block_starts_no_thread(self, monkeypatch):
-        made = []
-        handed = []
-
-        class Counted(threading.Thread):
-            def __init__(self, *args, **kwargs):
-                made.append(self)
-                super().__init__(*args, **kwargs)
-
-        run_pair = _helper.run_pair
-
-        def counted_pair(on_caller, on_helper):
-            handed.append(on_helper)
-            return run_pair(on_caller, on_helper)
-
-        monkeypatch.setattr(threading, "Thread", Counted)
-        monkeypatch.setattr(_helper, "run_pair", counted_pair)
+    def test_a_clip_of_one_block_starts_no_thread(self, monkeypatch, fresh_helper):
+        # nor a helper: one-block clips never reach it, and the first clip of
+        # two blocks or more forks the one helper, which every later one uses
+        threads = threading.active_count()
+        handed = self.spy_on_handing(monkeypatch)
         rng = np.random.default_rng(4)
         for n_frames in (1, 86, 127):
             F.extract_features(self.clip_of(n_frames, "noise", rng))
-        assert handed == []
+        assert handed == [] and _helper._running is None
+        pids = set()
         for count, n_frames in enumerate((128, 256, 257), 1):
             F.extract_features(self.clip_of(n_frames, "noise", rng))
             assert len(handed) == count
-        # the helper starts once, on first use, if no earlier call started it
-        assert len(made) <= 1
+            pids.add(_helper._running.pid)
+        assert len(pids) == 1
+        assert threading.active_count() == threads
 
     def test_a_forked_child_starts_its_own_helper(self):
-        # a fork keeps only the forking thread: a child that handed its
-        # blocks to the parent's helper would wait for it forever
+        # a child that handed its blocks to the parent's helper would read
+        # the parent's answers; it forgets that helper and forks its own, and
+        # the parent's serves on
         clip = self.clip_of(300, "noise", np.random.default_rng(5))
         want = whole_stack_vector(clip).values.tobytes()
         F.extract_features(clip)  # the helper now runs
+        parent_helper = _helper._running.pid
         with warnings.catch_warnings():
             # Python 3.12 warns on a fork of a process that runs threads
             warnings.simplefilter("ignore", DeprecationWarning)
@@ -818,7 +882,10 @@ class TestBlocks:
         if pid == 0:
             status = 1
             try:
-                status = 0 if F.extract_features(clip).values.tobytes() == want else 2
+                got = F.extract_features(clip).values.tobytes()
+                status = (2 if got != want else
+                          3 if _helper._running.pid == parent_helper else 0)
+                _helper.stop()
             finally:
                 os._exit(status)
         deadline = time.monotonic() + 30
@@ -831,40 +898,99 @@ class TestBlocks:
             os.waitpid(pid, 0)
         assert done, "the child did not finish its extraction"
         assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+        assert F.extract_features(clip).values.tobytes() == want
+        assert _helper._running.pid == parent_helper
 
-    def test_a_block_that_raised_on_the_helper_leaves_it_serving(self, monkeypatch):
+    def test_a_block_that_raised_on_the_helper_leaves_it_serving(self, monkeypatch,
+                                                                  fresh_helper):
         clip = self.clip_of(300, "noise", np.random.default_rng(6))
         want = whole_stack_vector(clip).values.tobytes()
-        F.extract_features(clip)  # the helper now runs
         threads = threading.active_count()
-        # as above, each side analyzes one block; the helper's raises
-        barrier = threading.Barrier(2, timeout=30)
-        error = RuntimeError("a block failed")
+        # the helper is forked with this stage, which raises on its first
+        # block there and runs the real stage after that
+        caller = os.getpid()
         stage = F.time_domain_features
+        raised = []
 
         def failing(block):
-            barrier.wait()
-            if threading.current_thread() is not threading.main_thread():
-                raise error
+            if os.getpid() != caller and not raised:
+                raised.append(True)
+                raise RuntimeError("a block failed")
             return stage(block)
 
         monkeypatch.setattr(F, "time_domain_features", failing)
-        with pytest.raises(RuntimeError) as raised:
+        with pytest.raises(RuntimeError, match="^a block failed$"):
             F.extract_features(clip)
-        assert raised.value is error
         monkeypatch.undo()
+        pid = _helper._running.pid
         for _ in range(3):
             assert F.extract_features(clip).values.tobytes() == want
+        assert _helper._running.pid == pid
         assert threading.active_count() == threads
 
+    def test_a_killed_helper_costs_time_not_bits(self):
+        # the call that finds the helper dead analyzes its blocks itself and
+        # the next one forks a new helper
+        clip = self.clip_of(700, "noise", np.random.default_rng(8))
+        want = whole_stack_vector(clip).values.tobytes()
+        F.extract_features(clip)  # the helper now runs
+        killed = _helper._running.pid
+        os.kill(killed, signal.SIGKILL)
+        assert F.extract_features(clip).values.tobytes() == want
+        with pytest.raises(ProcessLookupError):
+            os.kill(killed, 0)  # reaped
+        assert F.extract_features(clip).values.tobytes() == want
+        assert _helper._running.pid != killed
+
+    def test_an_interrupted_wait_drops_the_helper(self, monkeypatch):
+        # a Ctrl-C while the caller waits leaves the helper's answer unread;
+        # a later call that took it for its own would read a block the helper
+        # is still writing, so the helper goes and the next call forks anew
+        clip = self.clip_of(300, "noise", np.random.default_rng(9))
+        want = whole_stack_vector(clip).values.tobytes()
+        F.extract_features(clip)  # the helper now runs
+        interrupted = _helper._running.pid
+
+        def wait(helper):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(_helper.Helper, "wait", wait)
+        with pytest.raises(KeyboardInterrupt):
+            F.extract_features(clip)
+        monkeypatch.undo()
+        assert _helper._running is None
+        with pytest.raises(ProcessLookupError):
+            os.kill(interrupted, 0)  # reaped
+        for _ in range(3):
+            assert F.extract_features(clip).values.tobytes() == want
+
     def test_the_helper_keeps_nothing_of_a_clip(self):
-        # the helper drops a task before the caller returns, so the clip's
-        # frames, a view of its samples, go with the caller's last reference
+        # the caller copies a block's samples into the helper's buffer and
+        # keeps no reference to them, so the clip's samples go with the
+        # caller's last reference
         clip = self.clip_of(300, "noise", np.random.default_rng(7))
         samples = weakref.ref(clip.samples)
         F.extract_features(clip)
         del clip
         assert samples() is None
+
+    def test_a_process_that_exits_leaves_no_helper(self, tmp_path):
+        # the process stops its helper at exit and waits for it, so by the
+        # time the process is gone its helper is too
+        script = (
+            "import numpy as np\n"
+            "from vocalnet import _helper, features\n"
+            "from vocalnet.audio_io import AudioClip\n"
+            "x = np.random.default_rng(0).uniform(-0.5, 0.5, 512 + 299 * 256)\n"
+            "features.extract_features(AudioClip(x, 22050))\n"
+            "print(_helper._running.pid)\n")
+        package_root = os.path.dirname(os.path.dirname(F.__file__))
+        env = {**os.environ, "PYTHONPATH": package_root}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(done.stdout), 0)
 
     def test_long_clip_matches_each_series_reduced_alone(self):
         # 12 s is 1032 frames: 5 blocks and 11 macro-windows, enough values
