@@ -2,13 +2,13 @@
 
 numpy holds the GIL inside a gufunc or an accumulate over few rows, so a
 second thread in this process could not run every stage of a block beside
-the caller. The helper is a process of its own, forked on first use, that
-runs one handed-in call at a time on `buffer`, an anonymous shared mapping
-of BUFFER_BYTES = 1 MiB. A caller copies the call's inputs into the buffer,
-hands the call over a pipe with Helper.call, does its own share of the work
-and then collects the call with Helper.wait, reading the outputs back from
-the buffer. The buffer never grows: work that does not fit in it stays on
-the caller.
+the caller. The helper is a process of its own, forked on first use, and
+run_pair is the one way to use it: the caller runs its own share of the
+work while the helper runs a function on copies of the caller's input
+arrays, laid into `buffer`, an anonymous shared mapping of BUFFER_BYTES =
+1 MiB, and the call's results come back through the buffer into the
+caller's output arrays. The buffer never grows: work that does not fit in
+it stays on the caller.
 
 held() gives the helper to one caller at a time: a caller that finds another
 thread holding it gets None and does all of its work itself, so no caller
@@ -40,6 +40,7 @@ x86-64, py3.11).
 from __future__ import annotations
 
 import atexit
+import math
 import mmap
 import os
 import pickle
@@ -47,6 +48,8 @@ import signal
 import struct
 import threading
 from contextlib import contextmanager
+
+import numpy as np
 
 BUFFER_BYTES = 2 ** 20
 
@@ -90,10 +93,21 @@ def _pickled(error: BaseException) -> bytes:
     return message
 
 
+def _views(buffer, places) -> list:
+    """The float64 arrays at the given (byte offset, shape) places of buffer."""
+    return [np.frombuffer(buffer, count=math.prod(shape), offset=at).reshape(shape)
+            for at, shape in places]
+
+
+def _fill(outputs, results) -> None:
+    for output, result in zip(outputs, results, strict=True):
+        output[...] = result
+
+
 def _serve(commands: int, results: int, buffer: mmap.mmap) -> None:
-    """The helper's life: run each call read from `commands` on buffer and
-    answer it on `results`, an empty message for done or the pickled error,
-    until EOF."""
+    """The helper's life: run each call read from `commands` on its inputs
+    in buffer, write its results back there and answer on `results`, an
+    empty message for done or the pickled error, until EOF."""
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         low, high = sorted((commands, results))
@@ -102,8 +116,8 @@ def _serve(commands: int, results: int, buffer: mmap.mmap) -> None:
         os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
         while (message := _receive(commands)) is not None:
             try:
-                function, args = pickle.loads(message)
-                function(buffer, *args)
+                function, inputs, outputs, args = pickle.loads(message)
+                _fill(_views(buffer, outputs), function(*_views(buffer, inputs), *args))
                 answer = b""
             except BaseException as error:
                 answer = _pickled(error)
@@ -131,18 +145,16 @@ class Helper:
             _serve(commands, results, self.buffer)  # never returns
         os.close(commands)
         os.close(results)
-        self.alive = True
         self.pending = False  # a call handed in and not yet waited for
 
-    def call(self, function, *args) -> bool:
-        """Hand function(buffer, *args) to the helper; False if it died.
-
-        function must be reachable by name from its module, as pickle needs.
-        """
+    def call(self, function, inputs, outputs, args) -> bool:
+        """Hand the helper function(*inputs, *args), its inputs and results
+        the arrays at those (byte offset, shape) places of the buffer; False
+        if it died."""
         # set first: a call cut short leaves the pipes in an unknown state
         self.pending = True
         try:
-            _send(self._commands, pickle.dumps((function, args)))
+            _send(self._commands, pickle.dumps((function, inputs, outputs, args)))
         except BrokenPipeError:
             self.drop()
             return False
@@ -165,11 +177,15 @@ class Helper:
         """Close the pipes, which ends the helper once its call is done, and
         wait for it to exit; the next held() forks a new one."""
         global _running
-        self.alive = False
         if _running is self:
             _running = None
         self.forget()
-        os.waitpid(self.pid, 0)
+        try:
+            os.waitpid(self.pid, 0)
+        except ChildProcessError:
+            # where SIGCHLD is ignored the kernel reaps the helper itself, and
+            # waitpid fails only once it has exited
+            pass
 
     def forget(self) -> None:
         """Close this process's ends of the pipes."""
@@ -178,6 +194,58 @@ class Helper:
                 os.close(fd)
             except OSError:
                 pass
+
+
+def run_pair(on_caller, function, inputs, outputs, *args):
+    """Run on_caller() here while the helper runs function(*inputs, *args)
+    on copies of `inputs`, then copy the arrays that call returns, one per
+    array of `outputs`, into them; returns on_caller's result.
+
+    function must be reachable by name from its module, as pickle needs.
+    Each input is laid in the buffer at its own address modulo 64, so a
+    kernel that rounds by its operands' alignment, such as OpenBLAS's
+    Prescott ddot, gives the helper the caller's bits. The results come back
+    as float64 from byte 0 once the call is done, so a pair fits where the
+    laid-out inputs and the outputs each take at most BUFFER_BYTES. Where the
+    helper is held by another thread, missing or dead, an input is not a
+    C-contiguous float64 array or the arrays do not fit, function runs here
+    on the inputs themselves once on_caller is done. An exception the
+    helper's call raised is raised once on_caller is done, chained to
+    on_caller's own where that raised too.
+    """
+    with held() as helper:
+        places = None if helper is None else _places(inputs, outputs)
+        if places is not None:
+            _fill(_views(helper.buffer, places[0]), inputs)
+        handed = places is not None and helper.call(function, *places, args)
+        try:
+            result = on_caller()
+        finally:
+            # collected even where on_caller raised
+            done = handed and helper.wait()
+        if done:
+            _fill(outputs, _views(helper.buffer, places[1]))
+    if not done:
+        _fill(outputs, function(*inputs, *args))
+    return result
+
+
+def _places(inputs, outputs):
+    """The (byte offset, shape) places of the inputs and of the outputs in
+    the buffer; None where an input is not a C-contiguous float64 array or
+    the arrays do not fit."""
+    at, laid = 0, []
+    for array in inputs:
+        if array.dtype != np.float64 or not array.flags.c_contiguous:
+            return None
+        at = -(-at // 64) * 64 + array.__array_interface__["data"][0] % 64
+        laid.append((at, array.shape))
+        at += array.nbytes
+    back, size = [], 0
+    for array in outputs:
+        back.append((size, array.shape))
+        size += 8 * array.size
+    return None if max(at, size) > BUFFER_BYTES else (laid, back)
 
 
 @contextmanager

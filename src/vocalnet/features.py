@@ -12,8 +12,8 @@ BLOCK_FRAMES = 256 frames, and a clip of SPLIT_FRAMES = 128 frames or more
 into two blocks at least, and runs every per-frame stage, LPC included, on
 one block at a time, writing each family into its slice of its table row. A
 clip of two blocks or more runs every other block on the package's one
-helper process (vocalnet._helper), which reads the block's samples from a
-shared buffer and writes its values back there. A thread could not stand in
+helper process, handed to it with vocalnet._helper.run_pair on a copy of
+the block's samples. A thread could not stand in
 for it: numpy holds the GIL inside a gufunc or an accumulate over at most 500
 rows, so lpc's np.vecdot and the rolloff's np.cumsum(axis=1) serialize two
 threads over a block's at most 256 rows, and two threads extracted
@@ -444,85 +444,39 @@ def aggregate_clip(frame_table: np.ndarray, clip_table: np.ndarray) -> FeatureVe
     return FeatureVector(values=values.ravel())
 
 
-def _analyze_block(block: np.ndarray, columns: np.ndarray, bin_hz: float,
-                   mel_bank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run every per-frame stage on one block of frames and write its values
-    into `columns`, the block's (10, len(block)) slice of the frame table.
+def _analyze_block(samples: np.ndarray, window_size: int, hop_size: int,
+                   sample_rate: int) -> tuple[np.ndarray, np.ndarray]:
+    """Run every per-frame stage on the frames of `samples`, a run of a
+    clip's samples that frame_clip cuts into a block of frames.
 
-    Returns copies of the block's first and last magnitude rows. Their flux
-    is 0 here, as for a clip's first frame; extract_features sets each later
-    block's first flux from them.
+    Returns the block's (10, len(block)) columns of the frame table and a
+    (2, window_size // 2 + 1) array of its first and last magnitude rows.
+    The first flux is 0 here, as for a clip's first frame; extract_features
+    sets each later block's first flux from the magnitude rows.
     """
+    block = frame_clip(AudioClip(samples, sample_rate), window_size, hop_size)
+    columns = np.empty((len(FRAME_FAMILIES), len(block)))
     (coeffs_mean, zero_crossings, rms, flux, rolloff, compactness, moments_mean,
      lpc_mean, centroid, variability) = columns
     # before the spectrum, so its squared frames are not held beside it
     zero_crossings[:], rms[:] = time_domain_features(block)
     magnitudes = magnitude_spectrum(block)
     (flux[:], rolloff[:], compactness[:], moments, centroid[:],
-     variability[:]) = spectral_shape_features(magnitudes, bin_hz)
+     variability[:]) = spectral_shape_features(magnitudes, sample_rate / window_size)
     # np.mean(axis=1, out=...) as numpy's _mean takes it: sum, then divide
     for coefficients, means in ((moments, moments_mean),
-                                (mfcc(magnitudes, mel_bank), coeffs_mean),
+                                (mfcc(magnitudes, mel_filter_bank(sample_rate, window_size)),
+                                 coeffs_mean),
                                 (lpc(block)[0], lpc_mean)):
         np.add.reduce(coefficients, axis=1, out=means)
         means /= coefficients.shape[1]
-    return magnitudes[0].copy(), magnitudes[-1].copy()
+    return columns, magnitudes[[0, -1]]
 
 
 def _block_edges(n_frames: int) -> list[int]:
     """The edges of the near-equal blocks extract_features cuts n_frames at."""
     n_blocks = max(-(-n_frames // BLOCK_FRAMES), 1 + (n_frames >= SPLIT_FRAMES))
     return [n_frames * b // n_blocks for b in range(n_blocks + 1)]
-
-
-def _shared_tables(buffer, n_rows: int, window_size: int):
-    """A handed block's outputs in the helper's buffer, from byte 0: its
-    (10, n_rows) columns, then its first and last magnitude rows."""
-    n_values = 2 * (window_size // 2 + 1)
-    tables = np.frombuffer(buffer, count=len(FRAME_FAMILIES) * n_rows + n_values)
-    return (tables[:-n_values].reshape(len(FRAME_FAMILIES), n_rows),
-            tables[-n_values:].reshape(2, -1))
-
-
-def _analyze_shared_block(buffer, n_rows: int, window_size: int, hop_size: int,
-                          at: int, sample_rate: int) -> None:
-    """The helper's side of extract_features: _analyze_block on the block of
-    n_rows frames whose samples start at byte `at` of the buffer, its outputs
-    written to _shared_tables."""
-    columns, ends = _shared_tables(buffer, n_rows, window_size)
-    samples = np.frombuffer(buffer, count=(n_rows - 1) * hop_size + window_size,
-                            offset=at)
-    frames = np.lib.stride_tricks.as_strided(
-        samples, shape=(n_rows, window_size),
-        strides=(hop_size * samples.itemsize, samples.itemsize), writeable=False)
-    ends[:] = _analyze_block(frames, columns, sample_rate / window_size,
-                             mel_filter_bank(sample_rate, window_size))
-
-
-def _hand_block(helper, clip: AudioClip, start: int, stop: int, window_size: int,
-                hop_size: int) -> bool:
-    """Copy the samples of frames start:stop into the helper's buffer and hand
-    it _analyze_shared_block; False where there is no helper, the block's
-    frames are no contiguous run of samples, they do not fit the buffer or
-    the helper died.
-
-    The samples land at the address they have modulo 64, so every stage reads
-    them at the alignment it would on the caller: OpenBLAS's Prescott ddot
-    rounds by its operands' alignment.
-    """
-    if helper is None or not helper.alive:
-        return False
-    samples = clip.samples[start * hop_size:(stop - 1) * hop_size + window_size]
-    if samples.strides[0] != samples.itemsize:
-        return False
-    n_rows = stop - start
-    tables = samples.itemsize * (len(FRAME_FAMILIES) * n_rows + 2 * (window_size // 2 + 1))
-    at = -(-tables // 64) * 64 + samples.__array_interface__["data"][0] % 64
-    if at + samples.nbytes > len(helper.buffer):
-        return False
-    np.frombuffer(helper.buffer, count=len(samples), offset=at)[:] = samples
-    return helper.call(_analyze_shared_block, n_rows, window_size, hop_size, at,
-                       clip.sample_rate)
 
 
 def extract_features(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
@@ -533,17 +487,13 @@ def extract_features(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
     n = ceil(F / BLOCK_FRAMES) blocks of near-equal size, two at least from
     SPLIT_FRAMES = 128 frames on, with edges at F * b // n, so no block
     exceeds 256 frames (127 frames are one block, 128 are 64 + 64 and 300
-    are 150 + 150). Each block runs every per-frame stage, LPC included, and
-    writes into its own column slice of one (10, F) table. A clip of one
-    block is analyzed inline and never reaches the helper. Otherwise the
-    caller takes blocks 0, 2, 4, ... and the package's one helper process
-    (vocalnet._helper) blocks 1, 3, 5, ...: the caller copies the helper's
-    next block into the shared buffer, hands it over, analyzes its own block
-    and then copies the helper's columns and magnitude rows back. Where the
-    helper is held by another thread, is missing, has died or the block does
-    not fit its buffer, the caller analyzes that block itself. An exception
-    the helper's block raised is raised once the caller's block is done,
-    chained to the caller's own where that raised too.
+    are 150 + 150). Each block runs every per-frame stage, LPC included, on
+    the run of samples its frames cover, and its columns fill their slice of
+    one (10, F) table. A clip of one block is analyzed inline. Otherwise the
+    caller takes blocks 0, 2, 4, ... and hands blocks 1, 3, 5, ... one at a
+    time to the package's one helper process with vocalnet._helper.run_pair,
+    which runs a block on the caller where the helper cannot take it and
+    raises the helper's exception once the caller's block is done.
 
     Every stage is row-independent, the helper reads its samples at the
     caller's alignment, and each later block's first flux value is taken
@@ -560,42 +510,31 @@ def extract_features(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
     if window_size <= LPC_ORDER or window_size & (window_size - 1):
         raise InvalidSetting(f"window_size must be a power of two above {LPC_ORDER}, "
                              f"got {window_size}")
-    frames = frame_clip(clip, window_size, hop_size)
-    bin_hz = clip.sample_rate / window_size
-    mel_bank = mel_filter_bank(clip.sample_rate, window_size)
-    n_frames = len(frames)
+    n_frames = len(frame_clip(clip, window_size, hop_size))
     frame_table = np.empty((len(FRAME_FAMILIES), n_frames))  # rows in that order
     edges = _block_edges(n_frames)
     n_blocks = len(edges) - 1
-    ends = [None] * n_blocks  # each block's first and last magnitude rows
+    # each block's first and last magnitude rows
+    ends = np.empty((n_blocks, 2, window_size // 2 + 1))
+    settings = window_size, hop_size, clip.sample_rate
+
+    def samples(b):
+        return clip.samples[edges[b] * hop_size:(edges[b + 1] - 1) * hop_size + window_size]
 
     def analyze(b):
-        rows = slice(edges[b], edges[b + 1])
-        ends[b] = _analyze_block(frames[rows], frame_table[:, rows], bin_hz, mel_bank)
+        frame_table[:, edges[b]:edges[b + 1]], ends[b] = _analyze_block(samples(b),
+                                                                        *settings)
 
-    if n_blocks == 1:
-        analyze(0)
-    else:
-        with _helper.held() as helper:
-            for b in range(0, n_blocks, 2):
-                handed = b + 1 < n_blocks and _hand_block(
-                    helper, clip, edges[b + 1], edges[b + 2], window_size, hop_size)
-                try:
-                    analyze(b)
-                finally:
-                    # collected even where the caller's block raised
-                    done = handed and helper.wait()
-                if done:
-                    rows = slice(edges[b + 1], edges[b + 2])
-                    columns, (first, last) = _shared_tables(
-                        helper.buffer, rows.stop - rows.start, window_size)
-                    frame_table[:, rows] = columns
-                    ends[b + 1] = first.copy(), last.copy()
-                elif b + 1 < n_blocks:
-                    analyze(b + 1)
+    for b in range(0, n_blocks, 2):
+        if b + 1 == n_blocks:
+            analyze(b)
+        else:
+            _helper.run_pair(lambda: analyze(b), _analyze_block, (samples(b + 1),),
+                             (frame_table[:, edges[b + 1]:edges[b + 2]], ends[b + 1]),
+                             *settings)
     flux = frame_table[FRAME_FAMILIES.index("spectral_flux")]
     for b in range(1, n_blocks):
-        flux[edges[b]] = np.add.reduce((ends[b][0] - ends[b - 1][1]) ** 2)
+        flux[edges[b]] = np.add.reduce((ends[b, 0] - ends[b - 1, 1]) ** 2)
     rms = frame_table[FRAME_FAMILIES.index("rms")]
     return aggregate_clip(frame_table,
                           clip_level_features(rms, hop_size / clip.sample_rate))

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from vocalnet import _helper
 from vocalnet.audio_io import AudioClip
 from vocalnet.dataset import make_corpus
 
@@ -83,3 +84,30 @@ def synthetic_feature_corpus(class_centers, samples_per_class=20, seed=3,
 @pytest.fixture(scope="session")
 def tone_corpus_dir(tmp_path_factory):
     return build_tone_corpus_dir(tmp_path_factory.mktemp("tones"))
+
+
+@pytest.fixture
+def fresh_helper():
+    """No helper runs before or after the test: a helper forked during a
+    test that patches a stage keeps the patch, so it is forked in the test
+    and stopped with it."""
+    _helper.stop()
+    yield
+    _helper.stop()
+
+
+@pytest.fixture
+def handoffs(monkeypatch):
+    """Each call handed to the helper process, in order, as its function and
+    the shapes of its outputs, recorded on the caller's side once sent."""
+    handed = []
+    call = _helper.Helper.call
+
+    def spy(helper, function, inputs, outputs, args):
+        sent = call(helper, function, inputs, outputs, args)
+        if sent:
+            handed.append((function, [shape for _, shape in outputs]))
+        return sent
+
+    monkeypatch.setattr(_helper.Helper, "call", spy)
+    return handed

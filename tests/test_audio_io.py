@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vocalnet import audio_io
+from vocalnet import _helper, audio_io
 from vocalnet.audio_io import (MIN_SAMPLE_RATE, SPLIT_OUTPUTS, AudioClip,
                                frame_clip, parse_wav, resample)
 from vocalnet.errors import (EmptyClip, InvalidSetting, MalformedRiff,
@@ -190,7 +190,7 @@ class TestDecodeParity:
     @pytest.mark.parametrize("specials", [
         (np.nan, np.inf, -0.0, -np.inf), (-0.0, -0.0, np.inf, np.nan),
         (-np.inf, -0.0, -0.0, np.inf)])
-    def test_resample_bits_at_the_split(self, wanted, rate, specials, monkeypatch):
+    def test_resample_bits_at_the_split(self, wanted, rate, specials, handoffs):
         target = 22050
 
         def n_out_of(n_in):
@@ -210,16 +210,34 @@ class TestDecodeParity:
         # the source samples on either side of the first helper position
         at = int(n_out // 2 * (rate / target))
         x[at - 1:at + 3] = specials
-        handed = []
-        hand = audio_io._hand_interp
-        monkeypatch.setattr(audio_io, "_hand_interp",
-                            lambda *args: handed.append(hand(*args)) or handed[-1])
         out = resample(AudioClip(x, rate), target).samples
-        assert handed == [True] * (n_out >= SPLIT_OUTPUTS)
+        assert handoffs == [(audio_io._interpolated, [(n_out - n_out // 2,)])] * (
+            n_out >= SPLIT_OUTPUTS)
         expected = np.interp(np.arange(n_out) * (rate / target), np.arange(n_in), x)
         assert out.tobytes() == expected.tobytes()
         assert out.dtype == np.float64 and out.flags.c_contiguous
         assert not np.shares_memory(out, x)
+
+    # the helper's half goes to it only where its source samples, from the
+    # one at or below its first position on, and its outputs each fit its
+    # buffer: 6 s at 48 kHz have too many source samples for it and 12.5 s
+    # at 11.025 kHz too many outputs, so the caller takes every output
+    @pytest.mark.parametrize("rate, seconds, source_fits, outputs_fit", [
+        (48000, 6.0, False, True), (11025, 12.5, True, False)])
+    def test_resample_keeps_what_does_not_fit_on_the_caller(
+            self, rate, seconds, source_fits, outputs_fit, handoffs):
+        target = 22050
+        n_in = int(rate * seconds)
+        n_out = int(round(n_in * target / rate))
+        half = n_out // 2
+        source = n_in - int(half * (rate / target))
+        assert (8 * source <= _helper.BUFFER_BYTES) == source_fits
+        assert (8 * (n_out - half) <= _helper.BUFFER_BYTES) == outputs_fit
+        x = np.random.default_rng(rate).uniform(-1, 1, n_in)
+        out = resample(AudioClip(x, rate), target).samples
+        assert handoffs == []
+        expected = np.interp(np.arange(n_out) * (rate / target), np.arange(n_in), x)
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestRoundTrip:

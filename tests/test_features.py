@@ -675,16 +675,6 @@ def whole_stack_vector(clip):
                             np.array([series[f] for f in F.CLIP_LEVEL_FAMILIES]))
 
 
-@pytest.fixture
-def fresh_helper():
-    """No helper runs before or after the test: a helper forked during a
-    test that patches a stage keeps the patch, so it is forked in the test
-    and stopped with it."""
-    _helper.stop()
-    yield
-    _helper.stop()
-
-
 class TestBlocks:
     @staticmethod
     def block_edges(n_frames):
@@ -710,24 +700,16 @@ class TestBlocks:
         return AudioClip(np.clip(x, -1, 1), RATE)
 
     @staticmethod
-    def spy_on_handing(monkeypatch):
-        """The sizes of the blocks extract_features hands the helper, in order."""
-        handed = []
-        hand = F._hand_block
-
-        def spy(helper, clip, start, stop, *settings):
-            if hand(helper, clip, start, stop, *settings):
-                handed.append(stop - start)
-                return True
-            return False
-
-        monkeypatch.setattr(F, "_hand_block", spy)
-        return handed
+    def handed_blocks(handoffs):
+        """The sizes of the blocks extract_features handed the helper."""
+        assert all(function is F._analyze_block for function, _ in handoffs)
+        return [shapes[0][1] for _, shapes in handoffs]
 
     @pytest.mark.parametrize("n_frames, sizes", [
         (256, [128, 128]), (257, [128, 129]), (300, [150, 150]), (700, [233, 233, 234]),
         (127, [127]), (128, [64, 64]), (129, [64, 65])])
-    def test_blocks_are_near_equal(self, n_frames, sizes, monkeypatch, fresh_helper):
+    def test_blocks_are_near_equal(self, n_frames, sizes, monkeypatch, fresh_helper,
+                                   handoffs):
         # the plan itself, then the blocks each side analyzed: the caller's
         # through a stage patched here, the helper's as they are handed to
         # it, so nothing is observed inside the helper process
@@ -742,23 +724,39 @@ class TestBlocks:
             return stage(block)
 
         monkeypatch.setattr(F, "time_domain_features", recording)
-        handed = self.spy_on_handing(monkeypatch)
         F.extract_features(self.clip_of(n_frames, "noise", np.random.default_rng(0)))
         assert seen == plan[0::2]
-        assert handed == plan[1::2]
+        assert self.handed_blocks(handoffs) == plan[1::2]
 
     # 300 and 700 frames split at 150 and at 233 and 466, not at multiples
     # of BLOCK_FRAMES; 127 frames are one block and 128 the first two
     @pytest.mark.parametrize("n_frames", [1, 255, 256, 257, 300, 513, 700, 851,
                                           127, 128, 129])
     @pytest.mark.parametrize("kind", ["tone", "noise", "bursts"])
-    def test_blocks_match_one_pass_over_every_frame(self, n_frames, kind):
+    def test_blocks_match_one_pass_over_every_frame(self, n_frames, kind,
+                                                    monkeypatch):
+        # row by row, before aggregation, whose sums can absorb a last-bit
+        # change in one frame's value
         clip = self.clip_of(n_frames, kind, np.random.default_rng(n_frames))
         assert len(frame_clip(clip)) == n_frames
-        got = F.extract_features(clip).values
-        assert got.tobytes() == whole_stack_vector(clip).values.tobytes()
+        series = whole_stack_series(clip)
+        want = whole_stack_vector(clip).values.tobytes()
+        tables = []
+        aggregate = F.aggregate_clip
 
-    def test_the_helper_writes_the_callers_rows_at_every_alignment(self):
+        def capture(frame_table, clip_table):
+            tables.append(frame_table.copy())
+            return aggregate(frame_table, clip_table)
+
+        monkeypatch.setattr(F, "aggregate_clip", capture)
+        got = F.extract_features(clip).values.tobytes()
+        (table,) = tables
+        assert table.shape == (len(F.FRAME_FAMILIES), n_frames)
+        for family, row in zip(F.FRAME_FAMILIES, table):
+            assert row.tobytes() == series[family].tobytes(), family
+        assert got == want
+
+    def test_the_helper_writes_the_callers_rows_at_every_alignment(self, handoffs):
         # the helper gets a copy of its block's samples at their address
         # modulo 64, so for a clip whose samples start at any 8-byte offset of
         # a cache line its rows are those the caller writes from the clip's
@@ -766,31 +764,27 @@ class TestBlocks:
         # (OpenBLAS's Prescott ddot); the rows are compared before
         # aggregation, whose sums can absorb a last-bit change
         base = self.clip_of(300, "noise", np.random.default_rng(10)).samples
-        bin_hz = RATE / DEFAULT_WINDOW
-        mel_bank = F.mel_filter_bank(RATE, DEFAULT_WINDOW)
+        settings = DEFAULT_WINDOW, DEFAULT_HOP, RATE
         for offset in range(8):
             clip = AudioClip(base[offset:], RATE)
-            frames = frame_clip(clip)[150:300]
-            want = np.empty((len(F.FRAME_FAMILIES), len(frames)))
-            first, last = F._analyze_block(frames, want, bin_hz, mel_bank)
-            with _helper.held() as helper:
-                assert F._hand_block(helper, clip, 150, 300, DEFAULT_WINDOW,
-                                     DEFAULT_HOP)
-                assert helper.wait()
-                columns, ends = F._shared_tables(helper.buffer, len(frames),
-                                                 DEFAULT_WINDOW)
-                assert columns.tobytes() == want.tobytes(), offset
-                assert ends.tobytes() == np.stack([first, last]).tobytes()
+            samples = clip.samples[150 * DEFAULT_HOP:299 * DEFAULT_HOP + DEFAULT_WINDOW]
+            want = F._analyze_block(samples, *settings)
+            got = tuple(np.empty_like(array) for array in want)
+            handed = len(handoffs)
+            _helper.run_pair(lambda: None, F._analyze_block, (samples,), got, *settings)
+            assert len(handoffs) == handed + 1, offset
+            assert got[0].shape == (len(F.FRAME_FAMILIES), 150)
+            assert got[0].tobytes() == want[0].tobytes(), offset
+            assert got[1].tobytes() == want[1].tobytes(), offset
             got = F.extract_features(clip).values.tobytes()
             assert got == whole_stack_vector(clip).values.tobytes(), offset
 
     def test_a_caller_that_finds_the_helper_held_runs_every_block_itself(
-            self, monkeypatch):
+            self, handoffs):
         # while one caller holds the helper, another analyzes all of its
         # blocks itself at once rather than wait for it
         clip = self.clip_of(300, "noise", np.random.default_rng(11))
         want = whole_stack_vector(clip).values.tobytes()
-        handed = self.spy_on_handing(monkeypatch)
         got = []
         with _helper.held():
             other = threading.Thread(
@@ -798,7 +792,7 @@ class TestBlocks:
             other.start()
             other.join(timeout=20)
             assert not other.is_alive(), "the caller waited for the held helper"
-        assert got == [want] and handed == []
+        assert got == [want] and handoffs == []
 
     @pytest.mark.parametrize("side", ["caller", "helper"])
     def test_a_failing_block_raises_its_exception_after_the_join(self, side,
@@ -850,19 +844,18 @@ class TestBlocks:
         assert not any(caller.is_alive() for caller in callers)
         assert [got[i] for i in got] == [[w] * 5 for w in want]
 
-    def test_a_clip_of_one_block_starts_no_thread(self, monkeypatch, fresh_helper):
+    def test_a_clip_of_one_block_starts_no_thread(self, fresh_helper, handoffs):
         # nor a helper: one-block clips never reach it, and the first clip of
         # two blocks or more forks the one helper, which every later one uses
         threads = threading.active_count()
-        handed = self.spy_on_handing(monkeypatch)
         rng = np.random.default_rng(4)
         for n_frames in (1, 86, 127):
             F.extract_features(self.clip_of(n_frames, "noise", rng))
-        assert handed == [] and _helper._running is None
+        assert handoffs == [] and _helper._running is None
         pids = set()
         for count, n_frames in enumerate((128, 256, 257), 1):
             F.extract_features(self.clip_of(n_frames, "noise", rng))
-            assert len(handed) == count
+            assert len(self.handed_blocks(handoffs)) == count
             pids.add(_helper._running.pid)
         assert len(pids) == 1
         assert threading.active_count() == threads
@@ -991,6 +984,37 @@ class TestBlocks:
         assert done.returncode == 0, done.stderr
         with pytest.raises(ProcessLookupError):
             os.kill(int(done.stdout), 0)
+
+    def test_a_process_that_ignores_sigchld_loses_no_helper_quietly(self):
+        # where SIGCHLD is ignored, as a parent's SIG_IGN survives exec, the
+        # kernel reaps the helper itself and waitpid fails once it has
+        # exited: a killed helper still costs time only, and the helper the
+        # process forks next is still gone by the time the process is
+        script = (
+            "import os, signal\n"
+            "signal.signal(signal.SIGCHLD, signal.SIG_IGN)\n"
+            "import numpy as np\n"
+            "from vocalnet import _helper, features\n"
+            "from vocalnet.audio_io import AudioClip\n"
+            "x = np.random.default_rng(0).uniform(-0.5, 0.5, 512 + 299 * 256)\n"
+            "clip = AudioClip(x, 22050)\n"
+            "want = features.extract_features(clip).values.tobytes()\n"
+            "killed = _helper._running.pid\n"
+            "os.kill(killed, signal.SIGKILL)\n"
+            "assert features.extract_features(clip).values.tobytes() == want\n"
+            "assert features.extract_features(clip).values.tobytes() == want\n"
+            "print(killed, _helper._running.pid)\n")
+        package_root = os.path.dirname(os.path.dirname(F.__file__))
+        env = {**os.environ, "PYTHONPATH": package_root}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        killed, later = map(int, done.stdout.split())
+        assert later != killed
+        for pid in (killed, later):
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     def test_long_clip_matches_each_series_reduced_alone(self):
         # 12 s is 1032 frames: 5 blocks and 11 macro-windows, enough values
