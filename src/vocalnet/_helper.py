@@ -4,11 +4,12 @@ numpy holds the GIL inside a gufunc or an accumulate over few rows, so a
 second thread in this process could not run every stage of a block beside
 the caller. The helper is a process of its own, forked on first use, and
 run_pair is the one way to use it: the caller runs its own share of the
-work while the helper runs a function on copies of the caller's input
-arrays, laid into `buffer`, an anonymous shared mapping of BUFFER_BYTES =
+work while the helper runs a function on a copy of the caller's one input
+array, laid into `buffer`, an anonymous shared mapping of BUFFER_BYTES =
 1 MiB, and the call's results come back through the buffer into the
-caller's output arrays. The buffer never grows: work that does not fit in
-it stays on the caller.
+caller's output arrays. The package hands it one kind of work, a block of
+a clip's frames from features.extract_features. The buffer never grows:
+work that does not fit in it stays on the caller.
 
 held() gives the helper to one caller at a time: a caller that finds another
 thread holding it gets None and does all of its work itself, so no caller
@@ -105,7 +106,7 @@ def _fill(outputs, results) -> None:
 
 
 def _serve(commands: int, results: int, buffer: mmap.mmap) -> None:
-    """The helper's life: run each call read from `commands` on its inputs
+    """The helper's life: run each call read from `commands` on its input
     in buffer, write its results back there and answer on `results`, an
     empty message for done or the pickled error, until EOF."""
     try:
@@ -116,8 +117,8 @@ def _serve(commands: int, results: int, buffer: mmap.mmap) -> None:
         os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
         while (message := _receive(commands)) is not None:
             try:
-                function, inputs, outputs, args = pickle.loads(message)
-                _fill(_views(buffer, outputs), function(*_views(buffer, inputs), *args))
+                function, source, outputs, args = pickle.loads(message)
+                _fill(_views(buffer, outputs), function(*_views(buffer, [source]), *args))
                 answer = b""
             except BaseException as error:
                 answer = _pickled(error)
@@ -147,14 +148,14 @@ class Helper:
         os.close(results)
         self.pending = False  # a call handed in and not yet waited for
 
-    def call(self, function, inputs, outputs, args) -> bool:
-        """Hand the helper function(*inputs, *args), its inputs and results
+    def call(self, function, source, outputs, args) -> bool:
+        """Hand the helper function(source, *args), its input and results
         the arrays at those (byte offset, shape) places of the buffer; False
         if it died."""
         # set first: a call cut short leaves the pipes in an unknown state
         self.pending = True
         try:
-            _send(self._commands, pickle.dumps((function, inputs, outputs, args)))
+            _send(self._commands, pickle.dumps((function, source, outputs, args)))
         except BrokenPipeError:
             self.drop()
             return False
@@ -196,27 +197,28 @@ class Helper:
                 pass
 
 
-def run_pair(on_caller, function, inputs, outputs, *args):
-    """Run on_caller() here while the helper runs function(*inputs, *args)
-    on copies of `inputs`, then copy the arrays that call returns, one per
-    array of `outputs`, into them; returns on_caller's result.
+def run_pair(on_caller, function, source, outputs, *args):
+    """Run on_caller() here while the helper runs function(source, *args)
+    on a copy of the one input array `source`, then copy the arrays that
+    call returns, one per array of `outputs`, into them; returns
+    on_caller's result.
 
     function must be reachable by name from its module, as pickle needs.
-    Each input is laid in the buffer at its own address modulo 64, so a
+    The input is laid in the buffer at its own address modulo 64, so a
     kernel that rounds by its operands' alignment, such as OpenBLAS's
     Prescott ddot, gives the helper the caller's bits. The results come back
     as float64 from byte 0 once the call is done, so a pair fits where the
-    laid-out inputs and the outputs each take at most BUFFER_BYTES. Where the
-    helper is held by another thread, missing or dead, an input is not a
+    laid-out input and the outputs each take at most BUFFER_BYTES. Where the
+    helper is held by another thread, missing or dead, the input is not a
     C-contiguous float64 array or the arrays do not fit, function runs here
-    on the inputs themselves once on_caller is done. An exception the
-    helper's call raised is raised once on_caller is done, chained to
-    on_caller's own where that raised too.
+    on the input itself once on_caller is done. An exception the helper's
+    call raised is raised once on_caller is done, chained to on_caller's own
+    where that raised too.
     """
     with held() as helper:
-        places = None if helper is None else _places(inputs, outputs)
+        places = None if helper is None else _places(source, outputs)
         if places is not None:
-            _fill(_views(helper.buffer, places[0]), inputs)
+            _views(helper.buffer, [places[0]])[0][...] = source
         handed = places is not None and helper.call(function, *places, args)
         try:
             result = on_caller()
@@ -226,26 +228,24 @@ def run_pair(on_caller, function, inputs, outputs, *args):
         if done:
             _fill(outputs, _views(helper.buffer, places[1]))
     if not done:
-        _fill(outputs, function(*inputs, *args))
+        _fill(outputs, function(source, *args))
     return result
 
 
-def _places(inputs, outputs):
-    """The (byte offset, shape) places of the inputs and of the outputs in
-    the buffer; None where an input is not a C-contiguous float64 array or
-    the arrays do not fit."""
-    at, laid = 0, []
-    for array in inputs:
-        if array.dtype != np.float64 or not array.flags.c_contiguous:
-            return None
-        at = -(-at // 64) * 64 + array.__array_interface__["data"][0] % 64
-        laid.append((at, array.shape))
-        at += array.nbytes
+def _places(source, outputs):
+    """The (byte offset, shape) place of the input and those of the outputs
+    in the buffer; None where the input is not a C-contiguous float64 array
+    or the arrays do not fit."""
+    if source.dtype != np.float64 or not source.flags.c_contiguous:
+        return None
+    at = source.__array_interface__["data"][0] % 64
     back, size = [], 0
     for array in outputs:
         back.append((size, array.shape))
         size += 8 * array.size
-    return None if max(at, size) > BUFFER_BYTES else (laid, back)
+    if max(at + source.nbytes, size) > BUFFER_BYTES:
+        return None
+    return (at, source.shape), back
 
 
 @contextmanager

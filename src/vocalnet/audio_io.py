@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _helper
 from .errors import EmptyClip, InvalidSetting, MalformedRiff, UnsupportedFormat
 
 DEFAULT_WINDOW = 512
@@ -23,7 +22,6 @@ DEFAULT_RATE = 22050
 # the common rate can add: at most DEFAULT_RATE / MIN_SAMPLE_RATE (~22) output
 # samples per input sample, where a header declaring 1 Hz asked for 22050.
 MIN_SAMPLE_RATE = 1000
-SPLIT_OUTPUTS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -141,36 +139,12 @@ def frame_clip(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
         strides=(hop_size * step, step), writeable=False)
 
 
-def _interpolated(source: np.ndarray, lo: int, start: int, stop: int,
-                  ratio: float) -> tuple[np.ndarray]:
-    """Outputs start:stop of np.interp's resampling by `ratio` (input
-    samples per output), from the source samples lo:, where lo is the sample
-    at or below output start's position; a one-array tuple."""
-    # float grids hold the same whole numbers as integer ones, but are not
-    # cast to float64 element by element in the product and again in interp
-    positions = np.arange(start, stop, dtype=np.float64) * ratio
-    grid = np.arange(lo, lo + len(source), dtype=np.float64)
-    return (np.interp(positions, grid, source),)
-
-
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     """Linear-interpolation resampling to target_rate; identity when rates match.
 
     At a whole-multiple rate, resample keeps every k-th sample, which gives
-    np.interp's bits there. At any other rate, a grid of SPLIT_OUTPUTS = 2**15
-    outputs or more is interpolated in two halves, the first on the caller
-    and the second on the package's one helper process, handed to it with
-    vocalnet._helper.run_pair on a copy of the source samples from the first
-    one it needs on. np.interp gives each position the same value whichever
-    call takes it, on the whole source or the run of it from the sample at
-    or below the position's, so the bits are those of one call. Where the
-    helper cannot take its half, such as where its source samples or its
-    outputs do not fit the helper's 1 MiB buffer (from about 5.5 s at
-    48 kHz, where the source runs out first, and from 11.9 s at rates below
-    22050 Hz, where the outputs do), the caller interpolates both halves.
-    Against one call, the split took 258 against 321 us at 1.5 s from
-    16 kHz, 585 against 691 at 3 s, and 238 against 287 at 3 s from
-    11.025 kHz (2-core x86-64, numpy 2.4.6).
+    np.interp's bits there. At any other rate, one np.interp call on the
+    caller interpolates the whole grid.
     """
     if target_rate <= 0:
         raise InvalidSetting(f"target_rate must be positive, got {target_rate}")
@@ -178,23 +152,16 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
         return clip
     n_out = int(round(len(clip.samples) * target_rate / clip.sample_rate))
     k, rest = divmod(clip.sample_rate, target_rate)
-    ratio = clip.sample_rate / target_rate
     if rest == 0:
         # every position i*k is a source sample, which np.interp returns as it
         # is; a fresh contiguous copy, as interp's output is, so frames stride
         # over it alike and the decoded clip is not kept alive
         resampled = clip.samples[::k][:n_out].copy()
-    elif n_out < SPLIT_OUTPUTS:
-        (resampled,) = _interpolated(clip.samples, 0, 0, n_out, ratio)
     else:
-        half = n_out // 2
-        lo = int(half * ratio)  # the source sample at or below position `half`
-        resampled = np.empty(n_out)
-
-        def first_half():
-            resampled[:half] = _interpolated(clip.samples, 0, 0, half, ratio)[0]
-
-        _helper.run_pair(first_half, _interpolated, (clip.samples[lo:],),
-                         (resampled[half:],), lo, half, n_out, ratio)
+        # float grids hold the same whole numbers as integer ones, but are not
+        # cast to float64 element by element in the product and again in interp
+        positions = np.arange(n_out, dtype=np.float64) * (clip.sample_rate / target_rate)
+        grid = np.arange(len(clip.samples), dtype=np.float64)
+        resampled = np.interp(positions, grid, clip.samples)
     return AudioClip(samples=resampled, sample_rate=target_rate,
                      source_path=clip.source_path)

@@ -529,7 +529,7 @@ def extract_features(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
         if b + 1 == n_blocks:
             analyze(b)
         else:
-            _helper.run_pair(lambda: analyze(b), _analyze_block, (samples(b + 1),),
+            _helper.run_pair(lambda: analyze(b), _analyze_block, samples(b + 1),
                              (frame_table[:, edges[b + 1]:edges[b + 2]], ends[b + 1]),
                              *settings)
     flux = frame_table[FRAME_FAMILIES.index("spectral_flux")]

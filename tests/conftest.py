@@ -103,8 +103,8 @@ def handoffs(monkeypatch):
     handed = []
     call = _helper.Helper.call
 
-    def spy(helper, function, inputs, outputs, args):
-        sent = call(helper, function, inputs, outputs, args)
+    def spy(helper, function, source, outputs, args):
+        sent = call(helper, function, source, outputs, args)
         if sent:
             handed.append((function, [shape for _, shape in outputs]))
         return sent

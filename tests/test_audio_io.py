@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vocalnet import _helper, audio_io
-from vocalnet.audio_io import (MIN_SAMPLE_RATE, SPLIT_OUTPUTS, AudioClip,
-                               frame_clip, parse_wav, resample)
+from vocalnet import _helper
+from vocalnet.audio_io import (MIN_SAMPLE_RATE, AudioClip, frame_clip, parse_wav,
+                               resample)
 from vocalnet.errors import (EmptyClip, InvalidSetting, MalformedRiff,
                              UnsupportedFormat, VocalnetError)
 
@@ -181,63 +181,30 @@ class TestDecodeParity:
         if rate != target:
             assert not np.shares_memory(out, x)
 
-    # from SPLIT_OUTPUTS outputs on, resample interpolates the two halves of
-    # the grid on the caller and the helper process, which gets the source
-    # from the sample at or below its first position on; n_out 2**15 - 1
-    # stays one call
-    @pytest.mark.parametrize("wanted", [2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1, 100_003])
+    # one np.interp call on the caller takes every grid, whatever its length:
+    # about 2**15 outputs, 100,003, and 275,625 (12.5 s at 22050 Hz), more
+    # than the helper process's 1 MiB buffer holds, each with NaN, infinities
+    # and -0.0 mid-grid; nothing goes to the helper, and no helper is forked
+    @pytest.mark.parametrize("wanted", [2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1, 100_003,
+                                        275_625])
     @pytest.mark.parametrize("rate", [16000, 11025, 48000])
     @pytest.mark.parametrize("specials", [
         (np.nan, np.inf, -0.0, -np.inf), (-0.0, -0.0, np.inf, np.nan),
         (-np.inf, -0.0, -0.0, np.inf)])
-    def test_resample_bits_at_the_split(self, wanted, rate, specials, handoffs):
+    def test_resample_bits_at_the_split(self, wanted, rate, specials, handoffs,
+                                        fresh_helper):
         target = 22050
-
-        def n_out_of(n_in):
-            return int(round(n_in * target / rate))
-
-        # upsampling reaches only some lengths (11025 Hz only even ones), so
-        # n_out is the reachable length next to `wanted` on its side of
-        # SPLIT_OUTPUTS: at most it below, at least it from there on
         n_in = wanted * rate // target
-        while n_out_of(n_in + 1) <= wanted:
-            n_in += 1
-        n_in += wanted >= SPLIT_OUTPUTS and n_out_of(n_in) < wanted
-        n_out = n_out_of(n_in)
-        assert (n_out >= SPLIT_OUTPUTS) == (wanted >= SPLIT_OUTPUTS)
+        n_out = int(round(n_in * target / rate))
         assert abs(n_out - wanted) <= 2
         x = np.random.default_rng(wanted + rate).uniform(-1, 1, n_in)
-        # the source samples on either side of the first helper position
-        at = int(n_out // 2 * (rate / target))
-        x[at - 1:at + 3] = specials
+        x[n_in // 2 - 1:n_in // 2 + 3] = specials
         out = resample(AudioClip(x, rate), target).samples
-        assert handoffs == [(audio_io._interpolated, [(n_out - n_out // 2,)])] * (
-            n_out >= SPLIT_OUTPUTS)
+        assert handoffs == [] and _helper._running is None
         expected = np.interp(np.arange(n_out) * (rate / target), np.arange(n_in), x)
         assert out.tobytes() == expected.tobytes()
         assert out.dtype == np.float64 and out.flags.c_contiguous
         assert not np.shares_memory(out, x)
-
-    # the helper's half goes to it only where its source samples, from the
-    # one at or below its first position on, and its outputs each fit its
-    # buffer: 6 s at 48 kHz have too many source samples for it and 12.5 s
-    # at 11.025 kHz too many outputs, so the caller takes every output
-    @pytest.mark.parametrize("rate, seconds, source_fits, outputs_fit", [
-        (48000, 6.0, False, True), (11025, 12.5, True, False)])
-    def test_resample_keeps_what_does_not_fit_on_the_caller(
-            self, rate, seconds, source_fits, outputs_fit, handoffs):
-        target = 22050
-        n_in = int(rate * seconds)
-        n_out = int(round(n_in * target / rate))
-        half = n_out // 2
-        source = n_in - int(half * (rate / target))
-        assert (8 * source <= _helper.BUFFER_BYTES) == source_fits
-        assert (8 * (n_out - half) <= _helper.BUFFER_BYTES) == outputs_fit
-        x = np.random.default_rng(rate).uniform(-1, 1, n_in)
-        out = resample(AudioClip(x, rate), target).samples
-        assert handoffs == []
-        expected = np.interp(np.arange(n_out) * (rate / target), np.arange(n_in), x)
-        assert out.tobytes() == expected.tobytes()
 
 
 class TestRoundTrip:

@@ -771,7 +771,7 @@ class TestBlocks:
             want = F._analyze_block(samples, *settings)
             got = tuple(np.empty_like(array) for array in want)
             handed = len(handoffs)
-            _helper.run_pair(lambda: None, F._analyze_block, (samples,), got, *settings)
+            _helper.run_pair(lambda: None, F._analyze_block, samples, got, *settings)
             assert len(handoffs) == handed + 1, offset
             assert got[0].shape == (len(F.FRAME_FAMILIES), 150)
             assert got[0].tobytes() == want[0].tobytes(), offset

@@ -8,7 +8,7 @@ import pytest
 from vocalnet import _helper
 
 
-def scaled_sum(x, y, scale):
+def scaled_sum(x, scale, y):
     """Which process ran the call, as a one-value array, and scale * x + y."""
     return np.full(1, float(os.getpid())), scale * x + y
 
@@ -42,10 +42,10 @@ def test_outputs_equal_an_inline_call(shape, residue, fresh_helper):
     ran = []
     outputs = outputs_of(x)
     result = _helper.run_pair(lambda: ran.append(True) or "caller's", scaled_sum,
-                              (x, y), outputs, 3.0)
+                              x, outputs, 3.0, y)
     assert result == "caller's" and ran == [True]
     assert outputs[0][0] == _helper._running.pid != os.getpid()
-    assert outputs[1].tobytes() == scaled_sum(x, y, 3.0)[1].tobytes()
+    assert outputs[1].tobytes() == scaled_sum(x, 3.0, y)[1].tobytes()
 
 
 @pytest.mark.parametrize("x", [
@@ -54,23 +54,23 @@ def test_outputs_equal_an_inline_call(shape, residue, fresh_helper):
 def test_an_input_that_is_not_contiguous_float64_runs_on_the_caller(x, fresh_helper):
     y = np.ones(x.shape)
     outputs = outputs_of(x)
-    _helper.run_pair(lambda: None, scaled_sum, (x, y), outputs, 0.5)
+    _helper.run_pair(lambda: None, scaled_sum, x, outputs, 0.5, y)
     assert outputs[0][0] == os.getpid()
-    assert outputs[1].tobytes() == scaled_sum(x, y, 0.5)[1].tobytes()
+    assert outputs[1].tobytes() == scaled_sum(x, 0.5, y)[1].tobytes()
 
 
 def test_a_held_helper_runs_on_the_caller(handoffs):
     x = np.arange(10.0)
     outputs = outputs_of(x)
     with _helper.held():
-        _helper.run_pair(lambda: None, scaled_sum, (x, x), outputs, 2.0)
+        _helper.run_pair(lambda: None, scaled_sum, x, outputs, 2.0, x)
     assert outputs[0][0] == os.getpid() and handoffs == []
-    _helper.run_pair(lambda: None, scaled_sum, (x, x), outputs, 2.0)
+    _helper.run_pair(lambda: None, scaled_sum, x, outputs, 2.0, x)
     assert outputs[0][0] != os.getpid() and len(handoffs) == 1
 
 
-# the inputs, each laid at its own address modulo 64, and the outputs, laid
-# from byte 0 once the call is done, must each fit the buffer
+# the input, laid at its own address modulo 64, and the outputs, laid from
+# byte 0 once the call is done, must each fit the buffer
 N_FILL = _helper.BUFFER_BYTES // 8
 
 
@@ -82,7 +82,7 @@ def test_what_does_not_fit_the_buffer_runs_on_the_caller(n_in, residue, times,
     x = at_residue(n_in, residue)
     x[...] = np.random.default_rng(n_in).standard_normal(n_in)
     output = np.empty(n_in * times)
-    _helper.run_pair(lambda: None, repeated, (x,), (output,), times)
+    _helper.run_pair(lambda: None, repeated, x, (output,), times)
     assert [function for function, _ in handoffs] == [repeated] * handed
     assert output.tobytes() == repeated(x, times)[0].tobytes()
 
@@ -90,13 +90,12 @@ def test_what_does_not_fit_the_buffer_runs_on_the_caller(n_in, residue, times,
 def test_the_helpers_exception_is_raised_once_the_caller_is_done(fresh_helper):
     ran = []
     with pytest.raises(RuntimeError, match="^the helper's call failed$") as raised:
-        _helper.run_pair(lambda: ran.append(True), failing, (np.zeros(4),),
-                         (np.empty(4),))
+        _helper.run_pair(lambda: ran.append(True), failing, np.zeros(4), (np.empty(4),))
     assert ran == [True] and raised.value.__context__ is None
     # the helper serves on
     pid = _helper._running.pid
     outputs = outputs_of(np.zeros(4))
-    _helper.run_pair(lambda: None, scaled_sum, (np.zeros(4), np.ones(4)), outputs, 1.0)
+    _helper.run_pair(lambda: None, scaled_sum, np.zeros(4), outputs, 1.0, np.ones(4))
     assert outputs[0][0] == pid == _helper._running.pid
 
 
@@ -105,7 +104,7 @@ def test_both_exceptions_come_chained(fresh_helper):
         raise ValueError("the caller's share failed")
 
     with pytest.raises(RuntimeError, match="^the helper's call failed$") as raised:
-        _helper.run_pair(on_caller, failing, (np.zeros(4),), (np.empty(4),))
+        _helper.run_pair(on_caller, failing, np.zeros(4), (np.empty(4),))
     assert isinstance(raised.value.__context__, ValueError)
     assert str(raised.value.__context__) == "the caller's share failed"
     assert not _helper._running.pending
