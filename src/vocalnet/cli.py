@@ -9,12 +9,14 @@ unset --layers gives one hidden layer, and an unset --hidden makes it as wide
 as the class count. A UserWarning, such as the small-class fold warning,
 prints as one `warning: <message>` line on stderr. `main` parses with one
 parser, built on first use and kept for the process. Every artifact is
-UTF-8 whatever the locale; a class name that stdout cannot encode prints
-with backslash escapes in `classify` and `evaluate`. Commands raise; `main`
-alone turns a failure into an exit code:
+UTF-8 text whatever the locale, a file system name that is not UTF-8 written
+with \\xNN escapes, and a manifest's paths reach the file system as their
+UTF-8 bytes; a class name that stdout cannot encode prints with backslash
+escapes in `classify` and `evaluate`. Commands raise; `main` alone turns a
+failure into an exit code:
   2  a missing or malformed corpus, cache, model or subset file (a model
      that records other extraction settings included), a corpus with no
-     usable clip, or an out-of-range setting;
+     usable clip, an out-of-range setting, or an allocation that fails;
   3  a class of fewer than 3 samples, or classes that all have 3-5 and so
      leave no class a test row, in select or train;
   4  a clip that cannot be opened or parsed, or that resamples to no
@@ -37,7 +39,7 @@ EXIT_CODES = (  # the first entry a failure is an instance of decides its code
     (ClassTooSmall, 3),
     ((MalformedRiff, UnsupportedFormat, EmptyClip), 4),
     (DimensionMismatch, 5),
-    ((VocalnetError, OSError), 2),
+    ((VocalnetError, OSError, MemoryError), 2),
 )
 
 _TRAINING = mlp.TrainingConfig()
@@ -106,9 +108,9 @@ def _hidden_width(args, corpus) -> int:
 
 
 def _write_report(report, prefix) -> None:
-    with open(prefix + ".txt", "w", encoding="utf-8") as fh:
+    with dataset.open_artifact(prefix + ".txt", "w") as fh:
         fh.write(evaluation.render_report_text(report) + "\n")
-    with open(prefix + ".csv", "w", encoding="utf-8") as fh:
+    with dataset.open_artifact(prefix + ".csv", "w") as fh:
         fh.write(evaluation.render_report_csv(report))
 
 
@@ -226,7 +228,7 @@ def main(argv=None) -> int:
         warnings.showwarning = _warning_lines(warnings.showwarning)
         try:
             return COMMANDS[args.command](args)
-        except (VocalnetError, OSError) as exc:
+        except (VocalnetError, OSError, MemoryError) as exc:
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
 

@@ -10,6 +10,7 @@ training time it is an ordinary class with its own output node.
 from __future__ import annotations
 
 import csv
+import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,15 +63,29 @@ def make_corpus(clip_paths, label_names, rows, load_errors=()) -> LabeledCorpus:
         load_errors=list(load_errors))
 
 
+def open_artifact(path, mode="r"):
+    """A text artifact opened as UTF-8 whatever the locale, with no newline
+    translation; every text file the package reads or writes opens here."""
+    return open(path, mode, encoding="utf-8", newline="")
+
+
 def read_csv_rows(path) -> list[tuple[int, list[str]]]:
     """(line number, row) for each non-empty row of a CSV file; undecodable
     text or a malformed field raises MalformedArtifact."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_artifact(path) as fh:
         reader = csv.reader(fh)
         try:
             return [(reader.line_num, row) for row in reader if row]
         except (UnicodeDecodeError, csv.Error) as exc:
             raise MalformedArtifact(f"{path}: {exc}") from exc
+
+
+def write_csv_rows(path, header, rows) -> None:
+    """A CSV artifact: the header row, then each of rows."""
+    with open_artifact(path, "w") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _manifest_rows(manifest: Path) -> list[tuple[str, str]]:
@@ -99,12 +114,20 @@ def clip_features(path) -> np.ndarray:
         audio_io.resample(clip, audio_io.DEFAULT_RATE)).values
 
 
+def _text(name) -> str:
+    """A file system name as text: its bytes read as UTF-8, a byte that is
+    not UTF-8 written as a \\xNN escape, so every artifact is strict UTF-8."""
+    return os.fsencode(name).decode("utf-8", "backslashreplace")
+
+
 def load_corpus(root) -> LabeledCorpus:
     """Load a corpus from a class-per-directory tree or a path,label manifest,
     extracting every clip with clip_features.
 
     In a tree, a clip is any file in a class directory whose name ends in
-    .wav in any case (field recorders write .WAV), taken in sorted order.
+    .wav in any case (field recorders write .WAV), taken in sorted order. A
+    manifest's paths reach the file system as their UTF-8 bytes under any
+    locale. Clip paths, and a tree's class names, are kept as _text gives them.
 
     A clip that cannot be opened or parsed, or that resamples to no samples,
     is recorded in corpus.load_errors and skipped; the corpus still loads as
@@ -112,10 +135,10 @@ def load_corpus(root) -> LabeledCorpus:
     """
     root = Path(root)
     if root.is_file():
-        entries = [(Path(p) if Path(p).is_absolute() else root.parent / p, label)
+        entries = [(root.parent / os.fsdecode(p.encode()), label)
                    for p, label in _manifest_rows(root)]
     elif root.is_dir():
-        entries = [(wav, sub.name)
+        entries = [(wav, _text(sub.name))
                    for sub in sorted(root.iterdir()) if sub.is_dir()
                    for wav in sorted(sub.iterdir())
                    if wav.name.lower().endswith(".wav")]
@@ -128,9 +151,9 @@ def load_corpus(root) -> LabeledCorpus:
         try:
             rows.append(clip_features(path))
         except (MalformedRiff, UnsupportedFormat, EmptyClip) as exc:
-            load_errors.append((str(path), str(exc)))
+            load_errors.append((_text(path), str(exc)))
             continue
-        paths.append(path)
+        paths.append(_text(path))
         labels.append(label)
 
     if not rows:
@@ -141,14 +164,11 @@ def load_corpus(root) -> LabeledCorpus:
 
 def write_feature_cache(corpus: LabeledCorpus, path) -> None:
     """One UTF-8 CSV row per clip: clip_path,label,<28 canonical slots>. A
-    name the file system gave as undecodable bytes goes back out as those."""
-    with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["clip_path", "label", *FEATURE_NAMES])
-        for path, label, values in zip(corpus.clip_paths, corpus.labels,
-                                       corpus.samples):
-            writer.writerow([path, corpus.class_names[label],
-                             *(repr(float(v)) for v in values)])
+    name that was not UTF-8 on the file system is already _text's escapes."""
+    write_csv_rows(path, ["clip_path", "label", *FEATURE_NAMES],
+                   ([clip, corpus.class_names[label], *(repr(float(v)) for v in values)]
+                    for clip, label, values in zip(corpus.clip_paths, corpus.labels,
+                                                   corpus.samples)))
 
 
 def read_feature_cache(path) -> LabeledCorpus:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabeledCorpus
+from .dataset import LabeledCorpus, write_csv_rows
 from .errors import EmptyMatrix, LabelOutOfRange
 from .features import FEATURE_NAMES
 
@@ -133,12 +133,10 @@ def feature_summary(corpus: LabeledCorpus) -> np.ndarray:
 
 
 def write_feature_summary(summary: np.ndarray, class_names: list[str], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "slot", "min", "q1", "median", "q3", "max"])
-        for cls, slots in zip(class_names, summary):
-            for slot, stats in zip(FEATURE_NAMES, slots):
-                writer.writerow([cls, slot, *(repr(float(s)) for s in stats)])
+    write_csv_rows(path, ["class", "slot", "min", "q1", "median", "q3", "max"],
+                   ([cls, slot, *(repr(float(s)) for s in stats)]
+                    for cls, slots in zip(class_names, summary)
+                    for slot, stats in zip(FEATURE_NAMES, slots)))
 
 
 def render_report_text(matrix: ConfusionMatrix) -> str:

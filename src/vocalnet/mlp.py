@@ -28,6 +28,7 @@ from itertools import pairwise
 import numpy as np
 
 from .audio_io import DEFAULT_HOP, DEFAULT_RATE, DEFAULT_WINDOW
+from .dataset import open_artifact
 from .errors import DimensionMismatch, EmptySet, InvalidSetting, MalformedArtifact
 from .features import FEATURE_NAMES
 
@@ -170,10 +171,11 @@ def forward(net: Network, x: np.ndarray) -> np.ndarray:
         return _outputs(net, _zscore(net, _check_input(net, x)))
 
 
-def classify(net: Network, x: np.ndarray) -> tuple[int, np.ndarray]:
-    """Predicted class index (argmax, ties to the lowest index) and activations."""
+def classify(net: Network, x: np.ndarray) -> tuple[np.intp | np.ndarray, np.ndarray]:
+    """Predicted class index (argmax, ties to the lowest index) and activations
+    of one vector, or (N, 1) indices for an (N, 1, j) stack as `forward` takes."""
     activations = forward(net, x)
-    return int(np.argmax(activations)), activations
+    return np.argmax(activations, axis=-1), activations
 
 
 def _zscored_mse(net: Network, z: np.ndarray, targets: np.ndarray) -> float:
@@ -408,7 +410,7 @@ def save_model(net: Network, path, seed: int | None = None,
         "stop_reason": stop_reason,
         "extraction": EXTRACTION,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_artifact(path, "w") as fh:
         json.dump(doc, fh)
 
 
@@ -419,7 +421,7 @@ def load_model(path) -> tuple[Network, dict]:
     feature slot, or extraction settings other than (a part of) EXTRACTION
     raise MalformedArtifact."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_artifact(path) as fh:
             doc = json.load(fh)
         if doc["format_version"] != MODEL_FORMAT_VERSION:
             raise ValueError(f"format version {doc['format_version']!r}")

@@ -12,9 +12,7 @@ from .errors import LabelOutOfRange
 from .evaluation import (ConfusionMatrix, FoldSummary, confusion_matrix, cross_fold_report,
                          summarize)
 from .mlp import (Network, NetworkSpec, TrainingConfig, TrainingState,
-                  forward, init_network, input_statistics, one_hot, train)
-# evaluate no longer calls it, but perfbench's tracer test wraps this binding
-from .mlp import classify  # noqa: F401
+                  classify, init_network, input_statistics, one_hot, train)
 
 
 @dataclass
@@ -47,14 +45,12 @@ def evaluate(net: Network, corpus: LabeledCorpus, rows=None) -> ConfusionMatrix:
     if net.feature_slots is not None:
         matrix = matrix[:, net.feature_slots]
     truths = [model_index[corpus.class_names[label]] for label in labels]
-    # one forward pass over (N, 1, j) stacks a (1, j) @ (j, k) product per
+    # one classify call over (N, 1, j) stacks a (1, j) @ (j, k) product per
     # row, the same BLAS call as classify on that row alone; a 2-D (N, j)
     # product takes another path and may round differently. Rows cut to the
     # slots are strided, and classify z-scores each into a contiguous vector,
-    # so the stack is made contiguous too. argmax takes the first of tied
-    # outputs, as classify does.
-    stack = np.ascontiguousarray(matrix)[:, None, :]
-    predictions = np.argmax(forward(net, stack)[:, 0], axis=1)
+    # so the stack is made contiguous too.
+    predictions = classify(net, np.ascontiguousarray(matrix)[:, None, :])[0][:, 0]
     cm = confusion_matrix(truths, predictions, net.spec.n, net.label_map or None)
     return summarize(cm)
 

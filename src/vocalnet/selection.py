@@ -9,12 +9,11 @@ networks must earn their extra inputs.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabeledCorpus, SplitPlan, read_csv_rows
+from .dataset import LabeledCorpus, SplitPlan, read_csv_rows, write_csv_rows
 from .errors import MalformedArtifact
 from .features import FEATURE_NAMES
 from .mlp import (Network, NetworkSpec, TrainingConfig, init_network, input_statistics,
@@ -110,21 +109,15 @@ def forward_select(corpus: LabeledCorpus, folds: list[SplitPlan], hidden_width: 
 
 def export_trace(trace: SelectionTrace, path) -> None:
     """Audit CSV: round,slot,slot_name,mdl,accepted."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "slot", "slot_name", "mdl", "accepted"])
-        for step in trace.steps:
-            writer.writerow([step.round, step.slot, FEATURE_NAMES[step.slot],
-                             repr(float(step.mdl)), int(step.accepted)])
+    write_csv_rows(path, ["round", "slot", "slot_name", "mdl", "accepted"],
+                   ([step.round, step.slot, FEATURE_NAMES[step.slot],
+                     repr(float(step.mdl)), int(step.accepted)] for step in trace.steps))
 
 
 def write_subset(trace: SelectionTrace, path) -> None:
     """Selected slot indices and names, one per line, for the training command."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slot", "slot_name"])
-        for slot in trace.final_subset:
-            writer.writerow([slot, FEATURE_NAMES[slot]])
+    write_csv_rows(path, ["slot", "slot_name"],
+                   ([slot, FEATURE_NAMES[slot]] for slot in trace.final_subset))
 
 
 def read_subset(path) -> list[int]:

@@ -249,6 +249,14 @@ class TestTrain:
         column = corpus.samples[corpus.labels == cls, slot]
         assert [float(v) for v in row[2:]] == _quartiles(column[:, None])[:, 0].tolist()
 
+    def test_a_network_too_large_to_allocate_exits_2(self, cache_path, tmp_path, capsys):
+        # 29 x 10**13 weights are 2 PiB, more than a 47-bit address space holds
+        assert main(["train", "--cache", str(cache_path), "--model",
+                     str(tmp_path / "m.json"), "--hidden", "10000000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "MemoryError" in err
+        assert err.count("\n") == 1 and not (tmp_path / "m.json").exists()
+
     def test_unreadable_cache_exits_2(self, tmp_path):
         assert main(["train", "--cache", str(tmp_path / "nope.csv"),
                      "--model", str(tmp_path / "m.json"), "--seed", "0"]) == 2
@@ -832,6 +840,69 @@ def test_printed_names_escape_what_stdout_cannot_encode(tmp_path):
         assert stdout["ascii"] == stdout["utf8"].decode().encode("ascii",
                                                                    "backslashreplace")
         assert b"\\xf1and\\xfa-tone" in stdout["ascii"]
+
+
+def test_a_class_name_that_is_not_utf8_runs_through_every_command(tmp_path, capsys):
+    """A class directory named with a byte that is not UTF-8 extracts to a
+    cache that names it with a \\xNN escape, so every command reads what
+    the one before it wrote, and every artifact is strict UTF-8."""
+    corpus = build_tone_corpus_dir(tmp_path / "corpus", clips_per_class=6, seed=5)
+    cafe = corpus / os.fsdecode(b"caf\xe9")
+    (corpus / "tone440").rename(cafe)
+    out = tmp_path / "out"
+    out.mkdir()
+    training = ["--seed", "0", "--max-epochs", "3"]
+    for argv in (["extract", "--corpus", str(corpus), "--out", str(out / "cache.csv")],
+                 ["select", "--cache", str(out / "cache.csv"), "--trace",
+                  str(out / "trace.csv"), "--subset", str(out / "subset.csv"), *training],
+                 ["train", "--cache", str(out / "cache.csv"), "--subset",
+                  str(out / "subset.csv"), "--model", str(out / "model.json"),
+                  "--report", str(out / "report"), *training],
+                 ["evaluate", "--model", str(out / "model.json"), "--cache",
+                  str(out / "cache.csv"), "--report", str(out / "eval")],
+                 ["classify", "--model", str(out / "model.json"),
+                  str(cafe / "clip00.wav")]):
+        assert main(argv) == 0, (argv[0], capsys.readouterr().err)
+    cache = read_feature_cache(out / "cache.csv")
+    assert cache.class_names[0] == "caf\\xe9"
+    assert f"{corpus}/caf\\xe9/clip00.wav" in cache.clip_paths
+    assert sorted(path.name for path in out.iterdir()) == [
+        "cache.csv", "eval.csv", "eval.txt", "model.json", "report.csv",
+        "report.features.csv", "report.txt", "subset.csv", "trace.csv"]
+    for path in out.iterdir():
+        path.read_bytes().decode("utf-8")
+    assert "caf\\xe9" in json.loads((out / "model.json").read_text())["label_map"]
+
+
+def test_a_manifest_names_its_clips_in_utf8_under_any_locale(tmp_path):
+    """A UTF-8 manifest's paths, relative or absolute, reach the file system
+    as their UTF-8 bytes under the C locale, with Python's UTF-8 mode and
+    locale coercion off, as under a UTF-8 locale: extract writes the same
+    cache bytes under both and skips no clip."""
+    rng = np.random.default_rng(4)
+    (tmp_path / "abs").mkdir()
+    for name in ("canción.wav", "a.wav", "abs/b.wav"):
+        save_wav(noise_clip(rng), tmp_path / name)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_bytes(f"path,label\ncanción.wav,pájaro\na.wav,dog\n"
+                         f"{tmp_path / 'abs' / 'b.wav'},dog\n".encode())
+    src = Path(__file__).resolve().parent.parent / "src"
+    locales = {"utf8": {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"},
+               "ascii": {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}}
+    written = {}
+    for name, locale_env in locales.items():
+        out = tmp_path / f"{name}.csv"
+        done = subprocess.run([sys.executable, "-m", "vocalnet.cli", "extract",
+                               "--corpus", str(manifest), "--out", str(out)],
+                              env={**os.environ, **locale_env, "PYTHONPATH": str(src)},
+                              capture_output=True, timeout=300)
+        assert (done.returncode, done.stderr) == (0, b""), (name, done.stderr.decode())
+        written[name] = out.read_bytes()
+    assert written["ascii"] == written["utf8"]
+    cache = read_feature_cache(tmp_path / "utf8.csv")
+    assert cache.clip_paths == [str(tmp_path / "canción.wav"), str(tmp_path / "a.wav"),
+                                str(tmp_path / "abs" / "b.wav")]
+    assert cache.class_names == ["dog", "pájaro"]
 
 
 def readme() -> str:
