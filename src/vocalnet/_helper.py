@@ -1,15 +1,15 @@
-"""One helper process for the package, for per-clip work cut in two.
+"""One helper process for the package, for a list of jobs cut in two.
 
 numpy holds the GIL inside a gufunc or an accumulate over few rows, so a
 second thread in this process could not run every stage of a block beside
 the caller. The helper is a process of its own, forked on first use, and
-run_pair is the one way to use it: the caller runs its own share of the
-work while the helper runs a function on a copy of the caller's one input
-array, laid into `buffer`, an anonymous shared mapping of BUFFER_BYTES =
-1 MiB, and the call's results come back through the buffer into the
-caller's output arrays. The package hands it one kind of work, a block of
-a clip's frames from features.extract_features. The buffer never grows:
-work that does not fit in it stays on the caller.
+run_jobs is the one way to use it: it runs a function over a list of input
+arrays, the caller taking the even-numbered inputs and the helper the odd
+ones. The helper works on a copy of its input laid into `buffer`, an
+anonymous shared mapping of BUFFER_BYTES = 1 MiB, and sends its result back
+pickled on its result pipe. The package hands it one kind of job, a block of
+a clip's frames from features.extract_features. The buffer never grows: an
+input that does not fit in it stays on the caller.
 
 held() gives the helper to one caller at a time: a caller that finds another
 thread holding it gets None and does all of its work itself, so no caller
@@ -24,7 +24,7 @@ that pipe and waits for the helper, so no helper outlives its process, and a
 process that dies without stop() has its pipes closed by the kernel. A child
 forked from the process forgets the parent's helper and forks its own on
 first use. A helper that died costs its caller time, never a result:
-Helper.call and Helper.wait report it, the caller does that work itself,
+Helper.call and Helper.wait report it, the caller does that job itself,
 and the next held() forks a new helper.
 
 os.fork copies only the calling thread, so a native lock that another
@@ -34,8 +34,9 @@ OpenBLAS's pool, which OpenBLAS itself resets at a fork; only a library
 caller that runs threads of its own when the helper forks takes that risk.
 
 The fork took 0.5-1.2 ms in 30-70 MB processes with numpy loaded, once per
-process, and a call of an empty function and its wait 16-20 us (2-core
-x86-64, py3.11).
+process. run_jobs over two trivial jobs took 48 us where each returns None
+and 88 us where each returns 11 KB of arrays, as a block of 86 frames does;
+most of the difference is the result's pickle (2-core x86-64, py3.11).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ import mmap
 import os
 import pickle
 import signal
-import struct
 import threading
 from contextlib import contextmanager
 
@@ -54,75 +54,42 @@ import numpy as np
 
 BUFFER_BYTES = 2 ** 20
 
-_HEADER = struct.Struct("<I")  # the byte length of the message after it
-
 _lock = threading.Lock()  # held by the one caller using the helper
 _running = None  # the running Helper, None until first use and once it died
 
 
-def _send(fd: int, message: bytes) -> None:
-    view = memoryview(_HEADER.pack(len(message)) + message)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _receive(fd: int) -> bytes | None:
-    """The next message on fd, or None at EOF."""
-    header = _read(fd, _HEADER.size)
-    return None if header is None else _read(fd, _HEADER.unpack(header)[0])
-
-
-def _read(fd: int, size: int) -> bytes | None:
-    chunks = []
-    while size:
-        chunk = os.read(fd, size)
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        size -= len(chunk)
-    return b"".join(chunks)
-
-
-def _pickled(error: BaseException) -> bytes:
-    """error pickled, or a RuntimeError with its type and message where it
-    does not come back from a pickle."""
+def _portable(error: BaseException) -> BaseException:
+    """error, or a RuntimeError with its type and message where it does not
+    come back from a pickle."""
     try:
-        message = pickle.dumps(error)
-        pickle.loads(message)
+        pickle.loads(pickle.dumps(error))
     except Exception:
-        message = pickle.dumps(RuntimeError(f"{type(error).__qualname__}: {error}"))
-    return message
+        return RuntimeError(f"{type(error).__qualname__}: {error}")
+    return error
 
 
-def _views(buffer, places) -> list:
-    """The float64 arrays at the given (byte offset, shape) places of buffer."""
-    return [np.frombuffer(buffer, count=math.prod(shape), offset=at).reshape(shape)
-            for at, shape in places]
+def _view(buffer, place) -> np.ndarray:
+    """The float64 array at that (byte offset, shape) place of buffer."""
+    at, shape = place
+    return np.frombuffer(buffer, count=math.prod(shape), offset=at).reshape(shape)
 
 
-def _fill(outputs, results) -> None:
-    for output, result in zip(outputs, results, strict=True):
-        output[...] = result
-
-
-def _serve(commands: int, results: int, buffer: mmap.mmap) -> None:
+def _serve(commands, results, buffer: mmap.mmap) -> None:
     """The helper's life: run each call read from `commands` on its input
-    in buffer, write its results back there and answer on `results`, an
-    empty message for done or the pickled error, until EOF."""
+    in buffer and answer on `results` with (None, its result), or (its
+    error, None) where the call or its result's pickle raised, until EOF."""
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-        low, high = sorted((commands, results))
+        low, high = sorted((commands.fileno(), results.fileno()))
         os.closerange(0, low)
         os.closerange(low + 1, high)
         os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
-        while (message := _receive(commands)) is not None:
+        while True:
+            function, place, args = commands.recv()  # EOFError ends the helper
             try:
-                function, source, outputs, args = pickle.loads(message)
-                _fill(_views(buffer, outputs), function(*_views(buffer, [source]), *args))
-                answer = b""
+                results.send((None, function(_view(buffer, place), *args)))
             except BaseException as error:
-                answer = _pickled(error)
-            _send(results, answer)
+                results.send((_portable(error), None))
     finally:
         os._exit(0)
 
@@ -131,48 +98,51 @@ class Helper:
     """A forked helper process, its command and result pipes and its buffer."""
 
     def __init__(self):
+        # here, so only a process that forks a helper imports multiprocessing
+        from multiprocessing import Pipe
+
         self.buffer = mmap.mmap(-1, BUFFER_BYTES)
-        fds = []
+        ends = []
         try:
-            fds += os.pipe()
-            fds += os.pipe()
-            commands, self._commands, self._results, results = fds
+            ends += Pipe(duplex=False)
+            ends += Pipe(duplex=False)
+            commands, self._commands, self._results, results = ends
             self.pid = os.fork()
         except OSError:
-            for fd in fds:
-                os.close(fd)
+            for end in ends:
+                end.close()
             raise
         if self.pid == 0:
             _serve(commands, results, self.buffer)  # never returns
-        os.close(commands)
-        os.close(results)
+        commands.close()
+        results.close()
         self.pending = False  # a call handed in and not yet waited for
 
-    def call(self, function, source, outputs, args) -> bool:
-        """Hand the helper function(source, *args), its input and results
-        the arrays at those (byte offset, shape) places of the buffer; False
-        if it died."""
+    def call(self, function, place, args) -> bool:
+        """Hand the helper function(input, *args), its input the array at
+        that (byte offset, shape) place of the buffer; False if it died."""
         # set first: a call cut short leaves the pipes in an unknown state
         self.pending = True
         try:
-            _send(self._commands, pickle.dumps((function, source, outputs, args)))
+            self._commands.send((function, place, args))
         except BrokenPipeError:
             self.drop()
             return False
         return True
 
-    def wait(self) -> bool:
-        """Wait for the call handed in last: True once it is done, False if
-        the helper died first. An exception the call raised is raised here,
-        with its type and message."""
-        answer = _receive(self._results)
-        self.pending = False
-        if answer is None:
+    def wait(self) -> list:
+        """[the result] of the call handed in last once it is done, [] if
+        the helper died first. An exception the call or its result's pickle
+        raised is raised here, with its type and message."""
+        try:
+            error, result = self._results.recv()
+        except (EOFError, OSError):  # OSError: it died mid-answer
             self.drop()
-            return False
-        if answer:
-            raise pickle.loads(answer)
-        return True
+            return []
+        self.pending = False
+        if error is not None:
+            raise error
+        return [result]
 
     def drop(self) -> None:
         """Close the pipes, which ends the helper once its call is done, and
@@ -190,62 +160,54 @@ class Helper:
 
     def forget(self) -> None:
         """Close this process's ends of the pipes."""
-        for fd in (self._commands, self._results):
-            try:
-                os.close(fd)
-            except OSError:
-                pass
+        self._commands.close()
+        self._results.close()
 
 
-def run_pair(on_caller, function, source, outputs, *args):
-    """Run on_caller() here while the helper runs function(source, *args)
-    on a copy of the one input array `source`, then copy the arrays that
-    call returns, one per array of `outputs`, into them; returns
-    on_caller's result.
+def run_jobs(function, sources, *args) -> list:
+    """[function(source, *args) for source in sources], in that order: the
+    caller runs sources 0, 2, 4, ... and, one pair at a time, the helper
+    runs 1, 3, 5, ... on a copy of its input while the caller runs the one
+    before it. A single source never reaches the helper.
 
-    function must be reachable by name from its module, as pickle needs.
-    The input is laid in the buffer at its own address modulo 64, so a
-    kernel that rounds by its operands' alignment, such as OpenBLAS's
-    Prescott ddot, gives the helper the caller's bits. The results come back
-    as float64 from byte 0 once the call is done, so a pair fits where the
-    laid-out input and the outputs each take at most BUFFER_BYTES. Where the
-    helper is held by another thread, missing or dead, the input is not a
-    C-contiguous float64 array or the arrays do not fit, function runs here
-    on the input itself once on_caller is done. An exception the helper's
-    call raised is raised once on_caller is done, chained to on_caller's own
-    where that raised too.
+    function must be reachable by name from its module, and its results
+    must pickle, as the pipe needs. A handed input is laid in the buffer at
+    its own address modulo 64, so a kernel that rounds by its operands'
+    alignment, such as OpenBLAS's Prescott ddot, gives the helper the
+    caller's bits; it fits where it so takes at most BUFFER_BYTES. Where the
+    helper is held by another thread, missing or dead, or the input is not a
+    C-contiguous float64 array or does not fit, its job runs here once the
+    caller's is done. An exception the helper's job raised is raised once
+    the caller's job is done, chained to the caller's own where that raised
+    too.
     """
-    with held() as helper:
-        places = None if helper is None else _places(source, outputs)
-        if places is not None:
-            _views(helper.buffer, [places[0]])[0][...] = source
-        handed = places is not None and helper.call(function, *places, args)
-        try:
-            result = on_caller()
-        finally:
-            # collected even where on_caller raised
-            done = handed and helper.wait()
-        if done:
-            _fill(outputs, _views(helper.buffer, places[1]))
-    if not done:
-        _fill(outputs, function(source, *args))
-    return result
+    results = []
+    for b in range(0, len(sources) - 1, 2):
+        mine, theirs = sources[b:b + 2]
+        with held() as helper:
+            place = None if helper is None else _place(theirs)
+            if place is not None:
+                _view(helper.buffer, place)[...] = theirs
+            handed = place is not None and helper.call(function, place, args)
+            try:
+                results.append(function(mine, *args))
+            finally:
+                # collected even where the caller's job raised
+                results += helper.wait() if handed else []
+        if len(results) == b + 1:
+            results.append(function(theirs, *args))
+    if len(sources) % 2:
+        results.append(function(sources[-1], *args))
+    return results
 
 
-def _places(source, outputs):
-    """The (byte offset, shape) place of the input and those of the outputs
-    in the buffer; None where the input is not a C-contiguous float64 array
-    or the arrays do not fit."""
+def _place(source):
+    """The (byte offset, shape) place of the input in the buffer; None where
+    it is not a C-contiguous float64 array or does not fit."""
     if source.dtype != np.float64 or not source.flags.c_contiguous:
         return None
     at = source.__array_interface__["data"][0] % 64
-    back, size = [], 0
-    for array in outputs:
-        back.append((size, array.shape))
-        size += 8 * array.size
-    if max(at + source.nbytes, size) > BUFFER_BYTES:
-        return None
-    return (at, source.shape), back
+    return (at, source.shape) if at + source.nbytes <= BUFFER_BYTES else None
 
 
 @contextmanager

@@ -105,11 +105,13 @@ def _manifest_rows(manifest: Path) -> list[tuple[str, str]]:
 
 
 def clip_features(path) -> np.ndarray:
-    """One WAV file's 28 values at audio_io.DEFAULT_*; MalformedRiff if unreadable."""
+    """One WAV file's 28 values at audio_io.DEFAULT_*; MalformedRiff if
+    unreadable, its message naming the path as _text spells it."""
     try:
         clip = audio_io.read_wav(path)
     except OSError as exc:
-        raise MalformedRiff(f"cannot read clip: {exc}") from exc
+        raise MalformedRiff(f"cannot read clip: [Errno {exc.errno}] {exc.strerror}: "
+                            f"'{_text(path)}'") from exc
     return features.extract_features(
         audio_io.resample(clip, audio_io.DEFAULT_RATE)).values
 

@@ -10,10 +10,10 @@ both tables row by row into the slots.
 extract_features cuts a clip's frames into near-equal blocks of at most
 BLOCK_FRAMES = 256 frames, and a clip of SPLIT_FRAMES = 128 frames or more
 into two blocks at least, and runs every per-frame stage, LPC included, on
-one block at a time, writing each family into its slice of its table row. A
+one block at a time; the blocks' columns are joined into the table. A
 clip of two blocks or more runs every other block on the package's one
-helper process, handed to it with vocalnet._helper.run_pair on a copy of
-the block's samples. A thread could not stand in
+helper process: vocalnet._helper.run_jobs takes the list of blocks' sample
+spans and hands it a copy of every other one. A thread could not stand in
 for it: numpy holds the GIL inside a gufunc or an accumulate over at most 500
 rows, so lpc's np.vecdot and the rolloff's np.cumsum(axis=1) serialize two
 threads over a block's at most 256 rows, and two threads extracted
@@ -488,11 +488,12 @@ def extract_features(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
     SPLIT_FRAMES = 128 frames on, with edges at F * b // n, so no block
     exceeds 256 frames (127 frames are one block, 128 are 64 + 64 and 300
     are 150 + 150). Each block runs every per-frame stage, LPC included, on
-    the run of samples its frames cover, and its columns fill their slice of
-    one (10, F) table. A clip of one block is analyzed inline. Otherwise the
-    caller takes blocks 0, 2, 4, ... and hands blocks 1, 3, 5, ... one at a
-    time to the package's one helper process with vocalnet._helper.run_pair,
-    which runs a block on the caller where the helper cannot take it and
+    the run of samples its frames cover, and the blocks' columns are joined
+    into one (10, F) table. The spans go to vocalnet._helper.run_jobs in one
+    call, which analyzes a clip of one block inline. Otherwise the caller
+    takes blocks 0, 2, 4, ... and hands blocks 1, 3, 5, ... one at a time to
+    the package's one helper process, whose columns come back pickled;
+    run_jobs runs a block on the caller where the helper cannot take it and
     raises the helper's exception once the caller's block is done.
 
     Every stage is row-independent, the helper reads its samples at the
@@ -511,30 +512,16 @@ def extract_features(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
         raise InvalidSetting(f"window_size must be a power of two above {LPC_ORDER}, "
                              f"got {window_size}")
     n_frames = len(frame_clip(clip, window_size, hop_size))
-    frame_table = np.empty((len(FRAME_FAMILIES), n_frames))  # rows in that order
     edges = _block_edges(n_frames)
-    n_blocks = len(edges) - 1
-    # each block's first and last magnitude rows
-    ends = np.empty((n_blocks, 2, window_size // 2 + 1))
-    settings = window_size, hop_size, clip.sample_rate
-
-    def samples(b):
-        return clip.samples[edges[b] * hop_size:(edges[b + 1] - 1) * hop_size + window_size]
-
-    def analyze(b):
-        frame_table[:, edges[b]:edges[b + 1]], ends[b] = _analyze_block(samples(b),
-                                                                        *settings)
-
-    for b in range(0, n_blocks, 2):
-        if b + 1 == n_blocks:
-            analyze(b)
-        else:
-            _helper.run_pair(lambda: analyze(b), _analyze_block, samples(b + 1),
-                             (frame_table[:, edges[b + 1]:edges[b + 2]], ends[b + 1]),
-                             *settings)
+    spans = [clip.samples[start * hop_size:(end - 1) * hop_size + window_size]
+             for start, end in zip(edges, edges[1:])]
+    blocks = _helper.run_jobs(_analyze_block, spans, window_size, hop_size,
+                              clip.sample_rate)
+    # rows in FRAME_FAMILIES order
+    frame_table = np.concatenate([columns for columns, _ in blocks], axis=1)
     flux = frame_table[FRAME_FAMILIES.index("spectral_flux")]
-    for b in range(1, n_blocks):
-        flux[edges[b]] = np.add.reduce((ends[b, 0] - ends[b - 1, 1]) ** 2)
+    for b in range(1, len(blocks)):
+        flux[edges[b]] = np.add.reduce((blocks[b][1][0] - blocks[b - 1][1][1]) ** 2)
     rms = frame_table[FRAME_FAMILIES.index("rms")]
     return aggregate_clip(frame_table,
                           clip_level_features(rms, hop_size / clip.sample_rate))

@@ -99,14 +99,14 @@ def fresh_helper():
 @pytest.fixture
 def handoffs(monkeypatch):
     """Each call handed to the helper process, in order, as its function and
-    the shapes of its outputs, recorded on the caller's side once sent."""
+    the shape of its input, recorded on the caller's side once sent."""
     handed = []
     call = _helper.Helper.call
 
-    def spy(helper, function, source, outputs, args):
-        sent = call(helper, function, source, outputs, args)
+    def spy(helper, function, place, args):
+        sent = call(helper, function, place, args)
         if sent:
-            handed.append((function, [shape for _, shape in outputs]))
+            handed.append((function, place[1]))
         return sent
 
     monkeypatch.setattr(_helper.Helper, "call", spy)

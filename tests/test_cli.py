@@ -133,6 +133,33 @@ class TestExtract:
         assert not out
         assert err == f"error: MalformedRiff: {warning[len(prefix):]}\n"
 
+    def test_unreadable_clip_under_a_class_that_is_not_utf8_keeps_one_spelling(
+            self, small_corpus_dir, model_path, tmp_path, capsys):
+        # a directory named like a clip in a class directory named by the
+        # bytes caf\xe9: the message spells the path with the \xNN escape
+        # of the warning's own path, not with Python's surrogate escape
+        root = tmp_path / "corpus"
+        shutil.copytree(small_corpus_dir, root)
+        cafe = root / os.fsdecode(b"caf\xe9")
+        (root / "tone440").rename(cafe)
+        bad = cafe / "bad.wav"
+        bad.mkdir()
+        assert main(["extract", "--corpus", str(root),
+                     "--out", str(tmp_path / "cache.csv")]) == 0
+        err = capsys.readouterr().err
+        warning, = [line for line in err.splitlines()
+                    if line.startswith("warning: skipped ")]
+        shown = f"{root}/caf\\xe9/bad.wav"
+        prefix = f"warning: skipped {shown}: "
+        assert warning.startswith(prefix + "cannot read clip: ")
+        assert warning.endswith(f": '{shown}'")
+        assert "\\udc" not in err and not any("\udc80" <= c <= "\udcff" for c in err)
+
+        assert main(["classify", "--model", str(model_path), str(bad)]) == 4
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == f"error: MalformedRiff: {warning[len(prefix):]}\n"
+
     def test_empty_corpus_exits_2(self, tmp_path):
         (tmp_path / "cls").mkdir()
         assert main(["extract", "--corpus", str(tmp_path),
