@@ -34,9 +34,11 @@ OpenBLAS's pool, which OpenBLAS itself resets at a fork; only a library
 caller that runs threads of its own when the helper forks takes that risk.
 
 The fork took 0.5-1.2 ms in 30-70 MB processes with numpy loaded, once per
-process. run_jobs over two trivial jobs took 48 us where each returns None
-and 88 us where each returns 11 KB of arrays, as a block of 86 frames does;
-most of the difference is the result's pickle (2-core x86-64, py3.11).
+process. run_jobs over two trivial jobs took a median 28 us where each
+returns None and 45 us where each returns a 7 KB array, as a block of 86
+frames does; most of the difference is the result's pickle (2-core x86-64,
+py3.11, five interleaved rounds; the host's second core comes and goes, and
+in a busier sitting the same calls took 57 and 86 us).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import os
 import pickle
 import signal
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -77,7 +79,8 @@ def _view(buffer, place) -> np.ndarray:
 def _serve(commands, results, buffer: mmap.mmap) -> None:
     """The helper's life: run each call read from `commands` on its input
     in buffer and answer on `results` with (None, its result), or (its
-    error, None) where the call or its result's pickle raised, until EOF."""
+    error, None) where the call or its result's pickle raised, as one
+    protocol-5 pickle, until EOF."""
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         low, high = sorted((commands.fileno(), results.fileno()))
@@ -87,9 +90,10 @@ def _serve(commands, results, buffer: mmap.mmap) -> None:
         while True:
             function, place, args = commands.recv()  # EOFError ends the helper
             try:
-                results.send((None, function(_view(buffer, place), *args)))
+                answer = pickle.dumps((None, function(_view(buffer, place), *args)), 5)
             except BaseException as error:
-                results.send((_portable(error), None))
+                answer = pickle.dumps((_portable(error), None), 5)
+            results.send_bytes(answer)
     finally:
         os._exit(0)
 
@@ -135,7 +139,7 @@ class Helper:
         the helper died first. An exception the call or its result's pickle
         raised is raised here, with its type and message."""
         try:
-            error, result = self._results.recv()
+            error, result = pickle.loads(self._results.recv_bytes())
         except (EOFError, OSError):  # OSError: it died mid-answer
             self.drop()
             return []
@@ -220,10 +224,8 @@ def held():
         return
     try:
         if _running is None:
-            try:
+            with suppress(OSError):
                 _running = Helper()
-            except OSError:
-                pass
         yield _running
     finally:
         # a caller interrupted between a call and its wait leaves an answer

@@ -10,7 +10,9 @@ both tables row by row into the slots.
 extract_features cuts a clip's frames into near-equal blocks of at most
 BLOCK_FRAMES = 256 frames, and a clip of SPLIT_FRAMES = 128 frames or more
 into two blocks at least, and runs every per-frame stage, LPC included, on
-one block at a time; the blocks' columns are joined into the table. A
+one block at a time. Every block after the first starts one frame early, so
+its first flux value comes from spectral_shape_features like any other, and
+the blocks' columns less that overlap frame are joined into the table. A
 clip of two blocks or more runs every other block on the package's one
 helper process: vocalnet._helper.run_jobs takes the list of blocks' sample
 spans and hands it a copy of every other one. A thread could not stand in
@@ -445,14 +447,13 @@ def aggregate_clip(frame_table: np.ndarray, clip_table: np.ndarray) -> FeatureVe
 
 
 def _analyze_block(samples: np.ndarray, window_size: int, hop_size: int,
-                   sample_rate: int) -> tuple[np.ndarray, np.ndarray]:
+                   sample_rate: int) -> np.ndarray:
     """Run every per-frame stage on the frames of `samples`, a run of a
     clip's samples that frame_clip cuts into a block of frames.
 
-    Returns the block's (10, len(block)) columns of the frame table and a
-    (2, window_size // 2 + 1) array of its first and last magnitude rows.
-    The first flux is 0 here, as for a clip's first frame; extract_features
-    sets each later block's first flux from the magnitude rows.
+    Returns the block's (10, len(block)) columns of the frame table. The
+    first flux is 0 here, as for a clip's first frame; extract_features
+    starts each later block one frame early and drops that frame's column.
     """
     block = frame_clip(AudioClip(samples, sample_rate), window_size, hop_size)
     columns = np.empty((len(FRAME_FAMILIES), len(block)))
@@ -470,7 +471,7 @@ def _analyze_block(samples: np.ndarray, window_size: int, hop_size: int,
                                 (lpc(block)[0], lpc_mean)):
         np.add.reduce(coefficients, axis=1, out=means)
         means /= coefficients.shape[1]
-    return columns, magnitudes[[0, -1]]
+    return columns
 
 
 def _block_edges(n_frames: int) -> list[int]:
@@ -485,23 +486,25 @@ def extract_features(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
 
     The F frames of the copy-free frame view are cut into
     n = ceil(F / BLOCK_FRAMES) blocks of near-equal size, two at least from
-    SPLIT_FRAMES = 128 frames on, with edges at F * b // n, so no block
-    exceeds 256 frames (127 frames are one block, 128 are 64 + 64 and 300
-    are 150 + 150). Each block runs every per-frame stage, LPC included, on
-    the run of samples its frames cover, and the blocks' columns are joined
-    into one (10, F) table. The spans go to vocalnet._helper.run_jobs in one
-    call, which analyzes a clip of one block inline. Otherwise the caller
-    takes blocks 0, 2, 4, ... and hands blocks 1, 3, 5, ... one at a time to
-    the package's one helper process, whose columns come back pickled;
-    run_jobs runs a block on the caller where the helper cannot take it and
-    raises the helper's exception once the caller's block is done.
+    SPLIT_FRAMES = 128 frames on, with edges at F * b // n, so no block has
+    more than 256 frames of its own (127 frames are one block, 128 are
+    64 + 64 and 300 are 150 + 150). Each block runs every per-frame stage, LPC included, on
+    the run of samples its frames cover, each block after the first from
+    one frame before its own, and the blocks' columns, less each overlap
+    frame's, are joined into one (10, F) table. The spans go to
+    vocalnet._helper.run_jobs in one call, which analyzes a clip of one
+    block inline. Otherwise the caller takes blocks 0, 2, 4, ... and hands
+    blocks 1, 3, 5, ... one at a time to the package's one helper process,
+    whose columns come back pickled; run_jobs runs a block on the caller
+    where the helper cannot take it and raises the helper's exception once
+    the caller's block is done.
 
     Every stage is row-independent, the helper reads its samples at the
-    caller's alignment, and each later block's first flux value is taken
-    once every block is done, from its first magnitude row and the previous
-    block's last, so the rows are those of one pass over every frame, bit
-    for bit, whichever process ran which block. Working memory is at most
-    one block's stage arrays on each side however long the clip.
+    caller's alignment, and a later block takes its first flux value from
+    the overlap frame's magnitudes and its own, so the rows are those of one
+    pass over every frame, bit for bit, whichever process ran which block.
+    The overlap costs each later block one frame's work. Working memory is
+    at most one block's stage arrays on each side however long the clip.
 
     Vector families (mfcc, moments, lpc) are first collapsed to the mean of
     their coefficients per frame.
@@ -513,15 +516,12 @@ def extract_features(clip: AudioClip, window_size: int = DEFAULT_WINDOW,
                              f"got {window_size}")
     n_frames = len(frame_clip(clip, window_size, hop_size))
     edges = _block_edges(n_frames)
-    spans = [clip.samples[start * hop_size:(end - 1) * hop_size + window_size]
+    spans = [clip.samples[max(start - 1, 0) * hop_size:(end - 1) * hop_size + window_size]
              for start, end in zip(edges, edges[1:])]
-    blocks = _helper.run_jobs(_analyze_block, spans, window_size, hop_size,
-                              clip.sample_rate)
+    first, *rest = _helper.run_jobs(_analyze_block, spans, window_size, hop_size,
+                                    clip.sample_rate)
     # rows in FRAME_FAMILIES order
-    frame_table = np.concatenate([columns for columns, _ in blocks], axis=1)
-    flux = frame_table[FRAME_FAMILIES.index("spectral_flux")]
-    for b in range(1, len(blocks)):
-        flux[edges[b]] = np.add.reduce((blocks[b][1][0] - blocks[b - 1][1][1]) ** 2)
+    frame_table = np.concatenate([first, *(block[:, 1:] for block in rest)], axis=1)
     rms = frame_table[FRAME_FAMILIES.index("rms")]
     return aggregate_clip(frame_table,
                           clip_level_features(rms, hop_size / clip.sample_rate))

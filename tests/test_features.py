@@ -712,9 +712,10 @@ class TestBlocks:
         (127, [127]), (128, [64, 64]), (129, [64, 65])])
     def test_blocks_are_near_equal(self, n_frames, sizes, monkeypatch, fresh_helper,
                                    handoffs):
-        # the plan itself, then the blocks each side analyzed: the caller's
-        # through a stage patched here, the helper's as they are handed to
-        # it, so nothing is observed inside the helper process
+        # the plan itself, then the blocks each side analyzed, each after the
+        # first from one overlap frame before its own: the caller's through a
+        # stage patched here, the helper's as they are handed to it, so
+        # nothing is observed inside the helper process
         plan = np.diff(F._block_edges(n_frames)).tolist()
         assert F._block_edges(n_frames) == self.block_edges(n_frames)
         assert sorted(plan) == sizes
@@ -727,8 +728,9 @@ class TestBlocks:
 
         monkeypatch.setattr(F, "time_domain_features", recording)
         F.extract_features(self.clip_of(n_frames, "noise", np.random.default_rng(0)))
-        assert seen == plan[0::2]
-        assert self.handed_blocks(handoffs) == plan[1::2]
+        analyzed = [size + (b > 0) for b, size in enumerate(plan)]
+        assert seen == analyzed[0::2]
+        assert self.handed_blocks(handoffs) == analyzed[1::2]
 
     # 300 and 700 frames split at 150 and at 233 and 466, not at multiples
     # of BLOCK_FRAMES; 127 frames are one block and 128 the first two
@@ -758,6 +760,39 @@ class TestBlocks:
             assert row.tobytes() == series[family].tobytes(), family
         assert got == want
 
+    @settings(max_examples=25, deadline=None)
+    @given(n_frames=st.integers(1, 1100), kind=st.sampled_from(["tone", "noise", "bursts"]),
+           offset=st.integers(0, 7), seed=st.integers(0, 2 ** 32 - 1))
+    def test_the_join_is_one_pass_with_and_without_the_helper(self, n_frames, kind,
+                                                              offset, seed):
+        # up to 5 blocks, the clip's samples at any 8-byte offset of a cache
+        # line; the second extraction runs inside held() in this thread,
+        # which puts every block on the caller
+        samples = self.clip_of(n_frames, kind, np.random.default_rng(seed)).samples
+        room = np.empty(len(samples) + 8)
+        start = (8 * offset - room.ctypes.data) % 64 // 8
+        room[start:start + len(samples)] = samples
+        clip = AudioClip(room[start:start + len(samples)], RATE)
+        assert clip.samples.ctypes.data % 64 == 8 * offset
+        series = whole_stack_series(clip)
+        tables = []
+        aggregate = F.aggregate_clip
+
+        def capture(frame_table, clip_table):
+            tables.append(frame_table.copy())
+            return aggregate(frame_table, clip_table)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(F, "aggregate_clip", capture)
+            F.extract_features(clip)
+            with _helper.held():
+                F.extract_features(clip)
+        assert len(tables) == 2
+        for table in tables:
+            assert table.shape == (len(F.FRAME_FAMILIES), n_frames)
+            for family, row in zip(F.FRAME_FAMILIES, table):
+                assert row.tobytes() == series[family].tobytes(), family
+
     def test_the_helper_writes_the_callers_rows_at_every_alignment(self, handoffs):
         # the helper gets a copy of its block's samples at their address
         # modulo 64, so for a clip whose samples start at any 8-byte offset of
@@ -774,9 +809,8 @@ class TestBlocks:
             want, got = _helper.run_jobs(F._analyze_block, [samples, samples],
                                          *settings)
             assert len(handoffs) == handed + 1, offset
-            assert got[0].shape == (len(F.FRAME_FAMILIES), 150)
-            assert got[0].tobytes() == want[0].tobytes(), offset
-            assert got[1].tobytes() == want[1].tobytes(), offset
+            assert got.shape == (len(F.FRAME_FAMILIES), 150)
+            assert got.tobytes() == want.tobytes(), offset
             got = F.extract_features(clip).values.tobytes()
             assert got == whole_stack_vector(clip).values.tobytes(), offset
 
