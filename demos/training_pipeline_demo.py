@@ -9,7 +9,7 @@ import numpy as np
 
 from vocalnet.audio_io import AudioClip
 from vocalnet.dataset import make_corpus, plan_folds
-from vocalnet.evaluation import render_report_text, summarize
+from vocalnet.evaluation import render_report_text
 from vocalnet.features import extract_features
 from vocalnet.mlp import TrainingConfig
 from vocalnet.pipeline import train_all_folds
@@ -56,4 +56,4 @@ for result in run.results:
 print(f"\nmean accuracy over folds: {run.summary.mean_accuracy:.2f}% "
       f"(std {run.summary.std_accuracy:.2f})")
 print("\naggregate confusion matrix over all eval sets:\n")
-print(render_report_text(summarize(run.summary.summed_matrix)))
+print(render_report_text(run.summary.summed_matrix))

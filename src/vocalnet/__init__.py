@@ -9,7 +9,7 @@ from .audio_io import AudioClip, frame_clip, parse_wav, read_wav, resample
 from .dataset import (LabeledCorpus, SplitPlan, clip_features, load_corpus, make_corpus,
                       plan_folds, read_feature_cache, write_feature_cache)
 from .evaluation import (ConfusionMatrix, confusion_matrix, cross_fold_report,
-                         feature_summary, summarize)
+                         feature_summary)
 from .features import (FEATURE_NAMES, FeatureVector, extract_features)
 from .mlp import (Network, NetworkSpec, TrainingConfig, TrainingState,
                   classify, forward, init_network, load_model, save_model, train)

@@ -107,13 +107,6 @@ def _hidden_width(args, corpus) -> int:
     return corpus.n_classes if args.hidden is None else args.hidden
 
 
-def _write_report(report, prefix) -> None:
-    with dataset.open_artifact(prefix + ".txt", "w") as fh:
-        fh.write(evaluation.render_report_text(report) + "\n")
-    with dataset.open_artifact(prefix + ".csv", "w") as fh:
-        fh.write(evaluation.render_report_csv(report))
-
-
 def cmd_extract(args) -> int:
     corpus = dataset.load_corpus(args.corpus)
     for path, message in corpus.load_errors:
@@ -161,7 +154,7 @@ def cmd_train(args) -> int:
     print(f"exported fold {run.best.fold} -> {args.model}")
 
     if args.report:
-        _write_report(evaluation.summarize(run.summary.summed_matrix), args.report)
+        evaluation.write_report(run.summary.summed_matrix, args.report)
         evaluation.write_feature_summary(evaluation.feature_summary(corpus),
                                          corpus.class_names,
                                          args.report + ".features.csv")
@@ -186,7 +179,7 @@ def cmd_evaluate(args) -> int:
     report = pipeline.evaluate(net, dataset.read_feature_cache(args.cache))
     _print_escaped(evaluation.render_report_text(report))
     if args.report:
-        _write_report(report, args.report)
+        evaluation.write_report(report, args.report)
     return 0
 
 
@@ -196,8 +189,7 @@ def cmd_classify(args) -> int:
     if net.feature_slots is not None:
         values = values[net.feature_slots]
     label, activations = mlp.classify(net, values)
-    name = net.label_map[label] if net.label_map else str(label)
-    _print_escaped(name)
+    _print_escaped(net.label_map[label])
     print(" ".join(f"{a:.4f}" for a in activations))
     return 0
 

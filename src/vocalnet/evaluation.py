@@ -4,18 +4,18 @@ A report is the confusion matrix itself: accuracy is the percentage of
 correctly identified samples (matrix trace over total), and a class's false
 positives are its column's off-diagonal counts, so a classifier can be 100%
 accurate on every real class and still carry a non-zero error rate through
-pseudo-class false positives.
+pseudo-class false positives. A matrix takes its size and its class names
+from the model it scores, which always names its classes; write_report writes
+both report files, the text table and its CSV.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabeledCorpus, write_csv_rows
+from .dataset import LabeledCorpus, open_artifact, write_csv_rows
 from .errors import EmptyMatrix, LabelOutOfRange
 from .features import FEATURE_NAMES
 
@@ -61,9 +61,10 @@ class FoldSummary:
     summed_matrix: ConfusionMatrix
 
 
-def confusion_matrix(truths, predictions, n: int,
-                     class_names: list[str] | None = None) -> ConfusionMatrix:
-    """Count matrix over (true, predicted) label pairs."""
+def confusion_matrix(truths, predictions, class_names: list[str]) -> ConfusionMatrix:
+    """Count matrix over (true, predicted) label pairs, one row and column per
+    class name."""
+    n = len(class_names)
     truths = np.asarray(truths, dtype=int)
     predictions = np.asarray(predictions, dtype=int)
     if len(truths) != len(predictions):
@@ -73,18 +74,7 @@ def confusion_matrix(truths, predictions, n: int,
         raise LabelOutOfRange(f"labels must lie in [0, {n})")
     counts = np.zeros((n, n), dtype=int)
     np.add.at(counts, (truths, predictions), 1)
-    if class_names is None:
-        class_names = [f"class_{i}" for i in range(n)]
     return ConfusionMatrix(counts=counts, class_names=list(class_names))
-
-
-def summarize(matrix: ConfusionMatrix) -> ConfusionMatrix:
-    """The matrix itself, once it holds an evaluated sample; its properties
-    give the overall accuracy, error rate, hypothesis verdict and per-class
-    false positives."""
-    if matrix.total == 0:
-        raise EmptyMatrix("no evaluated samples")
-    return matrix
 
 
 def cross_fold_report(reports: list[ConfusionMatrix]) -> FoldSummary:
@@ -171,14 +161,16 @@ def render_report_text(matrix: ConfusionMatrix) -> str:
     return "\n".join(lines)
 
 
-def render_report_csv(matrix: ConfusionMatrix) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
+def write_report(matrix: ConfusionMatrix, prefix: str) -> None:
+    """The report's two files: prefix.txt, the text table with a closing
+    newline, and prefix.csv, one row per true class with its counts and
+    correct count, then the overall error rate, accuracy and verdict."""
+    with open_artifact(prefix + ".txt", "w") as fh:
+        fh.write(render_report_text(matrix) + "\n")
     names = matrix.class_names
-    writer.writerow(["true_class", *names, "total_correct"])
-    for i, name in enumerate(names):
-        writer.writerow([name, *matrix.counts[i].tolist(), matrix.counts[i, i]])
-    writer.writerow(["overall_error_rate", f"{matrix.overall_error_rate:.6f}"])
-    writer.writerow(["overall_accuracy", f"{matrix.overall_accuracy:.6f}"])
-    writer.writerow(["hypothesis_pass", int(matrix.hypothesis_pass)])
-    return buf.getvalue()
+    write_csv_rows(prefix + ".csv", ["true_class", *names, "total_correct"],
+                   [*([name, *matrix.counts[i].tolist(), matrix.counts[i, i]]
+                      for i, name in enumerate(names)),
+                    ["overall_error_rate", f"{matrix.overall_error_rate:.6f}"],
+                    ["overall_accuracy", f"{matrix.overall_accuracy:.6f}"],
+                    ["hypothesis_pass", int(matrix.hypothesis_pass)]])

@@ -415,11 +415,13 @@ def save_model(net: Network, path, seed: int | None = None,
 
 
 def load_model(path) -> tuple[Network, dict]:
-    """Load a model JSON; returns (network, full document). Bad JSON, another
-    format version, missing keys, arrays, labels or slots that do not fit the
-    spec, non-finite arrays, an input_std below STD_FLOOR, a repeated label or
-    feature slot, or extraction settings other than (a part of) EXTRACTION
-    raise MalformedArtifact."""
+    """Load a model JSON; returns (network, full document). A model always
+    names its classes: its label_map is a list of exactly spec.n strings, as
+    every model train writes carries the corpus's class names. Bad JSON,
+    another format version, missing keys, arrays, labels or slots that do not
+    fit the spec, non-finite arrays, an input_std below STD_FLOOR, a repeated
+    label or feature slot, or extraction settings other than (a part of)
+    EXTRACTION raise MalformedArtifact."""
     try:
         with open_artifact(path) as fh:
             doc = json.load(fh)
@@ -430,17 +432,18 @@ def load_model(path) -> tuple[Network, dict]:
                       weights=[np.array(w, dtype=np.float64) for w in doc["weights"]],
                       input_mean=np.array(doc["input_mean"], dtype=np.float64),
                       input_std=np.array(doc["input_std"], dtype=np.float64),
-                      label_map=[str(name) for name in doc["label_map"]],
+                      label_map=doc["label_map"],
                       feature_slots=doc.get("feature_slots"))
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise MalformedArtifact(f"{path}: {type(exc).__name__}: {exc}") from exc
-    slots, extraction = net.feature_slots, doc.get("extraction", {})
+    labels, slots, extraction = net.label_map, net.feature_slots, doc.get("extraction", {})
     misfits = [name for name, fits in {
         # the layer count goes first, as layer_sizes() builds m + 2 entries
         "weights": len(net.weights) == spec.m + 1 and [w.shape for w in net.weights]
         == [(s + 1, t) for s, t in pairwise(spec.layer_sizes())],
         "input statistics": net.input_mean.shape == net.input_std.shape == (spec.j,),
-        "label_map": len(net.label_map) in (0, spec.n),
+        "label_map": isinstance(labels, list) and len(labels) == spec.n
+        and all(isinstance(name, str) for name in labels),
         "feature_slots": slots is None or isinstance(slots, list) and len(slots) == spec.j
         and all(type(i) is int and 0 <= i < len(FEATURE_NAMES) for i in slots),
     }.items() if not fits]
@@ -451,8 +454,8 @@ def load_model(path) -> tuple[Network, dict]:
             ("weights, input_mean or input_std are not all finite",
              not all(np.isfinite(a).all() for a in arrays)),
             (f"input_std below {STD_FLOOR}", (net.input_std < STD_FLOOR).any()),
-            ("label_map repeats a name", len(set(net.label_map)) < len(net.label_map)),
-            # misfitting slots may be unhashable, and raise above in any case
+            # misfitting labels or slots may be unhashable, and raise above in any case
+            ("label_map repeats a name", not misfits and len(set(labels)) < len(labels)),
             ("feature_slots repeats a slot", not misfits and slots is not None
              and len(set(slots)) < len(slots)),
             (f"extraction {extraction!r} is not the fixed settings {EXTRACTION}",

@@ -9,8 +9,7 @@ import numpy as np
 
 from .dataset import LabeledCorpus, SplitPlan
 from .errors import LabelOutOfRange
-from .evaluation import (ConfusionMatrix, FoldSummary, confusion_matrix, cross_fold_report,
-                         summarize)
+from .evaluation import ConfusionMatrix, FoldSummary, confusion_matrix, cross_fold_report
 from .mlp import (Network, NetworkSpec, TrainingConfig, TrainingState,
                   classify, init_network, input_statistics, one_hot, train)
 
@@ -31,11 +30,11 @@ class TrainingRun:
 
 
 def evaluate(net: Network, corpus: LabeledCorpus, rows=None) -> ConfusionMatrix:
-    """Score net on the given corpus rows (all by default). Each row is cut
-    to the model's feature slots, and the corpus's classes are matched to the
-    model's by name; a class the model lacks raises LabelOutOfRange."""
-    model_index = {name: i for i, name in
-                   enumerate(net.label_map or corpus.class_names)}
+    """Score net on the given corpus rows (all by default): the confusion
+    matrix over the model's classes, which a model always names. Each row is
+    cut to the model's feature slots, and the corpus's classes are matched to
+    the model's by name; a class the model lacks raises LabelOutOfRange."""
+    model_index = {name: i for i, name in enumerate(net.label_map)}
     unknown = [name for name in corpus.class_names if name not in model_index]
     if unknown:
         raise LabelOutOfRange(f"classes not in the model: {', '.join(unknown)}")
@@ -51,8 +50,7 @@ def evaluate(net: Network, corpus: LabeledCorpus, rows=None) -> ConfusionMatrix:
     # slots are strided, and classify z-scores each into a contiguous vector,
     # so the stack is made contiguous too.
     predictions = classify(net, np.ascontiguousarray(matrix)[:, None, :])[0][:, 0]
-    cm = confusion_matrix(truths, predictions, net.spec.n, net.label_map or None)
-    return summarize(cm)
+    return confusion_matrix(truths, predictions, net.label_map)
 
 
 def train_all_folds(corpus: LabeledCorpus, fold_plan: list[SplitPlan],

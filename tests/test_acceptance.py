@@ -11,7 +11,7 @@ from vocalnet import features as F
 from vocalnet import mlp
 from vocalnet.audio_io import AudioClip, parse_wav
 from vocalnet.dataset import plan_folds
-from vocalnet.evaluation import ConfusionMatrix, summarize
+from vocalnet.evaluation import ConfusionMatrix
 from vocalnet.features import FEATURE_FAMILIES, FEATURE_NAMES, extract_features
 from vocalnet.mlp import NetworkSpec, TrainingConfig, init_network, one_hot
 
@@ -32,7 +32,7 @@ def test_criterion_1_table_arithmetic():
     bird = np.zeros((14, 14), dtype=int)
     bird[0, 0] = 50
     bird[0, 1] = 20
-    r = summarize(ConfusionMatrix(bird, [f"b{i}" for i in range(14)]))
+    r = ConfusionMatrix(bird, [f"b{i}" for i in range(14)])
     assert round(r.overall_accuracy, 2) == 71.43
     assert round(r.overall_error_rate, 2) == 28.57
     # dog table: 17 correct of 18
@@ -41,14 +41,14 @@ def test_criterion_1_table_arithmetic():
         dog[i, i] = 2
     dog[8, 2] = 1
     dog[8, 8] = 1
-    r = summarize(ConfusionMatrix(dog, [f"d{i}" for i in range(9)]))
+    r = ConfusionMatrix(dog, [f"d{i}" for i in range(9)])
     assert round(r.overall_accuracy, 2) == 94.44
     assert round(r.overall_error_rate, 2) == 5.56
     # frog-style counts: 20 correct of 22
     frog = np.zeros((12, 12), dtype=int)
     frog[0, 0] = 20
     frog[0, 1] = 2
-    r = summarize(ConfusionMatrix(frog, [f"f{i}" for i in range(12)]))
+    r = ConfusionMatrix(frog, [f"f{i}" for i in range(12)])
     assert round(r.overall_accuracy, 2) == 90.91
     assert round(r.overall_error_rate, 2) == 9.09
     report("1 (table arithmetic)", time.time() - start, 1)
@@ -101,7 +101,7 @@ def test_criterion_4_end_to_end_synthetic_corpus(tone_corpus_dir):
     assert {(r.network.spec.m, r.network.spec.k) for r in run.results} \
         == {(1, corpus.n_classes)}
     assert run.summary.mean_accuracy >= 95.0, run.summary.mean_accuracy
-    aggregate = summarize(run.summary.summed_matrix)
+    aggregate = run.summary.summed_matrix
     assert aggregate.hypothesis_pass
     report("4 (end-to-end synthetic corpus)", time.time() - start, 120)
 

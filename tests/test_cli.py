@@ -610,6 +610,19 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: DimensionMismatch") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["evaluate", "classify"])
+    def test_model_without_labels_exits_2(self, model_path, cache_path, small_corpus_dir,
+                                          tmp_path, capsys, command):
+        doc = json.loads(model_path.read_text())
+        doc["label_map"] = []
+        bad = write_text(tmp_path / "unlabelled.json", json.dumps(doc))
+        wav = sorted((small_corpus_dir / "tone880").glob("*.wav"))[0]
+        inputs = {"evaluate": ["--cache", str(cache_path)], "classify": [str(wav)]}
+        assert main([command, "--model", bad, *inputs[command]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: MalformedArtifact: ") and err.count("\n") == 1
+        assert "label_map" in err
+
     def test_model_json_list_exits_2(self, cache_path, tmp_path, capsys):
         bad = write_text(tmp_path / "list.json", "[1, 2]")
         assert main(["evaluate", "--model", bad, "--cache", str(cache_path)]) == 2

@@ -10,8 +10,7 @@ from hypothesis.extra import numpy as hnp
 from vocalnet.errors import EmptyMatrix, LabelOutOfRange
 from vocalnet.evaluation import (ConfusionMatrix, confusion_matrix,
                                  cross_fold_report, feature_summary,
-                                 render_report_csv, render_report_text,
-                                 summarize, _quartiles)
+                                 render_report_text, write_report, _quartiles)
 
 from conftest import synthetic_feature_corpus
 
@@ -29,11 +28,15 @@ def dog_table_matrix():
     return ConfusionMatrix(counts=counts, class_names=names)
 
 
+def numbered_names(n):
+    return [f"c{i}" for i in range(n)]
+
+
 class TestConfusionMatrix:
     def test_identical_sequences_are_diagonal(self):
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 4, 50)
-        cm = confusion_matrix(labels, labels, 4)
+        cm = confusion_matrix(labels, labels, numbered_names(4))
         assert np.all(cm.counts == np.diag(np.diag(cm.counts)))
         assert cm.total == 50
 
@@ -46,7 +49,7 @@ class TestConfusionMatrix:
         rng = np.random.default_rng(1)
         truths = rng.integers(0, 3, 1000)
         preds = rng.integers(0, 3, 1000)
-        cm = confusion_matrix(truths, preds, 3)
+        cm = confusion_matrix(truths, preds, numbered_names(3))
         for t in range(3):
             for p in range(3):
                 naive = sum(1 for a, b in zip(truths, preds)
@@ -55,12 +58,12 @@ class TestConfusionMatrix:
 
     def test_label_out_of_range(self):
         with pytest.raises(LabelOutOfRange):
-            confusion_matrix([0, 5], [0, 1], 3)
+            confusion_matrix([0, 5], [0, 1], numbered_names(3))
 
     def test_trace_plus_offdiagonal_is_total(self):
         rng = np.random.default_rng(2)
         cm = confusion_matrix(rng.integers(0, 5, 200),
-                              rng.integers(0, 5, 200), 5)
+                              rng.integers(0, 5, 200), numbered_names(5))
         trace = int(np.trace(cm.counts))
         off = int(cm.counts.sum() - trace)
         assert trace + off == cm.total == 200
@@ -71,27 +74,26 @@ class TestSummarize:
         counts = np.zeros((14, 14), dtype=int)
         counts[0, 0] = 50
         counts[0, 1] = 20  # 50 correct of 70
-        report = summarize(ConfusionMatrix(counts, [f"c{i}" for i in range(14)]))
+        report = ConfusionMatrix(counts, numbered_names(14))
         assert report.overall_accuracy == pytest.approx(71.43, abs=0.005)
         assert report.overall_error_rate == pytest.approx(28.57, abs=0.005)
 
     def test_dog_table_percentages(self):
-        report = summarize(dog_table_matrix())
+        report = dog_table_matrix()
         assert report.overall_accuracy == pytest.approx(94.44, abs=0.005)
         assert report.overall_error_rate == pytest.approx(5.56, abs=0.005)
         assert report.hypothesis_pass
 
     def test_identity_matrix_is_perfect(self):
-        report = summarize(ConfusionMatrix(np.eye(6, dtype=int),
-                                           [f"c{i}" for i in range(6)]))
+        report = ConfusionMatrix(np.eye(6, dtype=int), numbered_names(6))
         assert report.overall_accuracy == 100.0
         assert report.overall_error_rate == 0.0
         assert report.hypothesis_pass
 
     def test_accuracy_and_error_sum_to_100(self):
         rng = np.random.default_rng(3)
-        cm = confusion_matrix(rng.integers(0, 3, 97), rng.integers(0, 3, 97), 3)
-        report = summarize(cm)
+        report = confusion_matrix(rng.integers(0, 3, 97), rng.integers(0, 3, 97),
+                                  numbered_names(3))
         assert report.overall_accuracy + report.overall_error_rate \
             == pytest.approx(100.0, abs=1e-9)
 
@@ -100,25 +102,20 @@ class TestSummarize:
         counts = np.array([[5, 0, 0],
                            [0, 5, 0],
                            [1, 0, 1]])
-        report = summarize(ConfusionMatrix(counts, ["a", "b", "_pseudo"]))
+        report = ConfusionMatrix(counts, ["a", "b", "_pseudo"])
         assert counts[0, 0] == 5 and counts[1, 1] == 5
         assert report.overall_error_rate > 0
         assert report.false_positives == [1, 0, 0]
 
-    def test_empty_matrix(self):
-        with pytest.raises(EmptyMatrix):
-            summarize(ConfusionMatrix(np.zeros((2, 2), dtype=int), ["a", "b"]))
-
     @pytest.mark.parametrize("name", ["overall_accuracy", "overall_error_rate",
                                       "hypothesis_pass"])
     def test_empty_matrix_properties_raise_empty_matrix(self, name):
-        # read without summarize first, as a library caller may
         with pytest.raises(EmptyMatrix):
-            getattr(confusion_matrix([], [], 2), name)
+            getattr(confusion_matrix([], [], numbered_names(2)), name)
 
     def test_below_threshold_fails_hypothesis(self):
         counts = np.array([[1, 1], [1, 1]])
-        report = summarize(ConfusionMatrix(counts, ["a", "b"]))
+        report = ConfusionMatrix(counts, ["a", "b"])
         assert not report.hypothesis_pass
 
 
@@ -132,7 +129,6 @@ class TestDerivedFacts:
     @example(counts=np.array([[7, 1], [2, 0]]))  # exactly 70%: the gate passes
     def test_matches_loops_over_the_counts(self, counts):
         matrix = ConfusionMatrix(counts, [f"c{i}" for i in range(len(counts))])
-        assert summarize(matrix) is matrix
         rows = counts.tolist()
         n = len(rows)
         total = sum(sum(row) for row in rows)
@@ -150,14 +146,14 @@ class TestDerivedFacts:
 
 class TestCrossFold:
     def test_identical_reports(self):
-        report = summarize(dog_table_matrix())
+        report = dog_table_matrix()
         summary = cross_fold_report([report] * 10)
         assert summary.std_accuracy == 0.0
         assert summary.mean_accuracy == report.overall_accuracy
 
     def test_two_folds_stats(self):
-        low = summarize(ConfusionMatrix(np.array([[3, 2], [0, 5]]), ["a", "b"]))
-        high = summarize(ConfusionMatrix(np.array([[4, 1], [0, 5]]), ["a", "b"]))
+        low = ConfusionMatrix(np.array([[3, 2], [0, 5]]), ["a", "b"])
+        high = ConfusionMatrix(np.array([[4, 1], [0, 5]]), ["a", "b"])
         assert low.overall_accuracy == 80.0
         assert high.overall_accuracy == 90.0
         summary = cross_fold_report([low, high])
@@ -166,7 +162,7 @@ class TestCrossFold:
         assert summary.max_accuracy == 90.0
 
     def test_summed_matrix_total(self):
-        reports = [summarize(dog_table_matrix()) for _ in range(3)]
+        reports = [dog_table_matrix() for _ in range(3)]
         summary = cross_fold_report(reports)
         assert summary.summed_matrix.total == 3 * 18
 
@@ -238,7 +234,7 @@ class TestFeatureSummary:
 
 class TestRendering:
     def test_text_report_layout(self):
-        text = render_report_text(summarize(dog_table_matrix()))
+        text = render_report_text(dog_table_matrix())
         assert "Overall accuracy (%):   94.44" in text
         assert "Overall error rate (%): 5.56" in text
         assert "Correct" in text
@@ -250,8 +246,7 @@ class TestRendering:
         names = ["chirp", "pulsed", "tone_high", "tone_low", "_pseudo"]
         counts = np.diag([3, 2, 12, 1, 0])
         counts[4, 2], counts[1, 3] = 2, 1
-        text = render_report_text(summarize(ConfusionMatrix(counts=counts,
-                                                            class_names=names)))
+        text = render_report_text(ConfusionMatrix(counts=counts, class_names=names))
         header, *rows = text.splitlines()[:len(names) + 2]
         assert header.split() == [*names, "Correct"]
         label_width = len(header) - len(header.lstrip())
@@ -284,10 +279,25 @@ Hypothesis (>= 70% accuracy): PASS"""),
     ], ids=["wide-count", "long-name"])
     def test_text_report_column_widths(self, names, counts, expected):
         matrix = ConfusionMatrix(counts=np.array(counts), class_names=names)
-        assert render_report_text(summarize(matrix)) == expected
+        assert render_report_text(matrix) == expected
 
-    def test_csv_report(self):
-        csv_text = render_report_csv(summarize(dog_table_matrix()))
-        lines = csv_text.strip().splitlines()
-        assert lines[0].startswith("true_class,")
-        assert any(line.startswith("overall_accuracy,94.44") for line in lines)
+    def test_write_report_files(self, tmp_path):
+        matrix = dog_table_matrix()
+        write_report(matrix, str(tmp_path / "report"))
+        assert (tmp_path / "report.txt").read_bytes() \
+            == (render_report_text(matrix) + "\n").encode()
+        assert (tmp_path / "report.csv").read_bytes() == (
+            b"true_class,Beagle,Chihuahua,ChowChow,Labrador,Pomeranian,Poodle,"
+            b"ShihTzu,Husky,Pseudo,total_correct\r\n"
+            b"Beagle,2,0,0,0,0,0,0,0,0,2\r\n"
+            b"Chihuahua,0,2,0,0,0,0,0,0,0,2\r\n"
+            b"ChowChow,0,0,2,0,0,0,0,0,0,2\r\n"
+            b"Labrador,0,0,0,2,0,0,0,0,0,2\r\n"
+            b"Pomeranian,0,0,0,0,2,0,0,0,0,2\r\n"
+            b"Poodle,0,0,0,0,0,2,0,0,0,2\r\n"
+            b"ShihTzu,0,0,0,0,0,0,2,0,0,2\r\n"
+            b"Husky,0,0,0,0,0,0,0,2,0,2\r\n"
+            b"Pseudo,0,0,1,0,0,0,0,0,1,1\r\n"
+            b"overall_error_rate,5.555556\r\n"
+            b"overall_accuracy,94.444444\r\n"
+            b"hypothesis_pass,1\r\n")

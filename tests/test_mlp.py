@@ -405,9 +405,8 @@ class TestModelFile:
             input_mean=data.draw(arrays(np.float64, spec.j, elements=finite)),
             input_std=data.draw(arrays(np.float64, spec.j, elements=st.floats(
                 mlp.STD_FLOOR, allow_infinity=False))),
-            label_map=data.draw(st.one_of(
-                st.just([]), st.lists(st.text(max_size=8), min_size=spec.n,
-                                      max_size=spec.n, unique=True))),
+            label_map=data.draw(st.lists(st.text(max_size=8), min_size=spec.n,
+                                         max_size=spec.n, unique=True)),
             feature_slots=data.draw(st.one_of(
                 st.none(), st.lists(st.integers(0, len(FEATURE_NAMES) - 1),
                                     min_size=spec.j, max_size=spec.j, unique=True))))
@@ -450,6 +449,11 @@ class TestModelFile:
         (lambda doc: doc.update(input_std=[0.0, 0.0]), "input_std below"),
         (lambda doc: doc["input_std"].__setitem__(1, mlp.STD_FLOOR / 2), "input_std below"),
         (lambda doc: doc.update(label_map=["a", "a"]), "label_map repeats"),
+        (lambda doc: doc.update(label_map=[]), "label_map do not fit"),
+        (lambda doc: doc.update(label_map="ab"), "label_map do not fit"),
+        (lambda doc: doc.update(label_map={"x": 1, "y": 2}), "label_map do not fit"),
+        (lambda doc: doc.update(label_map=[1, 2]), "label_map do not fit"),
+        (lambda doc: doc.update(label_map=[["a"], ["a"]]), "label_map do not fit"),
         (lambda doc: doc.update(feature_slots=[4, 4]), "feature_slots repeats"),
         (lambda doc: doc.update(extraction={"window": 1024, "hop": 512, "rate": 22050}),
          re.escape("{'window': 1024, 'hop': 512, 'rate': 22050} is not the fixed "
@@ -464,8 +468,9 @@ class TestModelFile:
                                 weights=[doc["weights"][0][:2], *doc["weights"][1:]]),
          "invalid topology"),
     ], ids=["nan-weight", "inf-weight", "inf-mean", "nan-std", "zero-std",
-            "std-below-floor", "repeated-label", "repeated-slot", "other-window",
-            "other-rate", "extra-setting", "null-extraction", "bool-spec"])
+            "std-below-floor", "repeated-label", "no-labels", "label-string",
+            "label-object", "label-numbers", "label-lists", "repeated-slot",
+            "other-window", "other-rate", "extra-setting", "null-extraction", "bool-spec"])
     def test_rejects_what_train_never_writes(self, tmp_path, edit, message):
         net = init_network(NetworkSpec(2, 3, 1, 2), seed=0)
         net.label_map = ["a", "b"]
@@ -484,8 +489,10 @@ class TestModelFile:
         lambda doc: doc.update(extraction={"hop": 256, "window": 512}),
     ], ids=["absent", "empty", "rate-only", "window-and-hop"])
     def test_accepts_the_fixed_extraction_or_part_of_it(self, tmp_path, edit):
+        net = init_network(NetworkSpec(2, 3, 1, 2), seed=0)
+        net.label_map = ["a", "b"]
         path = tmp_path / "model.json"
-        save_model(init_network(NetworkSpec(2, 3, 1, 2), seed=0), path)
+        save_model(net, path)
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
