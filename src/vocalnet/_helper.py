@@ -33,12 +33,8 @@ the helper. The commands fork from a process whose only other threads are
 OpenBLAS's pool, which OpenBLAS itself resets at a fork; only a library
 caller that runs threads of its own when the helper forks takes that risk.
 
-The fork took 0.5-1.2 ms in 30-70 MB processes with numpy loaded, once per
-process. run_jobs over two trivial jobs took a median 28 us where each
-returns None and 45 us where each returns a 7 KB array, as a block of 86
-frames does; most of the difference is the result's pickle (2-core x86-64,
-py3.11, five interleaved rounds; the host's second core comes and goes, and
-in a busier sitting the same calls took 57 and 86 us).
+The helper is forked once per process, and most of what run_jobs itself
+costs is the pickle of the helper's result; CHANGES.md keeps the timings.
 """
 
 from __future__ import annotations

@@ -18,26 +18,17 @@ helper process: vocalnet._helper.run_jobs takes the list of blocks' sample
 spans and hands it a copy of every other one. A thread could not stand in
 for it: numpy holds the GIL inside a gufunc or an accumulate over at most 500
 rows, so lpc's np.vecdot and the rolloff's np.cumsum(axis=1) serialize two
-threads over a block's at most 256 rows, and two threads extracted
-512-2048-frame clips at only 1.30-1.44x one thread's speed. With the helper
-process, two blocks against one ran noise clips at 0.97x one block's speed
-at 24 frames, 1.08x at 32, 1.27x at 64, 1.30x at 86, 1.44x at 128 and 1.53x
-at 256 (2-core x86-64, numpy 2.4.6, medians of 11 rounds). Two blocks still
-start at 128 frames: a clip below that gains at most about 0.2 ms, and the
-first one in a process would pay the fork and, at exit, the helper's end,
-0.5-0.8 ms and about 1 ms in a fresh `vocalnet classify`, whose clips are
-mostly that short. However long a clip runs, its working memory is its
-decoded samples, the stage arrays of one block on each side and a few dozen
-values per frame. At 512-sample windows a 256-frame block holds at most
-about 1.7 MB at once, in spectral shape: its magnitudes and that stage's two
-per-call buffers, 0.5 MB each. The spectrum tapers and transforms
-FFT_ROWS = 64 frames at a time, so the block's 1 MB of tapered frames and
-1 MB of complex spectrum are never held whole. Block size was measured on a
-512-frame noise clip (2-core x86-64, numpy 2.4.6, six rounds): the stages
-run one block after another took 12.5-13.9 us/frame in 128-frame blocks and
-11.7-17.8 in 256-frame ones. In a later sitting the whole extraction with
-the helper process took 5.99 us/frame in 128-frame blocks against 5.61 in
-256-frame ones (medians of 11 interleaved rounds).
+threads over a block's at most 256 rows. Two blocks start at 128 frames: a
+shorter clip gains less from the second core than the first split in a
+process pays to fork the helper and, at exit, to end it, and a fresh
+`vocalnet classify` mostly sees clips that short. CHANGES.md keeps the
+timings behind the thread, the split and the block size. However long a clip
+runs, its working memory is its decoded samples, the stage arrays of one
+block on each side and a few dozen values per frame. At 512-sample windows a
+256-frame block holds at most about 1.7 MB at once, in spectral shape: its
+magnitudes and that stage's two per-call buffers, 0.5 MB each. The spectrum
+tapers and transforms FFT_ROWS = 64 frames at a time, so the block's 1 MB of
+tapered frames and 1 MB of complex spectrum are never held whole.
 
 extract_features takes a power-of-two window above LPC_ORDER (10) samples and
 a hop in (0, window]; any other setting raises InvalidSetting before any

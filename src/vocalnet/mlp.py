@@ -394,9 +394,23 @@ def train(net: Network, train_inputs: np.ndarray, train_targets: np.ndarray,
                               test_mse=test_mse, stop_reason=stop_reason)
 
 
+def _label_map_fault(labels, n: int) -> str | None:
+    """None if labels name a model's n classes: a list of n distinct strings.
+    Otherwise "do not fit", or "repeats a name" for n strings with a repeat."""
+    if not (isinstance(labels, list) and len(labels) == n
+            and all(isinstance(name, str) for name in labels)):
+        return "do not fit"
+    return "repeats a name" if len(set(labels)) < n else None
+
+
 def save_model(net: Network, path, seed: int | None = None,
                stop_reason: str | None = None) -> None:
-    """Persist a trained network as a versioned JSON document."""
+    """Persist a trained network as a versioned JSON document. A label_map
+    that load_model would refuse raises InvalidSetting before the file is
+    opened."""
+    if _label_map_fault(net.label_map, net.spec.n):
+        raise InvalidSetting(f"label_map must name the {net.spec.n} classes with "
+                             f"distinct strings, got {net.label_map!r}")
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "spec": {"j": net.spec.j, "k": net.spec.k,
@@ -436,14 +450,14 @@ def load_model(path) -> tuple[Network, dict]:
                       feature_slots=doc.get("feature_slots"))
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise MalformedArtifact(f"{path}: {type(exc).__name__}: {exc}") from exc
-    labels, slots, extraction = net.label_map, net.feature_slots, doc.get("extraction", {})
+    slots, extraction = net.feature_slots, doc.get("extraction", {})
+    label_fault = _label_map_fault(net.label_map, spec.n)
     misfits = [name for name, fits in {
         # the layer count goes first, as layer_sizes() builds m + 2 entries
         "weights": len(net.weights) == spec.m + 1 and [w.shape for w in net.weights]
         == [(s + 1, t) for s, t in pairwise(spec.layer_sizes())],
         "input statistics": net.input_mean.shape == net.input_std.shape == (spec.j,),
-        "label_map": isinstance(labels, list) and len(labels) == spec.n
-        and all(isinstance(name, str) for name in labels),
+        "label_map": label_fault != "do not fit",
         "feature_slots": slots is None or isinstance(slots, list) and len(slots) == spec.j
         and all(type(i) is int and 0 <= i < len(FEATURE_NAMES) for i in slots),
     }.items() if not fits]
@@ -454,8 +468,8 @@ def load_model(path) -> tuple[Network, dict]:
             ("weights, input_mean or input_std are not all finite",
              not all(np.isfinite(a).all() for a in arrays)),
             (f"input_std below {STD_FLOOR}", (net.input_std < STD_FLOOR).any()),
-            # misfitting labels or slots may be unhashable, and raise above in any case
-            ("label_map repeats a name", not misfits and len(set(labels)) < len(labels)),
+            ("label_map repeats a name", label_fault == "repeats a name"),
+            # misfitting slots may be unhashable, and raise above in any case
             ("feature_slots repeats a slot", not misfits and slots is not None
              and len(set(slots)) < len(slots)),
             (f"extraction {extraction!r} is not the fixed settings {EXTRACTION}",

@@ -28,6 +28,8 @@ class SelectionStep:
     slot: int
     mdl: float
     accepted: bool
+    epoch: int  # the candidate's TrainingState: how long it trained
+    stop_reason: str  # and which stopping rule ended its training
 
 
 @dataclass
@@ -51,8 +53,10 @@ def forward_select(corpus: LabeledCorpus, folds: list[SplitPlan], hidden_width: 
                    hidden_layers: int, config: TrainingConfig) -> SelectionTrace:
     """Greedy forward substitution over the 28 slots, trained on fold 1 only.
 
-    Every candidate evaluation is recorded in the trace; ties between equal
-    scores go to the lower slot index.
+    Every candidate is recorded in the trace with its score and how its
+    training stopped. A round's best is its first lowest score, so equal
+    scores go to the lower slot and a NaN score never wins; it is accepted
+    only strictly below the incumbent, the last accepted score.
     """
     split = folds[0]
     all_features = corpus.samples
@@ -75,9 +79,7 @@ def forward_select(corpus: LabeledCorpus, folds: list[SplitPlan], hidden_width: 
 
     for round_idx in range(n_slots):
         candidates = [s for s in range(n_slots) if s not in selected]
-        best_slot = None
-        best_mdl = np.inf
-        round_scores: dict[int, float] = {}
+        scores, states = [], []
         # every candidate of a round has the same spec and seed, so one
         # network serves them all: train leaves its argument unchanged
         net = init_network(NetworkSpec(j=len(selected) + 1, k=hidden_width,
@@ -86,32 +88,36 @@ def forward_select(corpus: LabeledCorpus, folds: list[SplitPlan], hidden_width: 
             cols = selected + [slot]
             net.feature_slots = cols
             train_x = train_x_full[:, cols]
-            trained, _ = train(net, train_x, train_t,
-                               test_x_full[:, cols], test_t, config)
-            score = mdl_score(trained, train_x, train_t)
-            round_scores[slot] = score
-            if score < best_mdl:  # strict: equal scores keep the lower slot
-                best_mdl = score
-                best_slot = slot
-
-        accepted = best_mdl < incumbent
-        for slot in candidates:
-            steps.append(SelectionStep(round=round_idx, slot=slot,
-                                       mdl=round_scores[slot],
-                                       accepted=accepted and slot == best_slot))
+            trained, state = train(net, train_x, train_t,
+                                   test_x_full[:, cols], test_t, config)
+            scores.append(mdl_score(trained, train_x, train_t))
+            states.append(state)
+        # NaN read as inf, so a round of NaNs accepts nothing
+        best = int(np.argmin(np.where(np.isnan(scores), np.inf, scores)))
+        accepted = scores[best] < incumbent
+        steps += [SelectionStep(round_idx, slot, score, accepted and i == best,
+                                state.epoch, state.stop_reason)
+                  for i, (slot, score, state) in enumerate(zip(candidates, scores, states))]
         if not accepted:
             break
-        selected.append(best_slot)
-        incumbent = best_mdl
+        selected.append(candidates[best])
+        incumbent = scores[best]
 
     return SelectionTrace(steps=steps, final_subset=selected)
 
 
 def export_trace(trace: SelectionTrace, path) -> None:
-    """Audit CSV: round,slot,slot_name,mdl,accepted."""
-    write_csv_rows(path, ["round", "slot", "slot_name", "mdl", "accepted"],
-                   ([step.round, step.slot, FEATURE_NAMES[step.slot],
-                     repr(float(step.mdl)), int(step.accepted)] for step in trace.steps))
+    """Audit CSV, one row per candidate in the order tried:
+    round,slot,slot_name,mdl,accepted,epoch,stop_reason. epoch is the number
+    of epochs the candidate's training ran, and stop_reason the rule that
+    ended it: TestWorsening (the weights scored are then the best-test
+    snapshot of an earlier epoch), TrainStalled, TargetReached or EpochCap,
+    as mlp.train reports them in its TrainingState."""
+    write_csv_rows(path, ["round", "slot", "slot_name", "mdl", "accepted", "epoch",
+                          "stop_reason"],
+                   ([step.round, step.slot, FEATURE_NAMES[step.slot], repr(float(step.mdl)),
+                     int(step.accepted), step.epoch, step.stop_reason]
+                    for step in trace.steps))
 
 
 def write_subset(trace: SelectionTrace, path) -> None:

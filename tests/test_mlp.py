@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from vocalnet import mlp
 from vocalnet.dataset import make_corpus
-from vocalnet.errors import DimensionMismatch, EmptySet, MalformedArtifact
+from vocalnet.errors import DimensionMismatch, EmptySet, InvalidSetting, MalformedArtifact
 from vocalnet.features import FEATURE_NAMES
 from vocalnet.mlp import (Network, NetworkSpec, TrainingConfig, classify,
                           forward, init_network, load_model, mse, one_hot,
@@ -440,6 +440,18 @@ class TestModelFile:
         save_model(net, tmp_path / "model.json")
         back, _ = load_model(tmp_path / "model.json")
         assert np.array_equal(back.input_std, net.input_std)
+
+    @pytest.mark.parametrize("labels", [None, ["a"], ["a", "a"], ["a", 1], "ab"],
+                             ids=["as-initialised", "too-few", "repeated", "not-strings",
+                                  "string"])
+    def test_save_refuses_a_label_map_load_would_refuse(self, tmp_path, labels):
+        net = init_network(NetworkSpec(2, 3, 1, 2), seed=0)
+        if labels is not None:  # init_network leaves the label_map empty
+            net.label_map = labels
+        path = tmp_path / "model.json"
+        with pytest.raises(InvalidSetting, match="label_map"):
+            save_model(net, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc["weights"][0][0].__setitem__(0, float("nan")), "not all finite"),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import selection_oracle
 from vocalnet import dataset, pipeline, selection
 from vocalnet.features import FEATURE_NAMES
-from vocalnet.mlp import NetworkSpec, TrainingConfig, init_network, one_hot
+from vocalnet.mlp import NetworkSpec, TrainingConfig, init_network, one_hot, train
 from vocalnet.selection import (SelectionTrace, forward_select, mdl_score,
                                 read_subset, export_trace, write_subset)
 
@@ -105,6 +105,54 @@ class TestForwardSelect:
         assert [(s.round, s.slot) for s in trace.steps if s.accepted] == [(0, 0)]
         assert len(trace.steps) == 28 + 27
 
+    @pytest.mark.filterwarnings("ignore:classes smaller than")
+    def test_each_step_keeps_how_its_candidate_stopped(self):
+        # each candidate trained alone, on a network of its own, stops at the
+        # epoch and by the rule its step records; this cache's trace meets
+        # all four rules
+        corpus = TestAgainstOracle.cache([6, 6], seed=1)
+        split = dataset.plan_folds(corpus, seed=1)[0]
+        config = TrainingConfig(max_epochs=300, seed=1)
+        trace = forward_select(corpus, [split], hidden_width=2, hidden_layers=1,
+                               config=config)
+        targets = one_hot(corpus.labels, corpus.n_classes)
+        for step in trace.steps:
+            cols = trace.final_subset[:step.round] + [step.slot]
+            net = init_network(NetworkSpec(len(cols), 2, 1, corpus.n_classes), config.seed)
+            net.feature_slots = cols
+            x = corpus.samples[:, cols]
+            _, state = train(net, x[split.train_ids], targets[split.train_ids],
+                             x[split.test_ids], targets[split.test_ids], config)
+            assert (step.epoch, step.stop_reason) == (state.epoch, state.stop_reason)
+        assert {step.stop_reason for step in trace.steps} \
+            == {"TestWorsening", "TrainStalled", "TargetReached", "EpochCap"}
+
+    @pytest.mark.parametrize("score, subset, n_steps", [
+        # NaN in slots 0 and 27 of every round; slot 1 wins round 0 and
+        # round 1 improves on nothing
+        (lambda rnd, slot: math.nan if slot in (0, 27) else -float(rnd == 0 and slot == 1),
+         [1], 28 + 27),
+        # slots 3 and 5 tie lowest: round 0 takes slot 3, and slot 5 only
+        # ties the incumbent in round 1
+        (lambda rnd, slot: -float(slot in (3, 5)), [3], 28 + 27),
+        # a round of NaNs accepts nothing, the first round or a later one
+        (lambda rnd, slot: math.nan, [], 28),
+        (lambda rnd, slot: -float(slot == 2) if rnd == 0 else math.nan, [2], 28 + 27),
+    ], ids=["nan-never-wins", "tie-to-lower-slot", "all-nan-first", "all-nan-later"])
+    def test_round_rule_edges(self, informative_corpus, monkeypatch, score, subset,
+                              n_steps):
+        # the score of a candidate is score(round, slot), read off its slots
+        monkeypatch.setattr(selection, "mdl_score", lambda net, *args: score(
+            len(net.feature_slots) - 1, net.feature_slots[-1]))
+        folds = dataset.plan_folds(informative_corpus, seed=0)
+        trace = forward_select(informative_corpus, folds, hidden_width=3,
+                               hidden_layers=1,
+                               config=TrainingConfig(max_epochs=1, seed=0))
+        assert trace.final_subset == subset
+        assert [(s.round, s.slot) for s in trace.steps if s.accepted] \
+            == list(enumerate(subset))
+        assert len(trace.steps) == n_steps
+
     def test_rerun_reproduces_trace(self, informative_corpus, informative_trace):
         folds = dataset.plan_folds(informative_corpus, seed=0)
         again = forward_select(informative_corpus, folds, hidden_width=3,
@@ -173,7 +221,10 @@ class TestTraceFiles:
 
         with open(trace_path) as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["round", "slot", "slot_name", "mdl", "accepted"]
+        assert rows[0] == ["round", "slot", "slot_name", "mdl", "accepted", "epoch",
+                           "stop_reason"]
+        assert [(int(row[5]), row[6]) for row in rows[1:]] \
+            == [(s.epoch, s.stop_reason) for s in informative_trace.steps]
         assert len(rows) == 1 + len(informative_trace.steps)
         assert read_subset(subset_path) == informative_trace.final_subset
 
