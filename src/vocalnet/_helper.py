@@ -6,10 +6,11 @@ the caller. The helper is a process of its own, forked on first use, and
 run_jobs is the one way to use it: it runs a function over a list of input
 arrays, the caller taking the even-numbered inputs and the helper the odd
 ones. The helper works on a copy of its input laid into `buffer`, an
-anonymous shared mapping of BUFFER_BYTES = 1 MiB, and sends its result back
-pickled on its result pipe. The package hands it one kind of job, a block of
-a clip's frames from features.extract_features. The buffer never grows: an
-input that does not fit in it stays on the caller.
+anonymous shared mapping of BUFFER_BYTES = 1 MiB, and answers pickled on its
+one duplex connection, the one that brings it each call. The package hands
+it one kind of job, a block of a clip's frames from
+features.extract_features. The buffer never grows: an input that does not
+fit in it stays on the caller.
 
 held() gives the helper to one caller at a time: a caller that finds another
 thread holding it gets None and does all of its work itself, so no caller
@@ -17,11 +18,11 @@ waits for the helper of another. Where os.fork is missing, or a fork fails,
 held() gives None too.
 
 The helper ignores SIGINT, so a Ctrl-C in a terminal reaches the caller
-only. It keeps no descriptor but its two pipes, so a warning raised in its
+only. It keeps no descriptor but its connection, so a warning raised in its
 call is lost unless the warning filters it inherited make it an error. It
-exits at EOF on its command pipe: stop(), run at interpreter exit, closes
-that pipe and waits for the helper, so no helper outlives its process, and a
-process that dies without stop() has its pipes closed by the kernel. A child
+exits at EOF on its connection: stop(), run at interpreter exit, closes the
+caller's end and waits for the helper, so no helper outlives its process, and
+a process that dies without stop() has its end closed by the kernel. A child
 forked from the process forgets the parent's helper and forks its own on
 first use. A helper that died costs its caller time, never a result:
 Helper.call and Helper.wait report it, the caller does that job itself,
@@ -72,60 +73,55 @@ def _view(buffer, place) -> np.ndarray:
     return np.frombuffer(buffer, count=math.prod(shape), offset=at).reshape(shape)
 
 
-def _serve(commands, results, buffer: mmap.mmap) -> None:
-    """The helper's life: run each call read from `commands` on its input
-    in buffer and answer on `results` with (None, its result), or (its
-    error, None) where the call or its result's pickle raised, as one
-    protocol-5 pickle, until EOF."""
+def _serve(conn, buffer: mmap.mmap) -> None:
+    """The helper's life: run each call read from `conn` on its input in
+    buffer and answer on `conn` with (None, its result), or (its error,
+    None) where the call or its result's pickle raised, as one protocol-5
+    pickle, until EOF."""
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-        low, high = sorted((commands.fileno(), results.fileno()))
-        os.closerange(0, low)
-        os.closerange(low + 1, high)
-        os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
+        fd = conn.fileno()
+        os.closerange(0, fd)
+        os.closerange(fd + 1, os.sysconf("SC_OPEN_MAX"))
         while True:
-            function, place, args = commands.recv()  # EOFError ends the helper
+            function, place, args = conn.recv()  # EOFError ends the helper
             try:
                 answer = pickle.dumps((None, function(_view(buffer, place), *args)), 5)
             except BaseException as error:
                 answer = pickle.dumps((_portable(error), None), 5)
-            results.send_bytes(answer)
+            conn.send_bytes(answer)
     finally:
         os._exit(0)
 
 
 class Helper:
-    """A forked helper process, its command and result pipes and its buffer."""
+    """A forked helper process, the connection to it and its buffer."""
 
     def __init__(self):
         # here, so only a process that forks a helper imports multiprocessing
         from multiprocessing import Pipe
 
         self.buffer = mmap.mmap(-1, BUFFER_BYTES)
-        ends = []
+        self._conn, theirs = Pipe()
         try:
-            ends += Pipe(duplex=False)
-            ends += Pipe(duplex=False)
-            commands, self._commands, self._results, results = ends
             self.pid = os.fork()
         except OSError:
-            for end in ends:
-                end.close()
+            self._conn.close()
+            theirs.close()
             raise
         if self.pid == 0:
-            _serve(commands, results, self.buffer)  # never returns
-        commands.close()
-        results.close()
+            _serve(theirs, self.buffer)  # never returns
+        theirs.close()
         self.pending = False  # a call handed in and not yet waited for
 
     def call(self, function, place, args) -> bool:
         """Hand the helper function(input, *args), its input the array at
         that (byte offset, shape) place of the buffer; False if it died."""
-        # set first: a call cut short leaves the pipes in an unknown state
+        # set first: a call cut short leaves the connection in an unknown state
         self.pending = True
         try:
-            self._commands.send((function, place, args))
-        except BrokenPipeError:
+            self._conn.send((function, place, args))
+        except (BrokenPipeError, ConnectionResetError):
             self.drop()
             return False
         return True
@@ -135,8 +131,9 @@ class Helper:
         the helper died first. An exception the call or its result's pickle
         raised is raised here, with its type and message."""
         try:
-            error, result = pickle.loads(self._results.recv_bytes())
-        except (EOFError, OSError):  # OSError: it died mid-answer
+            error, result = pickle.loads(self._conn.recv_bytes())
+        except (EOFError, OSError):
+            # OSError: it died mid-answer, or with its call unread on a socket
             self.drop()
             return []
         self.pending = False
@@ -145,8 +142,8 @@ class Helper:
         return [result]
 
     def drop(self) -> None:
-        """Close the pipes, which ends the helper once its call is done, and
-        wait for it to exit; the next held() forks a new one."""
+        """Close the connection, which ends the helper once its call is
+        done, and wait for it to exit; the next held() forks a new one."""
         global _running
         if _running is self:
             _running = None
@@ -159,9 +156,8 @@ class Helper:
             pass
 
     def forget(self) -> None:
-        """Close this process's ends of the pipes."""
-        self._commands.close()
-        self._results.close()
+        """Close this process's end of the connection."""
+        self._conn.close()
 
 
 def run_jobs(function, sources, *args) -> list:
@@ -170,8 +166,8 @@ def run_jobs(function, sources, *args) -> list:
     runs 1, 3, 5, ... on a copy of its input while the caller runs the one
     before it. A single source never reaches the helper.
 
-    function must be reachable by name from its module, and its results
-    must pickle, as the pipe needs. A handed input is laid in the buffer at
+    function must be reachable by name from its module, and its results must
+    pickle, as the connection needs. A handed input is laid in the buffer at
     its own address modulo 64, so a kernel that rounds by its operands'
     alignment, such as OpenBLAS's Prescott ddot, gives the helper the
     caller's bits; it fits where it so takes at most BUFFER_BYTES. Where the

@@ -8,6 +8,7 @@ downmixed to mono on load.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -107,10 +108,22 @@ def parse_wav(data: bytes, source_path: str = "") -> AudioClip:
                      source_path=source_path)
 
 
+def fs_text(name) -> str:
+    """A file system name as text: its bytes read as UTF-8, a byte that is
+    not UTF-8 written as a \\xNN escape, so every artifact is strict UTF-8."""
+    return os.fsencode(name).decode("utf-8", "backslashreplace")
+
+
 def read_wav(path) -> AudioClip:
-    """Parse a WAV file from disk."""
-    with open(path, "rb") as fh:
-        return parse_wav(fh.read(), source_path=str(path))
+    """Parse a WAV file from disk; a file that cannot be opened or read
+    raises MalformedRiff, its message naming the path as fs_text spells it."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise MalformedRiff(f"cannot read clip: [Errno {exc.errno}] {exc.strerror}: "
+                            f"'{fs_text(path)}'") from exc
+    return parse_wav(data, source_path=str(path))
 
 
 def frame_clip(clip: AudioClip, window_size: int = DEFAULT_WINDOW,

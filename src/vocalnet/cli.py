@@ -19,8 +19,9 @@ failure into an exit code:
      usable clip, an out-of-range setting, or an allocation that fails;
   3  a class of fewer than 3 samples, or classes that all have 3-5 and so
      leave no class a test row, in select or train;
-  4  a clip that cannot be opened or parsed, or that resamples to no
-     samples, in classify; `extract` skips it with the same message;
+  4  a ClipError: a clip that cannot be opened or parsed, or that
+     resamples to no samples, in classify; `extract` skips it with the
+     same message;
   5  a feature vector whose length does not match the model.
 """
 
@@ -32,12 +33,11 @@ import sys
 import warnings
 
 from . import dataset, evaluation, mlp, pipeline, selection
-from .errors import (ClassTooSmall, DimensionMismatch, EmptyClip, MalformedRiff,
-                     UnsupportedFormat, VocalnetError)
+from .errors import ClassTooSmall, ClipError, DimensionMismatch, VocalnetError
 
 EXIT_CODES = (  # the first entry a failure is an instance of decides its code
     (ClassTooSmall, 3),
-    ((MalformedRiff, UnsupportedFormat, EmptyClip), 4),
+    (ClipError, 4),
     (DimensionMismatch, 5),
     ((VocalnetError, OSError, MemoryError), 2),
 )

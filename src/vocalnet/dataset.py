@@ -10,16 +10,18 @@ training time it is an ordinary class with its own output node.
 from __future__ import annotations
 
 import csv
+import errno
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import audio_io, features
-from .errors import (ClassTooSmall, EmptyClip, EmptyCorpus, MalformedArtifact,
-                     MalformedRiff, UnsupportedFormat)
+from .audio_io import fs_text
+from .errors import ClassTooSmall, ClipError, EmptyCorpus, MalformedArtifact
 from .features import FEATURE_NAMES, FeatureVector
 
 PSEUDO_CLASS = "_pseudo"
@@ -63,10 +65,37 @@ def make_corpus(clip_paths, label_names, rows, load_errors=()) -> LabeledCorpus:
         load_errors=list(load_errors))
 
 
+@contextmanager
 def open_artifact(path, mode="r"):
     """A text artifact opened as UTF-8 whatever the locale, with no newline
-    translation; every text file the package reads or writes opens here."""
-    return open(path, mode, encoding="utf-8", newline="")
+    translation; every text file the package reads or writes opens here.
+
+    In mode "w" the text goes to a fresh sibling file, created with the
+    umask's mode as a plain open would, which replaces the artifact (or a
+    symlink at its path) once the block is done and is removed where the
+    block raised: an artifact appears whole or not at all. An artifact this
+    process may not write is left as it is, and an error names the
+    artifact's path, as a plain open's would."""
+    if mode != "w":
+        with open(path, mode, encoding="utf-8", newline="") as fh:
+            yield fh
+        return
+    path = os.fspath(path)
+    temporary = f"{path}.{os.urandom(4).hex()}.tmp"
+    fh = None
+    try:
+        if os.path.exists(path) and not os.access(path, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        fh = open(temporary, "x", encoding="utf-8", newline="")
+        with fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException as exc:
+        if fh is not None:
+            os.remove(temporary)
+        if getattr(exc, "filename", None) == temporary:
+            raise OSError(exc.errno, exc.strerror, path) from exc
+        raise
 
 
 def read_csv_rows(path) -> list[tuple[int, list[str]]]:
@@ -105,21 +134,10 @@ def _manifest_rows(manifest: Path) -> list[tuple[str, str]]:
 
 
 def clip_features(path) -> np.ndarray:
-    """One WAV file's 28 values at audio_io.DEFAULT_*; MalformedRiff if
-    unreadable, its message naming the path as _text spells it."""
-    try:
-        clip = audio_io.read_wav(path)
-    except OSError as exc:
-        raise MalformedRiff(f"cannot read clip: [Errno {exc.errno}] {exc.strerror}: "
-                            f"'{_text(path)}'") from exc
+    """One WAV file's 28 values at audio_io.DEFAULT_*; a ClipError where
+    the clip cannot be used."""
     return features.extract_features(
-        audio_io.resample(clip, audio_io.DEFAULT_RATE)).values
-
-
-def _text(name) -> str:
-    """A file system name as text: its bytes read as UTF-8, a byte that is
-    not UTF-8 written as a \\xNN escape, so every artifact is strict UTF-8."""
-    return os.fsencode(name).decode("utf-8", "backslashreplace")
+        audio_io.resample(audio_io.read_wav(path), audio_io.DEFAULT_RATE)).values
 
 
 def load_corpus(root) -> LabeledCorpus:
@@ -129,7 +147,8 @@ def load_corpus(root) -> LabeledCorpus:
     In a tree, a clip is any file in a class directory whose name ends in
     .wav in any case (field recorders write .WAV), taken in sorted order. A
     manifest's paths reach the file system as their UTF-8 bytes under any
-    locale. Clip paths, and a tree's class names, are kept as _text gives them.
+    locale. Clip paths, and a tree's class names, are kept as fs_text gives
+    them.
 
     A clip that cannot be opened or parsed, or that resamples to no samples,
     is recorded in corpus.load_errors and skipped; the corpus still loads as
@@ -140,7 +159,7 @@ def load_corpus(root) -> LabeledCorpus:
         entries = [(root.parent / os.fsdecode(p.encode()), label)
                    for p, label in _manifest_rows(root)]
     elif root.is_dir():
-        entries = [(wav, _text(sub.name))
+        entries = [(wav, fs_text(sub.name))
                    for sub in sorted(root.iterdir()) if sub.is_dir()
                    for wav in sorted(sub.iterdir())
                    if wav.name.lower().endswith(".wav")]
@@ -152,10 +171,10 @@ def load_corpus(root) -> LabeledCorpus:
     for path, label in entries:
         try:
             rows.append(clip_features(path))
-        except (MalformedRiff, UnsupportedFormat, EmptyClip) as exc:
-            load_errors.append((_text(path), str(exc)))
+        except ClipError as exc:
+            load_errors.append((fs_text(path), str(exc)))
             continue
-        paths.append(_text(path))
+        paths.append(fs_text(path))
         labels.append(label)
 
     if not rows:
@@ -166,7 +185,7 @@ def load_corpus(root) -> LabeledCorpus:
 
 def write_feature_cache(corpus: LabeledCorpus, path) -> None:
     """One UTF-8 CSV row per clip: clip_path,label,<28 canonical slots>. A
-    name that was not UTF-8 on the file system is already _text's escapes."""
+    name that was not UTF-8 on the file system is already fs_text's escapes."""
     write_csv_rows(path, ["clip_path", "label", *FEATURE_NAMES],
                    ([clip, corpus.class_names[label], *(repr(float(v)) for v in values)]
                     for clip, label, values in zip(corpus.clip_paths, corpus.labels,

@@ -7,15 +7,19 @@ class VocalnetError(Exception):
 
 # audio parsing / framing
 
-class MalformedRiff(VocalnetError):
-    """The byte stream is not a well-formed RIFF/WAVE container."""
+class ClipError(VocalnetError):
+    """A clip cannot be used: `extract` skips it and `classify` exits 4."""
 
 
-class UnsupportedFormat(VocalnetError):
+class MalformedRiff(ClipError):
+    """The file cannot be read, or is not a well-formed RIFF/WAVE container."""
+
+
+class UnsupportedFormat(ClipError):
     """The WAV file uses a codec, bit depth, or channel count we do not handle."""
 
 
-class EmptyClip(VocalnetError):
+class EmptyClip(ClipError):
     """A clip with zero samples cannot be framed."""
 
 

@@ -27,6 +27,15 @@ def wav_bytes(samples_i16, sample_rate=8000, channels=1, bits=16, format_tag=1):
     return header + pcm
 
 
+# one clip file per kind of ClipError, as its file name and bytes: ten zero
+# bytes, a declared rate of 1 Hz, and 100 samples at 2 GHz, none at 22050 Hz
+UNUSABLE_CLIPS = {
+    "MalformedRiff": ("broken.wav", b"\x00" * 10),
+    "UnsupportedFormat": ("one_hz.wav", wav_bytes(np.zeros(100), sample_rate=1)),
+    "EmptyClip": ("fast.wav", wav_bytes(np.zeros(100), sample_rate=2_000_000_000)),
+}
+
+
 def write_wav(clip: AudioClip) -> bytes:
     """Encode a clip as canonical 44-byte-header mono 16-bit PCM."""
     ints = np.clip(np.rint(clip.samples * 32768.0), -32768, 32767).astype("<i2")

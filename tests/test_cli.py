@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import copy
 import csv
+import errno
 import io
 import json
 import os
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vocalnet import pipeline, selection
+from vocalnet import dataset, pipeline, selection
 from vocalnet.cli import COMMANDS, build_parser, main
 from vocalnet.dataset import (make_corpus, plan_folds, read_feature_cache,
                               write_feature_cache)
@@ -24,7 +25,7 @@ from vocalnet.evaluation import _quartiles
 from vocalnet.features import FEATURE_NAMES
 from vocalnet.mlp import TrainingConfig, classify, load_model
 
-from conftest import (build_tone_corpus_dir, noise_clip, save_wav,
+from conftest import (UNUSABLE_CLIPS, build_tone_corpus_dir, noise_clip, save_wav,
                       synthetic_feature_corpus, wav_bytes)
 
 
@@ -78,30 +79,28 @@ class TestExtract:
                      "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_corrupt_clip_warns_and_continues(self, small_corpus_dir, tmp_path,
-                                              capsys):
-        import shutil
+    @pytest.mark.parametrize("kind", UNUSABLE_CLIPS)
+    def test_a_clip_error_is_skipped_and_classify_exits_4_alike(
+            self, small_corpus_dir, model_path, tmp_path, capsys, kind):
+        # each kind of ClipError: extract skips the clip with one warning, and
+        # classify exits 4 with the warning's message under the kind's name
         root = tmp_path / "corpus"
         shutil.copytree(small_corpus_dir, root)
-        (root / "tone440" / "broken.wav").write_bytes(b"\x00" * 10)
+        name, data = UNUSABLE_CLIPS[kind]
+        bad = root / "tone440" / name
+        bad.write_bytes(data)
         out = tmp_path / "cache.csv"
         assert main(["extract", "--corpus", str(root), "--out", str(out)]) == 0
-        assert "broken.wav" in capsys.readouterr().err
         assert len(read_feature_cache(out).samples) == 40
+        warning, = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning: skipped ")]
+        prefix = f"warning: skipped {bad}: "
+        assert warning.startswith(prefix)
 
-    def test_clip_at_absurd_sample_rate_is_skipped(self, small_corpus_dir,
-                                                   tmp_path, capsys):
-        import shutil
-        root = tmp_path / "corpus"
-        shutil.copytree(small_corpus_dir, root)
-        (root / "tone440" / "one_hz.wav").write_bytes(
-            wav_bytes(np.zeros(100), sample_rate=1))
-        out = tmp_path / "cache.csv"
-        assert main(["extract", "--corpus", str(root), "--out", str(out)]) == 0
-        assert any(line.startswith("warning: skipped ") and "one_hz.wav" in line
-                   and "sample rate" in line
-                   for line in capsys.readouterr().err.splitlines())
-        assert len(read_feature_cache(out).samples) == 40
+        assert main(["classify", "--model", str(model_path), str(bad)]) == 4
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == f"error: {kind}: {warning[len(prefix):]}\n"
 
     @pytest.mark.parametrize("layout", ["directory", "manifest"])
     def test_unreadable_clip_is_skipped_and_classify_exits_4_alike(
@@ -1023,3 +1022,75 @@ def test_main_never_raises(fuzz_inputs, data):
         code = main(argv)
     assert code in (0, 2, 3, 4, 5)
     assert code == 0 or "error: " in err.getvalue()
+
+
+class FullDisk(io.FileIO):
+    """A file on a disk with room for 512 bytes, less than any artifact the
+    commands write here: a write past them raises ENOSPC."""
+
+    def write(self, data):
+        if self.tell() + len(data) > 512:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(data)
+
+
+def open_on_a_full_disk(file, mode="r", encoding=None, newline=None):
+    """open(), for the package's artifacts, on a disk that FullDisk fills."""
+    if "r" in mode:
+        return open(file, mode, encoding=encoding, newline=newline)
+    return io.TextIOWrapper(io.BufferedWriter(FullDisk(file, mode[0])),
+                            encoding=encoding, newline=newline)
+
+
+class RowsThenFull:
+    """A csv writer that writes `rows` rows, then raises ENOSPC."""
+
+    def __init__(self, writer, rows):
+        self.writer, self.rows = writer, rows
+
+    def writerow(self, row):
+        if not self.rows:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.rows -= 1
+        self.writer.writerow(row)
+
+    def writerows(self, rows):
+        for row in rows:
+            self.writerow(row)
+
+
+class TestWholeArtifacts:
+    """An artifact appears whole or not at all: a command whose write fails
+    exits 2 and leaves the artifacts of an earlier run byte for byte, with no
+    file beside them."""
+
+    @pytest.mark.parametrize("command, fault", [
+        ("extract", "rows"), ("select", "rows"),
+        ("extract", "disk"), ("select", "disk"), ("train", "disk")])
+    def test_a_failed_write_leaves_the_earlier_artifacts(
+            self, small_corpus_dir, tmp_path, capsys, monkeypatch, command, fault):
+        run = tmp_path / "run"
+        run.mkdir()
+        cache, subset = str(run / "cache.csv"), str(run / "subset.csv")
+        flags = ["--seed", "0", "--max-epochs", "5"]
+        argv = {
+            "extract": ["extract", "--corpus", str(small_corpus_dir), "--out", cache],
+            "select": ["select", "--cache", cache, "--trace", str(run / "trace.csv"),
+                       "--subset", subset, *flags],
+            "train": ["train", "--cache", cache, "--model", str(run / "model.json"),
+                      "--subset", subset, *flags]}
+        for args in argv.values():
+            assert main(args) == 0
+        before = {path.name: path.read_bytes() for path in run.iterdir()}
+        capsys.readouterr()
+
+        if fault == "rows":
+            writer = csv.writer
+            monkeypatch.setattr(csv, "writer", lambda fh: RowsThenFull(writer(fh), 3))
+        else:
+            monkeypatch.setattr(dataset, "open", open_on_a_full_disk, raising=False)
+        assert main(argv[command]) == 2
+        monkeypatch.undo()
+        assert capsys.readouterr() == ("", "error: OSError: [Errno 28] "
+                                           "No space left on device\n")
+        assert {path.name: path.read_bytes() for path in run.iterdir()} == before

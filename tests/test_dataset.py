@@ -1,18 +1,21 @@
 import csv
+import os
 import re
+import stat
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vocalnet.dataset import (PSEUDO_CLASS, largest_remainder_counts,
+from vocalnet.dataset import (PSEUDO_CLASS, clip_features, largest_remainder_counts,
                               load_corpus, make_corpus, plan_folds,
-                              read_feature_cache, write_feature_cache)
-from vocalnet.errors import ClassTooSmall, EmptyCorpus, MalformedArtifact
+                              read_feature_cache, write_csv_rows,
+                              write_feature_cache)
+from vocalnet.errors import ClassTooSmall, ClipError, EmptyCorpus, MalformedArtifact
 from vocalnet.features import FEATURE_NAMES
 
-from conftest import noise_clip, save_wav
+from conftest import UNUSABLE_CLIPS, noise_clip, save_wav
 
 
 def label_corpus(class_sizes):
@@ -72,6 +75,20 @@ class TestLoadCorpus:
         assert corpus.samples.shape == (4, 28)
         assert [path for path, _ in corpus.load_errors] == [
             str(tmp_path / "birdB" / "0.wav")]
+
+    @pytest.mark.parametrize("kind", UNUSABLE_CLIPS)
+    def test_a_clip_error_is_recorded_and_skipped(self, tmp_path, kind):
+        d = tmp_path / "birdA"
+        d.mkdir()
+        save_wav(noise_clip(np.random.default_rng(6), duration=0.1), d / "a.wav")
+        name, data = UNUSABLE_CLIPS[kind]
+        (d / name).write_bytes(data)
+        with pytest.raises(ClipError) as raised:
+            clip_features(d / name)
+        assert type(raised.value).__name__ == kind
+        corpus = load_corpus(tmp_path)
+        assert corpus.clip_paths == [str(d / "a.wav")]
+        assert corpus.load_errors == [(str(d / name), str(raised.value))]
 
     def test_wav_suffix_in_any_case(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -140,6 +157,47 @@ class TestFeatureCache:
         ordinary = sorted(set(labels) - {PSEUDO_CLASS})
         assert back.class_names == ordinary + [PSEUDO_CLASS] * (PSEUDO_CLASS in labels)
         assert back.clip_paths == paths
+
+
+class TestWholeArtifacts:
+    def test_rows_that_raise_midway_leave_the_earlier_file(self, tmp_path):
+        # 5000 rows fill the file's buffer twice before the row that raises
+        path = tmp_path / "rows.csv"
+        write_csv_rows(path, ["n"], [[0]])
+        before = path.read_bytes()
+
+        def rows():
+            for n in range(5000):
+                yield [n]
+            raise RuntimeError("no row 5000")
+
+        with pytest.raises(RuntimeError, match="^no row 5000$"):
+            write_csv_rows(path, ["n"], rows())
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["rows.csv"]
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may write any file")
+    def test_a_file_this_process_may_not_write_is_left_as_it_is(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        write_csv_rows(path, ["n"], [[0]])
+        path.chmod(0o444)
+        with pytest.raises(PermissionError, match=re.escape(f"denied: '{path}'")):
+            write_csv_rows(path, ["n"], [[1]])
+        assert path.read_bytes() == b"n\r\n0\r\n"
+        assert os.listdir(tmp_path) == ["rows.csv"]
+
+    def test_a_written_file_has_the_mode_of_a_plain_open(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            write_csv_rows(tmp_path / "rows.csv", ["n"], [[0]])
+            with open(tmp_path / "plain", "w"):
+                pass
+        finally:
+            os.umask(umask)
+        modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+                 for name in ("rows.csv", "plain")]
+        assert modes == [0o640, 0o640]
+        assert sorted(os.listdir(tmp_path)) == ["plain", "rows.csv"]
 
 
 class TestLargestRemainder:

@@ -3,6 +3,7 @@
 import os
 import pickle
 import re
+import signal
 import subprocess
 import sys
 
@@ -32,6 +33,14 @@ def failing_on_both(x, caller):
     if os.getpid() == caller:
         raise ValueError("the caller's share failed")
     raise RuntimeError("the helper's call failed")
+
+
+def killing_the_helper(x, caller, helper, killed):
+    """On the caller, kills the helper process once; returns where it ran."""
+    if os.getpid() == caller and not killed:
+        os.kill(helper, signal.SIGKILL)
+        killed.append(helper)
+    return os.getpid()
 
 
 def unpicklable(x, ran):
@@ -158,3 +167,32 @@ def test_both_exceptions_come_chained(fresh_helper):
     assert isinstance(raised.value.__context__, ValueError)
     assert str(raised.value.__context__) == "the caller's share failed"
     assert not _helper._running.pending
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads Linux's /proc")
+def test_the_helper_holds_one_descriptor(fresh_helper):
+    # its calls and its answers share one connection, and once it has
+    # answered it has closed every other descriptor it inherited
+    _helper.run_jobs(scaled_sum, [np.zeros(4)] * 2, 1.0, np.ones(4))
+    assert len(os.listdir(f"/proc/{_helper._running.pid}/fd")) == 1
+
+
+def test_a_helper_that_dies_with_its_call_unread_costs_time_not_results(fresh_helper):
+    # the helper is stopped when its call is sent and killed before it reads
+    # it; on a socket the caller's read then fails with ConnectionResetError,
+    # not EOF, and the caller runs both jobs
+    x = np.zeros(4)
+    _helper.run_jobs(scaled_sum, [x, x], 1.0, x)
+    helper = _helper._running.pid
+    os.kill(helper, signal.SIGSTOP)
+    killed = []
+    try:
+        ran = _helper.run_jobs(killing_the_helper, [x, x], os.getpid(), helper, killed)
+    except BaseException:
+        if not killed:
+            os.kill(helper, signal.SIGKILL)
+        raise
+    assert ran == [os.getpid()] * 2
+    assert _helper._running is None
+    with pytest.raises(ProcessLookupError):
+        os.kill(helper, 0)  # reaped
