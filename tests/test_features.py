@@ -814,6 +814,34 @@ class TestBlocks:
             got = F.extract_features(clip).values.tobytes()
             assert got == whole_stack_vector(clip).values.tobytes(), offset
 
+    def test_every_span_fits_the_helper_at_the_commands_setting(self, monkeypatch):
+        # each sample span extract_features hands run_jobs, for clips of
+        # 1-2000 frames and one shorter than a window, is an input the helper
+        # takes at any address residue; were BLOCK_FRAMES, the overlap frame
+        # and BUFFER_BYTES to drift apart, every block it should take would
+        # run on the caller without a word. The largest span is a later
+        # block of BLOCK_FRAMES frames and its overlap frame, 66,048 samples
+        class Handed(Exception):
+            pass
+
+        spans = []
+
+        def recording(function, sources, *args):
+            spans.extend(sources)
+            raise Handed
+
+        monkeypatch.setattr(_helper, "run_jobs", recording)
+        for n_samples in [300, *(DEFAULT_WINDOW + (n_frames - 1) * DEFAULT_HOP
+                                 for n_frames in range(1, 2001))]:
+            with pytest.raises(Handed):
+                F.extract_features(AudioClip(np.zeros(n_samples), RATE))
+        for span in spans:
+            assert span.dtype == np.float64 and span.flags.c_contiguous
+            assert _helper._place(span) is not None
+            # 56: the largest residue of a float64 address modulo 64
+            assert span.nbytes + 56 <= _helper.BUFFER_BYTES, len(span)
+        assert max(map(len, spans)) == F.BLOCK_FRAMES * DEFAULT_HOP + DEFAULT_WINDOW
+
     def test_a_caller_that_finds_the_helper_held_runs_every_block_itself(
             self, handoffs):
         # while one caller holds the helper, another analyzes all of its

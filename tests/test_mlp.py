@@ -235,6 +235,44 @@ class TestTrain:
             return history[epoch - 1 - over] - history[epoch - 1]
         assert fall(1557, 98) < mlp.STALL_THRESHOLD <= fall(1563, 100)
 
+    @staticmethod
+    def _training(stop_reason):
+        """The inputs and config of a training that stops on stop_reason;
+        "none" is a training of zero epochs."""
+        rng = np.random.default_rng(3)
+        if stop_reason == "TargetReached":
+            return (NetworkSpec(2, 2, 1, 1), 1, XOR_INPUTS, XOR_TARGETS, XOR_INPUTS,
+                    XOR_TARGETS, TrainingConfig(learning_rate=0.5, momentum=0.9,
+                                                max_epochs=5000, seed=1))
+        if stop_reason == "TrainStalled":
+            # as in test_train_stalled_looks_back_exactly_100_epochs
+            x = rng.standard_normal((6, 2))
+            inputs, targets = np.vstack([x, x]), one_hot(np.repeat([0, 1], 6), 2)
+            return (NetworkSpec(2, 2, 1, 2), 3, inputs, targets, inputs, targets,
+                    TrainingConfig(learning_rate=0.003, momentum=0.0, max_epochs=5000,
+                                   test_patience=10**6, seed=3))
+        inputs = rng.standard_normal((40, 4))
+        targets = one_hot((inputs[:, 0] > 0).astype(int), 2)
+        test_inputs = rng.standard_normal((20, 4))
+        shuffled = one_hot(rng.integers(0, 2, 20), 2)  # labels carry no signal
+        max_epochs = {"TestWorsening": 5000, "EpochCap": 15, "none": 0}[stop_reason]
+        return (NetworkSpec(4, 4, 1, 2), 3, inputs, targets, test_inputs, shuffled,
+                TrainingConfig(max_epochs=max_epochs, test_patience=20, seed=3))
+
+    @pytest.mark.parametrize("stop_reason", ["TargetReached", "TrainStalled",
+                                             "TestWorsening", "EpochCap", "none"])
+    def test_returned_train_mse_is_the_returned_networks(self, stop_reason):
+        # bit for bit, so a caller may take the train MSE from the state in
+        # place of an mse() call on the trained network
+        spec, seed, inputs, targets, test_inputs, test_targets, config = (
+            self._training(stop_reason))
+        trained, state = train(init_network(spec, seed), inputs, targets,
+                               test_inputs, test_targets, config)
+        assert state.stop_reason == ("EpochCap" if stop_reason == "none" else stop_reason)
+        assert (state.epoch == 0) == (stop_reason == "none")
+        assert state.train_mse == mse(trained, inputs, targets)
+        assert state.test_mse == mse(trained, test_inputs, test_targets)
+
     def test_one_errstate_mutes_every_exp_of_the_training(self):
         # weights x1000 saturate every sigmoid, so exp overflows in the
         # updates, in each epoch's MSEs and in the train MSE after the
